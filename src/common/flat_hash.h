@@ -264,8 +264,10 @@ class FlatKeyIndex {
   bool SlotMatches(size_t slot, const uint8_t* key, size_t len,
                    uint64_t hash) const {
     const Entry& e = entries_[slot_id_[slot]];
+    // Zero-length keys (global aggregates) skip the compare: the arena may
+    // still be empty, and memcmp must not see its null data().
     return e.hash == hash && e.len == len &&
-           std::memcmp(arena_.data() + e.offset, key, len) == 0;
+           (len == 0 || std::memcmp(arena_.data() + e.offset, key, len) == 0);
   }
 
   void Grow(size_t new_cap);

@@ -58,6 +58,9 @@ Status QueryContext::CheckAlive() {
   int64_t now_ns = -1;
   for (QueryContext* c = this; c != nullptr; c = c->parent_) {
     if (c->cancelled_.load(std::memory_order_acquire)) {
+      if (c->timed_out_.load(std::memory_order_acquire)) {
+        return Status::Timeout("statement timeout exceeded");
+      }
       if (!root->cancel_counted_.exchange(true, std::memory_order_relaxed)) {
         GlobalGovernorInstruments().cancelled->Add(1);
       }
@@ -68,7 +71,8 @@ Status QueryContext::CheckAlive() {
       if (now_ns < 0) now_ns = NowNs();
       if (now_ns >= dl) {
         // Sticky: once past the deadline every subsequent check (any
-        // thread, any shard) agrees the query is dead.
+        // thread, any shard) agrees the query timed out.
+        c->timed_out_.store(true, std::memory_order_release);
         c->cancelled_.store(true, std::memory_order_release);
         if (!root->timeout_counted_.exchange(true,
                                              std::memory_order_relaxed)) {

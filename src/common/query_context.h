@@ -117,6 +117,9 @@ class QueryContext {
 
   QueryContext* const parent_ = nullptr;
   std::atomic<bool> cancelled_{false};
+  /// Set with cancelled_ once this context's deadline passed, so every
+  /// later check reports the timeout rather than a plain cancel.
+  std::atomic<bool> timed_out_{false};
   /// steady_clock nanos-since-epoch; 0 = no deadline.
   std::atomic<int64_t> deadline_ns_{0};
 

@@ -4,9 +4,10 @@
 // dop, ...).
 //
 // Determinism contract: span ids are assigned sequentially in creation
-// order, and every creation site is deterministic — the coordinator runs
-// shards serially and the operator tree walk is a fixed pre-order — so the
-// same query with the same fault seed yields an identical span tree (ids,
+// order, and every creation site is deterministic — shards run
+// concurrently, but the coordinator adds their spans in shard order once
+// all have finished, and the operator tree walk is a fixed pre-order — so
+// the same query with the same fault seed yields an identical span tree (ids,
 // nesting, names, rows, attrs) across runs. Timing fields are excluded
 // from StructureDigest for exactly this reason: wall/CPU time is the one
 // thing that never replays.
@@ -33,8 +34,8 @@ struct TraceSpan {
 };
 
 /// Single-threaded span recorder for one query execution. Not thread-safe:
-/// the coordinator owns it and shard/operator spans are appended from the
-/// (serial) coordination loop.
+/// the coordinator owns it and appends shard/operator spans from its own
+/// thread once the shards have finished.
 class Trace {
  public:
   static constexpr uint32_t kNoParent = 0;  ///< ids start at 1

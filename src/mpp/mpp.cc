@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <thread>
 #include <unordered_map>
 
@@ -124,6 +125,21 @@ void FoldExecStats(const MppExecStats& s, MppExecStats* into) {
   into->timeouts += s.timeouts;
   into->speculative_launches += s.speculative_launches;
   into->speculative_wins += s.speculative_wins;
+}
+
+/// The message verb of a DML statement, whose shard row counts add up on a
+/// distributed table; null for every other statement.
+const char* DmlVerb(ast::StmtKind kind) {
+  switch (kind) {
+    case ast::StmtKind::kInsert:
+      return "INSERTED ";
+    case ast::StmtKind::kUpdate:
+      return "UPDATED ";
+    case ast::StmtKind::kDelete:
+      return "DELETED ";
+    default:
+      return nullptr;
+  }
 }
 
 /// Indents a multi-line block (shard plans inside the combined report).
@@ -404,9 +420,15 @@ MppDatabase::MppDatabase(int nodes, int shards_per_node, int cores_per_node,
     shards_.push_back(std::make_unique<Engine>(shard_config));
     sessions_.push_back(shards_.back()->CreateSession());
   }
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  shard_parallelism_ = std::max(1, std::min(hw, num_shards()));
+  // The calling thread runs shards too (the pool keeps at least one worker).
+  pool_ = std::make_unique<ThreadPool>(shard_parallelism_ - 1);
 }
 
 Status MppDatabase::CreateTable(const TableSchema& schema, bool replicated) {
+  std::lock_guard<std::mutex> turn(turnstile_);
+  std::unique_lock<std::shared_mutex> write_lock(mu_);
   for (auto& shard : shards_) {
     if (schema.organization() == TableOrganization::kRow) {
       DASHDB_ASSIGN_OR_RETURN(auto t, shard->CreateRowTable(schema));
@@ -438,10 +460,10 @@ int MppDatabase::RouteRow(const TableSchema& schema,
 
 Status MppDatabase::Load(const std::string& schema, const std::string& table,
                          const RowBatch& rows) {
+  std::lock_guard<std::mutex> turn(turnstile_);
+  std::unique_lock<std::shared_mutex> write_lock(mu_);
   data_version_.fetch_add(1, std::memory_order_release);
-  std::string key = NormalizeIdent(schema) + "." + NormalizeIdent(table);
-  auto rep = replicated_.find(key);
-  bool replicate = rep != replicated_.end() && rep->second;
+  const bool replicate = IsReplicated(schema, table);
   DASHDB_ASSIGN_OR_RETURN(auto entry, shards_[0]->GetTable(schema, table));
   const TableSchema& ts = entry->schema;
 
@@ -500,17 +522,17 @@ Status MppDatabase::Load(const std::string& schema, const std::string& table,
 }
 
 Status MppDatabase::AttemptWithSpeculation(int shard, const ShardFn& fn,
+                                           QueryContext* qctx,
                                            MppExecStats* stats,
                                            ShardAttemptOut* out) {
   // The primary runs under its own child of the query root: a winning
   // speculative attempt cancels the loser through this context and it
   // stops at its next morsel boundary, so every attempt is joined before
-  // this call returns (no abandoned futures, sessions are always idle for
-  // the next statement).
-  QueryContext primary_ctx(query_ctx_.get());
+  // this call returns (no abandoned futures).
+  QueryContext primary_ctx(qctx);
   auto primary = std::async(std::launch::async, [&fn, &primary_ctx, shard] {
     AttemptResult r;
-    r.status = fn(shard, /*speculative=*/false, &primary_ctx, &r.out);
+    r.status = fn(shard, &primary_ctx, &r.out);
     return r;
   });
   auto window =
@@ -520,12 +542,12 @@ Status MppDatabase::AttemptWithSpeculation(int shard, const ShardFn& fn,
     *out = std::move(r.out);
     return r.status;
   }
-  // Straggler: re-execute on the calling thread with a fresh session.
+  // Straggler: re-execute on the calling thread.
   ++stats->speculative_launches;
   GlobalMppInstruments().speculative_launches->Add(1);
   ShardAttemptOut spec;
-  QueryContext spec_ctx(query_ctx_.get());
-  Status spec_st = fn(shard, /*speculative=*/true, &spec_ctx, &spec);
+  QueryContext spec_ctx(qctx);
+  Status spec_st = fn(shard, &spec_ctx, &spec);
   if (spec_st.ok()) {
     // First result wins; actively cancel the straggling primary and join
     // it (its result — typically kCancelled — is discarded).
@@ -545,114 +567,183 @@ Status MppDatabase::AttemptWithSpeculation(int shard, const ShardFn& fn,
   return r.status;
 }
 
-Result<MppDatabase::ShardAttemptOut> MppDatabase::RunShardResilient(
-    int shard, bool idempotent, const ShardFn& fn, MppExecStats* stats,
-    double* seconds) {
+Result<std::vector<MppDatabase::ShardRun>> MppDatabase::RunShards(
+    bool idempotent, const ShardFn& fn, QueryContext* qctx) {
   FaultInjector& fault = FaultInjector::Global();
+  MppInstruments& ins = GlobalMppInstruments();
   const FailoverPolicy& pol = fail_policy_;
-  Status last;
-  for (int attempt = 1; attempt <= pol.max_attempts_per_shard; ++attempt) {
-    GlobalMppInstruments().shard_attempts->Add(1);
-    Stopwatch sw;
-    // Gate: "the node just died under you". Fires before the attempt does
-    // anything, so a gate failure is retryable even for DML.
-    Status st = fault.Evaluate(kFaultShardExec);
-    const bool gate_failure = !st.ok();
-    ShardAttemptOut out;
-    if (st.ok()) {
-      if (idempotent && pol.straggler_after_seconds >= 0) {
-        st = AttemptWithSpeculation(shard, fn, stats, &out);
-      } else {
-        st = fn(shard, /*speculative=*/false, query_ctx_.get(), &out);
+  const int n = num_shards();
+  std::vector<ShardRun> runs(n);
+  std::vector<Status> status(n);
+  std::vector<int> owner(n);  // node serving each shard's current attempt
+  std::vector<uint8_t> gated(n), ran(n);
+  std::vector<int> pending(n);
+  std::iota(pending.begin(), pending.end(), 0);
+  for (int attempt = 1;; ++attempt) {
+    // Gate, in shard order on this thread: "the node just died under you".
+    // Fault hits map to shards identically on every run, and a gate
+    // failure precedes the attempt, so it is retryable even for DML.
+    {
+      std::lock_guard<std::mutex> topo_lock(topo_mu_);
+      for (int s : pending) owner[s] = topo_.OwnerOf(s);
+    }
+    std::vector<int> dispatch;
+    for (int s : pending) {
+      ins.shard_attempts->Add(1);
+      status[s] = fault.Evaluate(kFaultShardExec);
+      gated[s] = !status[s].ok();
+      ran[s] = 0;
+      if (!gated[s]) dispatch.push_back(s);
+    }
+    // Bodies, concurrently. ParallelFor probes the governor before every
+    // claim, so a cancelled statement dispatches no further shards.
+    pool_->ParallelFor(
+        dispatch.size(),
+        [&](size_t i) {
+          const int s = dispatch[i];
+          ShardRun& run = runs[s];
+          run.out = ShardAttemptOut{};
+          Stopwatch sw;
+          Status st =
+              idempotent && pol.straggler_after_seconds >= 0
+                  ? AttemptWithSpeculation(s, fn, qctx, &run.stats, &run.out)
+                  : fn(s, qctx, &run.out);
+          run.seconds = sw.ElapsedSeconds();
+          if (st.ok() && idempotent &&
+              run.seconds > pol.shard_timeout_seconds) {
+            // Post-hoc budget check: the deterministic plan makes discarding
+            // a late result and re-executing safe (and byte-identical).
+            ++run.stats.timeouts;
+            ins.timeouts->Add(1);
+            st = Status::Timeout("shard attempt took " +
+                                 std::to_string(run.seconds) + "s (budget " +
+                                 std::to_string(pol.shard_timeout_seconds) +
+                                 "s)");
+          }
+          status[s] = std::move(st);
+          ran[s] = 1;
+        },
+        shard_parallelism_, qctx);
+    // Retry decisions, in shard order on this thread.
+    std::vector<int> retry;
+    double backoff = 0;
+    for (int s : pending) {
+      if (!gated[s] && !ran[s]) {
+        // The governor stopped the loop before this shard was claimed.
+        Status alive = qctx->CheckAlive();
+        status[s] = alive.ok() ? Status::Cancelled("shard not dispatched")
+                               : alive;
       }
-    }
-    double elapsed = sw.ElapsedSeconds();
-    if (st.ok() && idempotent && elapsed > pol.shard_timeout_seconds) {
-      // Post-hoc budget check: the deterministic plan makes discarding a
-      // late result and re-executing safe (and byte-identical).
-      ++stats->timeouts;
-      GlobalMppInstruments().timeouts->Add(1);
-      st = Status::Timeout("shard attempt took " + std::to_string(elapsed) +
-                           "s (budget " +
-                           std::to_string(pol.shard_timeout_seconds) + "s)");
-    }
-    if (st.ok()) {
-      *seconds = elapsed;
-      return out;
-    }
-    last = st.WithContext("shard " + std::to_string(shard) + " (node " +
-                          std::to_string(topo_.OwnerOf(shard)) + ")");
-    // A governed abort (CANCEL or statement timeout on the query root)
-    // must surface to the coordinator, never be retried — even though
-    // kTimeout is transient for shard-budget timeouts.
-    bool governed = query_ctx_ != nullptr && query_ctx_->cancelled();
-    bool retryable =
-        st.IsTransient() && (gate_failure || idempotent) && !governed;
-    if (!retryable || attempt == pol.max_attempts_per_shard) return last;
-    ++stats->shard_retries;
-    GlobalMppInstruments().shard_retries->Add(1);
-    if (st.IsUnavailable() && pol.failover_on_unavailable) {
-      // Model the paper's II.E response: mark the owner dead, reassociate
-      // its shards across survivors, then re-execute only the victim. The
-      // shard's file set lives on the clustered FS, so the retry below IS
-      // the survivor running the reassociated shard.
-      int owner = topo_.OwnerOf(shard);
-      if (topo_.IsAlive(owner) && topo_.num_alive_nodes() > 1 &&
-          topo_.FailNode(owner).ok()) {
-        ++stats->failovers;
-        GlobalMppInstruments().failovers->Add(1);
+      const Status& st = status[s];
+      if (st.ok()) continue;
+      // A governed abort (CANCEL or statement timeout on the query root)
+      // must surface, never be retried — even though kTimeout is transient
+      // for shard-budget timeouts.
+      const bool governed = qctx != nullptr && qctx->cancelled();
+      const bool retryable =
+          st.IsTransient() && (gated[s] || idempotent) && !governed;
+      if (!retryable || attempt >= pol.max_attempts_per_shard) {
+        return st.WithContext("shard " + std::to_string(s) + " (node " +
+                              std::to_string(owner[s]) + ")");
       }
+      ++runs[s].stats.shard_retries;
+      ins.shard_retries->Add(1);
+      if (st.IsUnavailable() && pol.failover_on_unavailable) {
+        // The paper's II.E response: mark the attempt's node dead and
+        // reassociate its shards across survivors. The shard's file set
+        // lives on the clustered FS, so the retry IS the survivor running
+        // the reassociated shard. Another shard of that node finds it
+        // already failed.
+        std::lock_guard<std::mutex> topo_lock(topo_mu_);
+        if (topo_.IsAlive(owner[s]) && topo_.num_alive_nodes() > 1 &&
+            topo_.FailNode(owner[s]).ok()) {
+          ++runs[s].stats.failovers;
+          ins.failovers->Add(1);
+        }
+      }
+      // Bounded exponential backoff; jitter is a pure function of
+      // (injector seed, shard, attempt) so schedules replay exactly.
+      double delay = pol.backoff_base_seconds *
+                     static_cast<double>(uint64_t{1} << (attempt - 1));
+      delay = std::min(delay, pol.backoff_max_seconds);
+      Rng jitter(fault.seed() ^ (static_cast<uint64_t>(s) << 32) ^
+                 static_cast<uint64_t>(attempt));
+      backoff = std::max(backoff, delay * (0.5 + 0.5 * jitter.NextDouble()));
+      retry.push_back(s);
     }
-    // Bounded exponential backoff; jitter is a pure function of
-    // (injector seed, shard, attempt) so schedules replay exactly.
-    double delay = pol.backoff_base_seconds *
-                   static_cast<double>(uint64_t{1} << (attempt - 1));
-    delay = std::min(delay, pol.backoff_max_seconds);
-    Rng jitter(fault.seed() ^ (static_cast<uint64_t>(shard) << 32) ^
-               static_cast<uint64_t>(attempt));
-    delay *= 0.5 + 0.5 * jitter.NextDouble();
-    if (delay > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+    if (retry.empty()) return runs;
+    // One sleep per round: the retried shards back off together.
+    if (backoff > 0) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
+    pending = std::move(retry);
   }
-  return last;
 }
 
-Result<MppQueryResult> MppDatabase::Broadcast(const std::string& sql) {
-  MppQueryResult out;
-  out.shard_seconds.resize(shards_.size(), 0);
-  ShardFn fn = [this, sql](int shard, bool /*speculative*/, QueryContext* qctx,
-                           ShardAttemptOut* o) -> Status {
-    if (qctx != nullptr) DASHDB_RETURN_IF_ERROR(qctx->CheckAlive());
+std::shared_ptr<Session> MppDatabase::NewShardSession(int shard) {
+  std::shared_ptr<Session> session = shards_[shard]->CreateSession();
+  session->CopySettingsFrom(*sessions_[shard]);
+  return session;
+}
+
+bool MppDatabase::IsReplicated(const std::string& schema,
+                               const std::string& table) const {
+  auto it = replicated_.find(NormalizeIdent(schema) + "." +
+                             NormalizeIdent(table));
+  return it != replicated_.end() && it->second;
+}
+
+std::string MppDatabase::TargetSchema(const ast::Statement& st) const {
+  return st.target_schema.empty() ? sessions_[0]->default_schema()
+                                  : st.target_schema;
+}
+
+Result<MppQueryResult> MppDatabase::Broadcast(const ast::Statement& st,
+                                              const std::string& sql,
+                                              QueryContext* qctx) {
+  // SET must land on the shard sessions, where settings live; plain
+  // EXPLAIN runs beside other queries under the shared lock, so it reads
+  // copies of them.
+  const bool on_copy = st.kind == ast::StmtKind::kExplain;
+  ShardFn fn = [this, &sql, on_copy](int shard, QueryContext*,
+                                     ShardAttemptOut* o) -> Status {
     DASHDB_RETURN_IF_ERROR(FaultInjector::Global().Evaluate(kFaultShardStall));
-    DASHDB_ASSIGN_OR_RETURN(
-        o->qr, shards_[shard]->Execute(sessions_[shard].get(), sql));
+    std::shared_ptr<Session> session =
+        on_copy ? NewShardSession(shard) : sessions_[shard];
+    DASHDB_ASSIGN_OR_RETURN(o->qr,
+                            shards_[shard]->Execute(session.get(), sql));
     return Status::OK();
   };
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    double secs = 0;
-    DASHDB_ASSIGN_OR_RETURN(
-        ShardAttemptOut r,
-        RunShardResilient(static_cast<int>(s), /*idempotent=*/false, fn,
-                          &out.exec, &secs));
-    out.result = std::move(r.qr);
-    out.shard_seconds[s] = secs;
+  DASHDB_ASSIGN_OR_RETURN(std::vector<ShardRun> runs,
+                          RunShards(/*idempotent=*/false, fn, qctx));
+  MppQueryResult out;
+  int64_t rows = 0;
+  for (const ShardRun& r : runs) {
+    out.shard_seconds.push_back(r.seconds);
+    FoldExecStats(r.stats, &out.exec);
+    rows += r.out.qr.affected_rows;
+  }
+  out.result = std::move(runs.back().out.qr);
+  // DML reports the cluster's count: each shard of a distributed table
+  // holds its own rows, each shard of a replicated one a full copy.
+  const char* verb = DmlVerb(st.kind);
+  if (verb != nullptr && !IsReplicated(TargetSchema(st), st.target_table)) {
+    out.result.affected_rows = rows;
+    out.result.message = verb + std::to_string(rows);
   }
   return out;
 }
 
 Result<MppQueryResult> MppDatabase::RoutedInsert(const ast::Statement& st,
-                                                 const std::string& sql) {
-  std::string schema = st.target_schema.empty() ? "PUBLIC" : st.target_schema;
-  std::string key =
-      NormalizeIdent(schema) + "." + NormalizeIdent(st.target_table);
-  auto rep = replicated_.find(key);
-  if ((rep != replicated_.end() && rep->second) || st.select ||
+                                                 const std::string& sql,
+                                                 QueryContext* qctx) {
+  const std::string schema = TargetSchema(st);
+  if (IsReplicated(schema, st.target_table) || st.select ||
       !st.insert_columns.empty()) {
     // Replicated targets, INSERT..SELECT, and column-subset inserts run on
     // every shard (the engine resolves shard-local sources); distributed
     // correctness for INSERT..SELECT relies on shard-local source data.
-    return Broadcast(sql);
+    return Broadcast(st, sql, qctx);
   }
   DASHDB_ASSIGN_OR_RETURN(auto entry,
                           shards_[0]->GetTable(schema, st.target_table));
@@ -745,6 +836,7 @@ bool IsSimpleAgg(const ast::ExprP& e) {
 }  // namespace
 
 Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
+                                               QueryContext* qctx,
                                                bool analyze) {
   // Detect aggregation.
   bool has_agg = !sel.group_by.empty();
@@ -757,9 +849,8 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
   MppQueryResult out;
   out.shard_seconds.resize(shards_.size(), 0);
   out.shard_exec.resize(shards_.size());
-  // EXPLAIN ANALYZE state: the coordinator's span tree (shards execute
-  // serially in shard order, so span ids are deterministic) plus the
-  // per-shard annotated plans for the combined report.
+  // EXPLAIN ANALYZE state: the coordinator's span tree plus the per-shard
+  // annotated plans for the combined report.
   std::shared_ptr<Trace> trace;
   uint32_t root_span = 0;
   std::vector<std::string> shard_plans(shards_.size());
@@ -767,16 +858,19 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     trace = std::make_shared<Trace>();
     root_span = trace->AddSpan("MppQuery", Trace::kNoParent);
   }
-  // Records one shard's attempt outcome into the trace and report state.
-  auto record_shard = [&](size_t s, const MppExecStats& sstats,
-                          ShardAttemptOut& r, double secs) {
+  // Records one shard's outcome into the result, trace, and report state.
+  // Shards ran concurrently, but this runs in shard order once all have
+  // finished, so span ids are deterministic.
+  auto record_shard = [&](size_t s, ShardRun& r) {
+    const MppExecStats& sstats = r.stats;
+    out.shard_seconds[s] = r.seconds;
     out.shard_exec[s] = sstats;
     FoldExecStats(sstats, &out.exec);
     if (!analyze) return;
     uint32_t sid = trace->AddSpan("Shard", root_span);
     TraceSpan& ss = trace->span(sid);
-    ss.rows = r.batch.num_rows();
-    ss.wall_seconds = secs;
+    ss.rows = r.out.batch.num_rows();
+    ss.wall_seconds = r.seconds;
     ss.attrs["shard"] = static_cast<int64_t>(s);
     ss.attrs["attempts"] = static_cast<int64_t>(1 + sstats.shard_retries);
     if (sstats.shard_retries) {
@@ -790,13 +884,14 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
           static_cast<int64_t>(sstats.speculative_launches);
       ss.attrs["spec_wins"] = static_cast<int64_t>(sstats.speculative_wins);
     }
-    if (r.shard_trace) trace->Graft(*r.shard_trace, sid);
-    shard_plans[s] = std::move(r.analyzed_plan);
+    if (r.out.shard_trace) trace->Graft(*r.out.shard_trace, sid);
+    shard_plans[s] = std::move(r.out.analyzed_plan);
   };
   // Assembles the combined report once the merged result cardinality is
   // known: cluster header, per-shard counters, indented shard plans.
   auto finish_analyze = [&]() {
     if (!analyze) return;
+    std::lock_guard<std::mutex> topo_lock(topo_mu_);
     uint64_t rows = out.result.rows.num_rows();
     std::string msg =
         "EXPLAIN ANALYZE (mpp shards=" + std::to_string(shards_.size()) +
@@ -825,8 +920,8 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
 
   // Cross-shard Bloom semi-join pushdown (best effort; null when the query
   // doesn't qualify). Both SELECT paths hand the filters to the shard fn.
-  std::shared_ptr<const std::vector<RuntimeScanFilter>> bloom_filters =
-      PrepareBloomPushdown(sel);
+  std::vector<RuntimeScanFilter> bloom_filters =
+      PrepareBloomPushdown(sel, qctx);
 
   if (!has_agg) {
     bool has_star = false;
@@ -866,35 +961,23 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
       shard_sel->limit = -1;
     }
     ShardFn fn = MakeShardSelectFn(shard_sel, analyze, bloom_filters);
+    DASHDB_ASSIGN_OR_RETURN(std::vector<ShardRun> runs,
+                            RunShards(/*idempotent=*/true, fn, qctx));
+    std::vector<OutputCol> cols = runs.front().out.cols;
     RowBatch merged;                      // legacy concatenation
+    for (const auto& c : cols) merged.columns.emplace_back(c.type);
     std::vector<RowBatch> shard_batches;  // push_sort: one stream per shard
-    std::vector<OutputCol> cols;
-    MergeCharge mem{query_ctx_.get()};
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      // Shards run serially: probe the governor between them so CANCEL and
-      // deadlines abort the coordinator without dispatching further shards.
-      if (query_ctx_ != nullptr) {
-        DASHDB_RETURN_IF_ERROR(query_ctx_->CheckAlive());
-      }
-      double secs = 0;
-      MppExecStats sstats;
-      DASHDB_ASSIGN_OR_RETURN(
-          ShardAttemptOut r,
-          RunShardResilient(static_cast<int>(s), /*idempotent=*/true, fn,
-                            &sstats, &secs));
-      out.shard_seconds[s] = secs;
-      if (cols.empty()) {
-        cols = r.cols;
-        for (const auto& c : cols) merged.columns.emplace_back(c.type);
-      }
+    MergeCharge mem{qctx};
+    for (size_t s = 0; s < runs.size(); ++s) {
+      ShardRun& r = runs[s];
       DASHDB_RETURN_IF_ERROR(
-          mem.Add(BatchMemoryBytes(r.batch), "MPP result assembly"));
-      record_shard(s, sstats, r, secs);
+          mem.Add(BatchMemoryBytes(r.out.batch), "MPP result assembly"));
+      record_shard(s, r);
       if (push_sort) {
-        shard_batches.push_back(std::move(r.batch));
+        shard_batches.push_back(std::move(r.out.batch));
         continue;
       }
-      const RowBatch& batch = r.batch;
+      const RowBatch& batch = r.out.batch;
       for (size_t i = 0; i < batch.num_rows(); ++i) {
         for (size_t c = 0; c < batch.columns.size(); ++c) {
           merged.columns[c].AppendFrom(batch.columns[c], i);
@@ -951,9 +1034,9 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
         ++pos[w];
         ++popped;
         tree.Replay(static_cast<size_t>(w), wins, alive);
-        if (query_ctx_ != nullptr && ++since_probe >= 2048) {
+        if (++since_probe >= 2048) {
           since_probe = 0;
-          DASHDB_RETURN_IF_ERROR(query_ctx_->CheckAlive());
+          DASHDB_RETURN_IF_ERROR(qctx->CheckAlive());
         }
       }
       out.result.rows = std::move(sorted);
@@ -1110,25 +1193,16 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     std::vector<Value> partials;
   };
   std::unordered_map<std::string, GroupAccum> table;
-  std::vector<OutputCol> partial_cols;
   ShardFn fn = MakeShardSelectFn(partial_p, analyze, bloom_filters);
-  MergeCharge mem{query_ctx_.get()};
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (query_ctx_ != nullptr) {
-      DASHDB_RETURN_IF_ERROR(query_ctx_->CheckAlive());
-    }
-    double secs = 0;
-    MppExecStats sstats;
-    DASHDB_ASSIGN_OR_RETURN(
-        ShardAttemptOut r,
-        RunShardResilient(static_cast<int>(s), /*idempotent=*/true, fn,
-                          &sstats, &secs));
-    out.shard_seconds[s] = secs;
-    record_shard(s, sstats, r, secs);
-    const RowBatch& batch = r.batch;
+  DASHDB_ASSIGN_OR_RETURN(std::vector<ShardRun> runs,
+                          RunShards(/*idempotent=*/true, fn, qctx));
+  const std::vector<OutputCol> partial_cols = runs.front().out.cols;
+  MergeCharge mem{qctx};
+  for (size_t s = 0; s < runs.size(); ++s) {
+    record_shard(s, runs[s]);
+    const RowBatch& batch = runs[s].out.batch;
     DASHDB_RETURN_IF_ERROR(
         mem.Add(BatchMemoryBytes(batch), "MPP partial-aggregate merge"));
-    if (partial_cols.empty()) partial_cols = r.cols;
     for (size_t i = 0; i < batch.num_rows(); ++i) {
       std::string key;
       for (size_t g = 0; g < n_groups; ++g) {
@@ -1272,18 +1346,18 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
   return out;
 }
 
-std::shared_ptr<const std::vector<RuntimeScanFilter>>
-MppDatabase::PrepareBloomPushdown(const ast::SelectStmt& sel) {
-  if (sel.from.size() < 2 || shards_.empty()) return nullptr;
-  if (sessions_[0]->optimizer_mode() != OptimizerMode::kCost) return nullptr;
+std::vector<RuntimeScanFilter> MppDatabase::PrepareBloomPushdown(
+    const ast::SelectStmt& sel, QueryContext* qctx) {
+  if (sel.from.size() < 2 || shards_.empty()) return {};
+  if (sessions_[0]->optimizer_mode() != OptimizerMode::kCost) return {};
   // Inner/cross joins of plain base tables only: a Bloom filter drops
   // probe rows, which an outer join must instead null-extend.
   for (const auto& ref : sel.from) {
-    if (ref.subquery || !ref.using_cols.empty()) return nullptr;
+    if (ref.subquery || !ref.using_cols.empty()) return {};
     if (ref.join != ast::TableRef::JoinKind::kNone &&
         ref.join != ast::TableRef::JoinKind::kInner &&
         ref.join != ast::TableRef::JoinKind::kCross) {
-      return nullptr;
+      return {};
     }
   }
   struct Item {
@@ -1300,11 +1374,11 @@ MppDatabase::PrepareBloomPushdown(const ast::SelectStmt& sel) {
                                         : NormalizeIdent(ref.schema);
     auto entry = shards_[0]->catalog()->Lookup(it.schema_name,
                                                NormalizeIdent(ref.table));
-    if (!entry.ok()) return nullptr;
+    if (!entry.ok()) return {};
     it.entry = std::move(entry).value();
     it.qualified = it.entry->schema.QualifiedName();
     auto rep = replicated_.find(it.qualified);
-    if (rep == replicated_.end()) return nullptr;
+    if (rep == replicated_.end()) return {};
     it.replicated = rep->second;
     it.alias = !ref.alias.empty() ? ref.alias : NormalizeIdent(ref.table);
     items.push_back(std::move(it));
@@ -1344,8 +1418,11 @@ MppDatabase::PrepareBloomPushdown(const ast::SelectStmt& sel) {
     }
     return item;
   };
-  auto result = std::make_shared<std::vector<RuntimeScanFilter>>();
+  std::vector<RuntimeScanFilter> result;
   auto& ins = GlobalMppInstruments();
+  // Binds on a copy of shard 0's session: concurrent queries share
+  // sessions_ read-only.
+  const std::shared_ptr<Session> session = NewShardSession(0);
   for (const auto& conj : conjs) {
     // fact.col = dim.col with a hash-distributed fact and replicated dim.
     if (conj->kind != ExprKind::kBinary || conj->bin_op != ast::BinOp::kEq) {
@@ -1393,12 +1470,12 @@ MppDatabase::PrepareBloomPushdown(const ast::SelectStmt& sel) {
     }
     BindOptions bopts;
     bopts.scan = shards_[0]->MakeScanOptions();
-    Binder binder(shards_[0]->catalog(), sessions_[0].get(), bopts);
+    Binder binder(shards_[0]->catalog(), session.get(), bopts);
     auto root = binder.BindSelect(*dsel);
     if (!root.ok()) continue;
     // Coordinator-side dimension scan is governed too (best effort: a
     // cancelled scan just skips the filter; the shard checks still abort).
-    AttachQueryContext(root.value().get(), query_ctx_.get());
+    AttachQueryContext(root.value().get(), qctx);
     auto keys = DrainOperator(root.value().get());
     if (!keys.ok()) continue;
     const ColumnVector& kv = keys.value().columns[0];
@@ -1418,43 +1495,25 @@ MppDatabase::PrepareBloomPushdown(const ast::SelectStmt& sel) {
     f.table = items[fact].qualified;
     f.column = items[fact].entry->schema.columns()[fact_col].name;
     f.bloom = std::move(wire);
-    result->push_back(std::move(f));
+    result.push_back(std::move(f));
   }
-  if (result->empty()) return nullptr;
   return result;
 }
 
 MppDatabase::ShardFn MppDatabase::MakeShardSelectFn(
     std::shared_ptr<ast::SelectStmt> stmt, bool analyze,
-    std::shared_ptr<const std::vector<RuntimeScanFilter>> filters) {
-  return [this, stmt, analyze, filters](int shard, bool speculative,
-                                        QueryContext* qctx,
-                                        ShardAttemptOut* o) -> Status {
-    if (qctx != nullptr) DASHDB_RETURN_IF_ERROR(qctx->CheckAlive());
+    std::vector<RuntimeScanFilter> filters) {
+  return [this, stmt, analyze, filters = std::move(filters)](
+             int shard, QueryContext* qctx, ShardAttemptOut* o) -> Status {
     DASHDB_RETURN_IF_ERROR(FaultInjector::Global().Evaluate(kFaultShardStall));
-    std::shared_ptr<Session> session =
-        speculative ? shards_[shard]->CreateSession() : sessions_[shard];
-    if (speculative) {
-      // A fresh session must plan identically to the primary's.
-      session->set_optimizer_mode(sessions_[shard]->optimizer_mode());
-      session->set_adaptive_enabled(sessions_[shard]->adaptive_enabled());
-      session->set_shared_scan_enabled(sessions_[shard]->shared_scan_enabled());
-      session->set_serial_sort(sessions_[shard]->serial_sort());
-      session->set_topn_enabled(sessions_[shard]->topn_enabled());
-    }
+    // Declared before the plan, whose operators point into its ExecContext.
+    std::shared_ptr<Session> session = NewShardSession(shard);
     BindOptions bopts;
     bopts.scan = shards_[shard]->MakeScanOptions();
     bopts.scan.shared_scan = session->shared_scan_enabled();
+    bopts.runtime_filters = filters;
     Binder binder(shards_[shard]->catalog(), session.get(), bopts);
-    // Coordinator Bloom filters apply at bind time only; clear right after
-    // so later statements on this session never see stale filters.
-    if (filters) {
-      for (const auto& f : *filters) session->AddRuntimeFilter(f);
-    }
-    auto bound = binder.BindSelect(*stmt);
-    session->ClearRuntimeFilters();
-    DASHDB_RETURN_IF_ERROR(bound.status());
-    OperatorPtr root = std::move(bound).value();
+    DASHDB_ASSIGN_OR_RETURN(OperatorPtr root, binder.BindSelect(*stmt));
     // The shard-local plan probes the attempt's governor at every operator
     // Open/Next and morsel boundary; its memory charges roll up to the
     // query root's budget.
@@ -1547,56 +1606,59 @@ ResultCache::Versions MppDatabase::CoordinatorVersions() {
 
 Result<MppQueryResult> MppDatabase::Execute(
     const std::string& sql, std::shared_ptr<QueryContext> qctx) {
-  query_ctx_ = qctx != nullptr ? std::move(qctx)
-                               : std::make_shared<QueryContext>();
-  // Clear on every exit so a finished statement's governor never gates the
-  // next one (the coordinator executes one statement at a time).
-  struct Scope {
-    MppDatabase* db;
-    ~Scope() { db->query_ctx_.reset(); }
-  } scope{this};
+  if (qctx == nullptr) qctx = std::make_shared<QueryContext>();
   DASHDB_ASSIGN_OR_RETURN(ast::StatementP stmt, ParseStatement(sql));
-  switch (stmt->kind) {
-    case ast::StmtKind::kSelect: {
-      if (result_cache_enabled_ && stmt->select &&
-          IsResultCacheableSelect(*stmt->select)) {
-        // Versions captured before the lookup: a write racing this query
-        // can only skip the insert below, never produce a stale hit.
-        const ResultCache::Versions v = CoordinatorVersions();
-        if (std::shared_ptr<const QueryResult> cached = result_cache_.Lookup(
-                sql, Dialect::kAnsi, "PUBLIC", v)) {
-          MppQueryResult out;
-          out.result = *cached;
-          out.shard_seconds.assign(shards_.size(), 0.0);
-          return out;
-        }
-        Result<MppQueryResult> r = ExecSelect(*stmt->select);
-        if (r.ok() && CoordinatorVersions() == v) {
-          const int64_t bytes = BatchMemoryBytes(r->result.rows);
-          // The retained copy charges this statement's budget; a query that
-          // cannot afford it completes normally and just skips caching.
-          if (query_ctx_->Charge(bytes, "result cache insert").ok()) {
-            result_cache_.Insert(sql, Dialect::kAnsi, "PUBLIC", v,
-                                 std::make_shared<QueryResult>(r->result),
-                                 static_cast<size_t>(bytes));
-            query_ctx_->Release(bytes);
-          }
-        }
-        return r;
-      }
-      return ExecSelect(*stmt->select);
-    }
-    case ast::StmtKind::kExplain:
+  if (stmt->kind == ast::StmtKind::kSelect ||
+      stmt->kind == ast::StmtKind::kExplain) {
+    // Queries share the database. Passing the turnstile first queues this
+    // reader behind a waiting writer, which holds it.
+    { std::lock_guard<std::mutex> turn(turnstile_); }
+    std::shared_lock<std::shared_mutex> read_lock(mu_);
+    if (stmt->kind == ast::StmtKind::kExplain) {
       // EXPLAIN ANALYZE runs the query through the coordinator and reports
       // per-shard plans + failover counters; plain EXPLAIN broadcasts so
       // the message shows a shard-local plan.
       if (stmt->explain_analyze && stmt->select) {
-        return ExecSelect(*stmt->select, /*analyze=*/true);
+        return ExecSelect(*stmt->select, qctx.get(), /*analyze=*/true);
       }
-      return Broadcast(sql);
+      return Broadcast(*stmt, sql, qctx.get());
+    }
+    if (result_cache_enabled_ && stmt->select &&
+        IsResultCacheableSelect(*stmt->select)) {
+      // Versions captured before the lookup: a write racing this query
+      // can only skip the insert below, never produce a stale hit.
+      const ResultCache::Versions v = CoordinatorVersions();
+      if (std::shared_ptr<const QueryResult> cached = result_cache_.Lookup(
+              sql, Dialect::kAnsi, "PUBLIC", v)) {
+        MppQueryResult out;
+        out.result = *cached;
+        out.shard_seconds.assign(shards_.size(), 0.0);
+        return out;
+      }
+      Result<MppQueryResult> r = ExecSelect(*stmt->select, qctx.get());
+      if (r.ok() && CoordinatorVersions() == v) {
+        const int64_t bytes = BatchMemoryBytes(r->result.rows);
+        // The retained copy charges this statement's budget; a query that
+        // cannot afford it completes normally and just skips caching.
+        if (qctx->Charge(bytes, "result cache insert").ok()) {
+          result_cache_.Insert(sql, Dialect::kAnsi, "PUBLIC", v,
+                               std::make_shared<QueryResult>(r->result),
+                               static_cast<size_t>(bytes));
+          qctx->Release(bytes);
+        }
+      }
+      return r;
+    }
+    return ExecSelect(*stmt->select, qctx.get());
+  }
+  // Every other statement may write (DDL, DML, SET, CALL RUNSTATS...) and
+  // runs alone; holding the turnstile keeps new readers out meanwhile.
+  std::lock_guard<std::mutex> turn(turnstile_);
+  std::unique_lock<std::shared_mutex> write_lock(mu_);
+  switch (stmt->kind) {
     case ast::StmtKind::kInsert:
       data_version_.fetch_add(1, std::memory_order_release);
-      return RoutedInsert(*stmt, sql);
+      return RoutedInsert(*stmt, sql, qctx.get());
     case ast::StmtKind::kSet: {
       // RESULT_CACHE is a coordinator knob (the cache lives here, not on
       // the shards); record it, then broadcast like any SET so shard
@@ -1612,7 +1674,7 @@ Result<MppQueryResult> MppDatabase::Execute(
           return Status::InvalidArgument("RESULT_CACHE must be ON or OFF");
         }
       }
-      return Broadcast(sql);
+      return Broadcast(*stmt, sql, qctx.get());
     }
     default:
       // Conservative: any other statement may write (DDL, UPDATE, DELETE,
@@ -1620,12 +1682,13 @@ Result<MppQueryResult> MppDatabase::Execute(
       // versions already stamp cache entries, but bumping the coordinator
       // counter too keeps invalidation independent of routing details.
       data_version_.fetch_add(1, std::memory_order_release);
-      return Broadcast(sql);
+      return Broadcast(*stmt, sql, qctx.get());
   }
 }
 
 Result<std::vector<size_t>> MppDatabase::ShardRowCounts(
     const std::string& schema, const std::string& table) {
+  std::shared_lock<std::shared_mutex> read_lock(mu_);
   std::vector<size_t> out;
   for (auto& shard : shards_) {
     DASHDB_ASSIGN_OR_RETURN(auto entry, shard->GetTable(schema, table));

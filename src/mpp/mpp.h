@@ -3,18 +3,25 @@
 // (shard-local partials + coordinator merge), mirroring the shared-nothing
 // scale-out of paper Figure 2.
 //
-// Shards always remain executable because their file sets live on the
-// shared clustered filesystem; node failure only changes WHICH node runs a
-// shard (src/mpp/topology.h). Cluster wall-clock for a query is therefore
-// modeled as the topology makespan over measured per-shard times.
+// A statement's shards run concurrently on a pool the coordinator owns, and
+// statements run concurrently with each other: SELECT and EXPLAIN share the
+// database, every other statement (and Load/CreateTable) runs alone. Shards
+// always remain executable because their file sets live on the shared
+// clustered filesystem; node failure only changes WHICH node runs a shard
+// (src/mpp/topology.h). MppQueryResult::MakespanOn models the wall-clock a
+// cluster of the topology's nodes would take from the measured per-shard
+// times; Execute's own wall-clock is what this host measured.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -135,8 +142,9 @@ struct MppQueryResult {
   /// EXPLAIN ANALYZE renders these as per-shard attempt/retry counters.
   std::vector<MppExecStats> shard_exec;
   /// Span tree for EXPLAIN ANALYZE: MppQuery -> Shard -> operator spans.
-  /// Ids are deterministic (shards execute serially in shard order), so the
-  /// tree replays exactly under a fixed fault seed.
+  /// Shards run concurrently, but the coordinator adds their spans in shard
+  /// order once all have finished, so ids are deterministic and the tree
+  /// replays exactly under a fixed fault seed.
   std::shared_ptr<const Trace> trace;
 
   /// Modeled cluster wall-clock on `topo` (max over nodes of LPT schedule).
@@ -149,9 +157,13 @@ class MppDatabase {
  public:
   /// `shards_per_node` shards per node ("several factors larger than the
   /// number of servers"), each shard backed by its own engine instance.
+  /// A statement runs its shards on min(hardware threads, shards) threads,
+  /// the calling thread included.
   MppDatabase(int nodes, int shards_per_node, int cores_per_node,
               size_t ram_per_node, EngineConfig shard_config = {});
 
+  /// The shard -> node map. Statements fail nodes over mid-query, so read
+  /// or change it only while no statement runs.
   ClusterTopology* topology() { return &topo_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   Engine* shard_engine(int shard) { return shards_[shard].get(); }
@@ -166,17 +178,20 @@ class MppDatabase {
   Status Load(const std::string& schema, const std::string& table,
               const RowBatch& rows);
 
-  /// Executes a statement across the cluster.
-  /// SELECT: runs shard-local plans and merges (two-phase aggregation for
-  /// COUNT/SUM/MIN/MAX/AVG, coordinator-side ORDER BY/LIMIT).
-  /// DDL/UPDATE/DELETE: broadcast. INSERT: routed by distribution key.
+  /// Executes a statement across the cluster. Thread-safe: SELECT and
+  /// EXPLAIN run concurrently with each other; every other statement runs
+  /// alone.
+  /// SELECT: runs shard-local plans concurrently and merges (two-phase
+  /// aggregation for COUNT/SUM/MIN/MAX/AVG, coordinator-side ORDER
+  /// BY/LIMIT). DDL/UPDATE/DELETE: broadcast. INSERT: routed by
+  /// distribution key.
   Result<MppQueryResult> Execute(const std::string& sql);
 
   /// Governed execution: the statement runs under `qctx` (null makes a
   /// fresh ungoverned context). Cancel()/deadline/budget on the root stop
-  /// shard-local plans at the next morsel boundary, abort the coordinator
-  /// between shards, and bound the merged-result memory; every shard
-  /// attempt runs under a child of this root.
+  /// shard-local plans at the next morsel boundary, keep further shards
+  /// from being dispatched, and bound the merged-result memory; every shard
+  /// attempt runs under this root or a child of it.
   Result<MppQueryResult> Execute(const std::string& sql,
                                  std::shared_ptr<QueryContext> qctx);
 
@@ -186,6 +201,7 @@ class MppDatabase {
 
   /// Every table registered via CreateTable: (qualified name, replicated).
   std::vector<std::pair<std::string, bool>> ListDistributedTables() const {
+    std::shared_lock<std::shared_mutex> read_lock(mu_);
     std::vector<std::pair<std::string, bool>> out;
     for (const auto& [name, rep] : replicated_) out.emplace_back(name, rep);
     return out;
@@ -211,26 +227,33 @@ class MppDatabase {
     Status status;
     ShardAttemptOut out;
   };
-  /// A re-executable shard task. MUST be safe to run twice concurrently
-  /// when `speculative` differs (fresh session on the speculative run).
-  /// `qctx` is the attempt's governor (a child of the query root, or the
-  /// root itself for non-speculative attempts; may be null for ungoverned
-  /// callers): the fn attaches it to the shard-local plan so cancellation,
-  /// deadlines, and budgets reach every morsel it runs.
-  using ShardFn = std::function<Status(int shard, bool speculative,
-                                       QueryContext* qctx,
+  /// One shard's outcome in RunShards: the payload, fault-tolerance
+  /// counters, and wall time of its successful attempt.
+  struct ShardRun {
+    ShardAttemptOut out;
+    MppExecStats stats;
+    double seconds = 0;
+  };
+  /// A re-executable shard task. Attempts run concurrently — one per shard,
+  /// plus a straggler's speculative duplicate — so an attempt that binds
+  /// does so on its own session (NewShardSession). `qctx` is the attempt's
+  /// governor (the query root, or a child of it under speculation): the fn
+  /// attaches it to the shard-local plan so cancellation, deadlines, and
+  /// budgets reach every morsel it runs.
+  using ShardFn = std::function<Status(int shard, QueryContext* qctx,
                                        ShardAttemptOut* out)>;
 
+  /// A fresh session on `shard` carrying every setting of sessions_[shard].
+  std::shared_ptr<Session> NewShardSession(int shard);
+
   /// A re-executable bind+drain of one shard-local SELECT. Captures the
-  /// statement by shared_ptr so re-executions stay valid; the
-  /// speculative run binds against a fresh session (copying the primary
-  /// session's optimizer settings). With `analyze` the fn also fills the
-  /// attempt's analyzed_plan/shard_trace from the drained plan's operator
-  /// metrics. `filters` are coordinator-built Bloom semi-join filters,
-  /// installed on the binding session for the bind only.
-  ShardFn MakeShardSelectFn(
-      std::shared_ptr<ast::SelectStmt> stmt, bool analyze = false,
-      std::shared_ptr<const std::vector<RuntimeScanFilter>> filters = nullptr);
+  /// statement by shared_ptr so re-executions stay valid. With `analyze`
+  /// the fn also fills the attempt's analyzed_plan/shard_trace from the
+  /// drained plan's operator metrics. `filters` are coordinator-built
+  /// Bloom semi-join filters for the shard binder.
+  ShardFn MakeShardSelectFn(std::shared_ptr<ast::SelectStmt> stmt,
+                            bool analyze,
+                            std::vector<RuntimeScanFilter> filters);
 
   /// Cross-shard Bloom semi-join pushdown (DESIGN.md "Cost-based
   /// optimization"): for a join of a hash-distributed fact table with a
@@ -238,43 +261,54 @@ class MppDatabase {
   /// once on shard 0 (replicas are full copies), build a Bloom filter over
   /// the surviving join keys, and serialize it as it would ride in the
   /// shard request. Shard-local binders semi-filter the fact scan with it.
-  /// Returns null when the query doesn't qualify; best-effort otherwise.
-  std::shared_ptr<const std::vector<RuntimeScanFilter>> PrepareBloomPushdown(
-      const ast::SelectStmt& sel);
+  /// Returns no filters when the query doesn't qualify; best-effort
+  /// otherwise.
+  std::vector<RuntimeScanFilter> PrepareBloomPushdown(
+      const ast::SelectStmt& sel, QueryContext* qctx);
 
-  /// Runs one shard task under the failover policy: fault-point gate,
-  /// retry/backoff, timeout classification, node failover, speculation.
-  /// `idempotent` marks side-effect-free tasks (SELECT); non-idempotent
-  /// tasks only retry failures injected before the task ran.
-  Result<ShardAttemptOut> RunShardResilient(int shard, bool idempotent,
-                                            const ShardFn& fn,
-                                            MppExecStats* stats,
-                                            double* seconds);
+  /// Runs `fn` on every shard under the failover policy; returns each
+  /// shard's outcome, or the first failure in shard order. Works in rounds
+  /// over the pending shards: this thread evaluates the `mpp.shard_exec`
+  /// gate in shard order (so fault hits map to shards identically on every
+  /// run), the shard bodies run concurrently on pool_, then this thread
+  /// decides retries in shard order — failover, one backoff sleep for the
+  /// round — and the retried shards form the next round. `idempotent`
+  /// marks side-effect-free tasks (SELECT); non-idempotent tasks only
+  /// retry failures at the gate, before the task ran.
+  Result<std::vector<ShardRun>> RunShards(bool idempotent, const ShardFn& fn,
+                                          QueryContext* qctx);
   /// First-result-wins speculation: the primary attempt runs async under
   /// its own child QueryContext; if the speculative re-execution finishes
   /// first, the loser is actively cancelled through that context and
   /// joined before returning (it stops at its next morsel boundary), so no
   /// attempt ever outlives the Execute call that launched it.
   Status AttemptWithSpeculation(int shard, const ShardFn& fn,
-                                MppExecStats* stats, ShardAttemptOut* out);
+                                QueryContext* qctx, MppExecStats* stats,
+                                ShardAttemptOut* out);
 
   Result<MppQueryResult> ExecSelect(const ast::SelectStmt& sel,
-                                    bool analyze = false);
+                                    QueryContext* qctx, bool analyze = false);
   /// Version stamps for the coordinator result cache: shard 0's catalog /
   /// stats / data versions (broadcast DDL, RUNSTATS, and broadcast DML all
   /// reach shard 0) plus the coordinator's own data counter (covers routed
   /// INSERTs and Loads that may skip shard 0 entirely).
   ResultCache::Versions CoordinatorVersions();
-  Result<MppQueryResult> Broadcast(const std::string& sql);
+  /// Runs `st` (whose text is `sql`) on every shard. DML reports the
+  /// cluster's row count: the sum over shards for a distributed table, one
+  /// replica's count for a replicated one.
+  Result<MppQueryResult> Broadcast(const ast::Statement& st,
+                                   const std::string& sql, QueryContext* qctx);
   Result<MppQueryResult> RoutedInsert(const ast::Statement& st,
-                                      const std::string& sql);
+                                      const std::string& sql,
+                                      QueryContext* qctx);
   int RouteRow(const TableSchema& schema, const std::vector<Value>& row);
+  bool IsReplicated(const std::string& schema, const std::string& table) const;
+  /// A DML statement's target schema: its own, else the session default.
+  std::string TargetSchema(const ast::Statement& st) const;
 
   FailoverPolicy fail_policy_;
-  /// The in-flight statement's root governor (the coordinator executes one
-  /// statement at a time; set/cleared by the governed Execute overload).
-  std::shared_ptr<QueryContext> query_ctx_;
   ClusterTopology topo_;
+  std::mutex topo_mu_;  ///< guards topo_: statements fail nodes over
   std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<std::shared_ptr<Session>> sessions_;
   std::map<std::string, bool> replicated_;  ///< qualified name -> replicated
@@ -285,6 +319,16 @@ class MppDatabase {
   ResultCache result_cache_;
   std::atomic<uint64_t> data_version_{1};
   bool result_cache_enabled_ = false;
+  /// SELECT and EXPLAIN hold mu_ shared; every other statement, Load, and
+  /// CreateTable hold it exclusively, so shard sessions, replicated_, and
+  /// shard data never change under a running query. A writer holds
+  /// turnstile_ while it waits and runs, and readers pass through it before
+  /// taking mu_, so a stream of readers cannot starve a writer.
+  mutable std::shared_mutex mu_;
+  std::mutex turnstile_;
+  /// Threads that run one statement's shards, the calling thread included.
+  int shard_parallelism_ = 1;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace dashdb

@@ -66,13 +66,10 @@ class MppBackendSession : public BackendSession {
       std::lock_guard<std::mutex> lk(mu_);
       current_ = qc;
     }
-    // Publish-before-lock: a CANCEL (or disconnect) that lands while this
-    // statement waits its turn behind exec_mu_ marks the context, and the
+    // Published first, so a CANCEL (or disconnect) that lands while the
+    // statement waits for the database lock marks the context, and the
     // governed Execute aborts at its first liveness check.
-    Result<MppQueryResult> r = [&] {
-      std::lock_guard<std::mutex> exec_lk(backend_->exec_mu_);
-      return backend_->db_->Execute(sql, qc);
-    }();
+    Result<MppQueryResult> r = backend_->db_->Execute(sql, qc);
     {
       std::lock_guard<std::mutex> lk(mu_);
       current_.reset();

@@ -6,12 +6,11 @@
 //    shared state (catalog, bufferpool, admission, plan cache, metrics)
 //    lives in the Engine, so any number of connections execute
 //    concurrently.
-//  - MppBackend: fronts an MppDatabase for the wire differential tests.
-//    MppDatabase::Execute is not concurrency-safe (shared failover policy,
-//    per-statement query_ctx_), so statements serialize on one mutex; each
-//    wire session still gets its own cancel handle via the governed
-//    Execute overload, so CANCEL/disconnect aborts a statement that is
-//    queued behind the mutex or mid-flight.
+//  - MppBackend: fronts an MppDatabase. MppDatabase::Execute is
+//    thread-safe (queries run concurrently, writes alone), so connections
+//    execute concurrently here too; each wire session gets its own cancel
+//    handle via the governed Execute overload, so CANCEL/disconnect aborts
+//    a statement that waits for the database lock or is mid-flight.
 #pragma once
 
 #include <memory>
@@ -68,7 +67,6 @@ class MppBackend : public SqlBackend {
  private:
   friend class MppBackendSession;
   MppDatabase* db_;
-  std::mutex exec_mu_;  ///< MppDatabase executes one statement at a time
 };
 
 }  // namespace dashdb

@@ -909,10 +909,13 @@ class SelectBinder {
       std::vector<Operator*> source_ptrs;
       for (const auto& s : sources) source_ptrs.push_back(s.get());
 
-      // Pre-installed session filters (cross-shard Bloom semi-joins from
-      // the MPP coordinator) attach to matching column-table scans. Only
-      // sound when no outer join can null-extend the filtered table's rows.
-      if (!has_outer && !b_->session()->runtime_filters().empty()) {
+      // Runtime filters from the bind options (cross-shard Bloom semi-joins
+      // from the MPP coordinator) attach to matching column-table scans.
+      // Only sound when no outer join can null-extend the filtered table's
+      // rows.
+      const std::vector<RuntimeScanFilter>& runtime_filters =
+          b_->options().runtime_filters;
+      if (!has_outer && !runtime_filters.empty()) {
         bool all_inner = true;
         for (const auto& ref : stmt.from) {
           if (ref.join != ast::TableRef::JoinKind::kNone &&
@@ -922,7 +925,7 @@ class SelectBinder {
           }
         }
         if (all_inner) {
-          for (const auto& rf : b_->session()->runtime_filters()) {
+          for (const auto& rf : runtime_filters) {
             for (size_t i = 0; i < stmt.from.size(); ++i) {
               if (!col_tables[i] ||
                   col_tables[i]->schema().QualifiedName() != rf.table) {

@@ -24,11 +24,23 @@ struct TablePredicates {
   ExprPtr residual;  ///< null when fully pushable
 };
 
+/// A Bloom semi-join filter for one table column, keyed by qualified table
+/// name + column name; the binder attaches it to the matching column-table
+/// scan. The MPP coordinator builds these from filtered replicated
+/// dimensions and ships them serialized in every shard request.
+struct RuntimeScanFilter {
+  std::string table;   ///< qualified name, upper case
+  std::string column;  ///< column name, upper case
+  std::shared_ptr<const BloomPrefilter> bloom;
+};
+
 struct BindOptions {
   ScanOptions scan;
   /// Table organization preference when binding scans of base tables that
   /// exist in both forms (unused by default; kept for the bench harnesses).
   bool prefer_row_tables = false;
+  /// Scan filters built outside the plan (cross-shard Bloom semi-joins).
+  std::vector<RuntimeScanFilter> runtime_filters;
 };
 
 class Binder {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/dialect.h"
-#include "common/flat_hash.h"
 #include "common/query_context.h"
 #include "common/trace.h"
 #include "exec/expr.h"
@@ -40,27 +39,44 @@ struct SequenceState {
 /// Join-order planning mode (SET OPTIMIZER COST|HEURISTIC).
 enum class OptimizerMode : uint8_t { kCost = 0, kHeuristic };
 
-/// A Bloom semi-join filter pre-installed on this session, keyed by
-/// qualified table name + column name. The binder attaches it to the
-/// matching table scan at plan time. This is the landing spot for filters
-/// shipped across MPP shards (the coordinator builds one from a dimension
-/// table and serializes it into the shard request).
-struct RuntimeScanFilter {
-  std::string table;   ///< qualified name, upper case
-  std::string column;  ///< column name, upper case
-  std::shared_ptr<const BloomPrefilter> bloom;
-};
-
 class Session {
  public:
-  Dialect dialect() const { return dialect_; }
+  /// Every SET-able setting, in one place so one assignment copies them
+  /// all (MPP shard attempts bind on fresh sessions that carry the shard
+  /// session's settings).
+  struct Settings {
+    Dialect dialect = Dialect::kAnsi;
+    std::string default_schema = "PUBLIC";
+    int max_parallelism = 0;  ///< 0 = ANY
+    OptimizerMode optimizer_mode = OptimizerMode::kCost;
+    bool adaptive_enabled = true;
+    bool shared_scan_enabled = false;
+    bool result_cache_enabled = false;
+    bool serial_sort = false;
+    bool topn_enabled = true;
+    double statement_timeout_s = 0;
+    int64_t mem_budget_bytes = 0;
+    bool admission_enabled = true;
+  };
+
+  /// Copies every setting of `other`. Per-statement and per-connection
+  /// state (current query, prepared statements, sequences, bind
+  /// parameters, last trace) stays as it is.
+  void CopySettingsFrom(const Session& other) {
+    settings_ = other.settings_;
+    exec_ctx_.dialect = settings_.dialect;
+  }
+
+  Dialect dialect() const { return settings_.dialect; }
   void set_dialect(Dialect d) {
-    dialect_ = d;
+    settings_.dialect = d;
     exec_ctx_.dialect = d;
   }
 
-  const std::string& default_schema() const { return default_schema_; }
-  void set_default_schema(std::string s) { default_schema_ = std::move(s); }
+  const std::string& default_schema() const { return settings_.default_schema; }
+  void set_default_schema(std::string s) {
+    settings_.default_schema = std::move(s);
+  }
 
   ExecContext& exec_ctx() { return exec_ctx_; }
   const ExecContext& exec_ctx() const { return exec_ctx_; }
@@ -68,8 +84,8 @@ class Session {
   /// Session cap on intra-query parallelism (SET DOP / CURRENT DEGREE).
   /// 0 = ANY: use the engine-configured degree. The engine clamps the
   /// effective degree to [1, engine parallelism].
-  int max_parallelism() const { return max_parallelism_; }
-  void set_max_parallelism(int dop) { max_parallelism_ = dop; }
+  int max_parallelism() const { return settings_.max_parallelism; }
+  void set_max_parallelism(int dop) { settings_.max_parallelism = dop; }
 
   /// Span tree recorded by the last EXPLAIN ANALYZE on this session (null
   /// until one runs). Programmatic access for trace-stability tests and
@@ -111,54 +127,62 @@ class Session {
   }
 
   /// Cost-based vs. FROM-order join planning (SET OPTIMIZER).
-  OptimizerMode optimizer_mode() const { return optimizer_mode_; }
-  void set_optimizer_mode(OptimizerMode m) { optimizer_mode_ = m; }
+  OptimizerMode optimizer_mode() const { return settings_.optimizer_mode; }
+  void set_optimizer_mode(OptimizerMode m) { settings_.optimizer_mode = m; }
 
   /// Mid-query re-planning on cardinality mis-estimates (SET ADAPTIVE).
-  bool adaptive_enabled() const { return adaptive_enabled_; }
-  void set_adaptive_enabled(bool on) { adaptive_enabled_ = on; }
+  bool adaptive_enabled() const { return settings_.adaptive_enabled; }
+  void set_adaptive_enabled(bool on) { settings_.adaptive_enabled = on; }
 
   /// SET SHARED_SCAN ON|OFF: attach this session's table scans to in-flight
   /// circular scans of the same (table, column set) so concurrent queries
   /// share one pass over the pages (OFF by default).
-  bool shared_scan_enabled() const { return shared_scan_enabled_; }
-  void set_shared_scan_enabled(bool on) { shared_scan_enabled_ = on; }
+  bool shared_scan_enabled() const { return settings_.shared_scan_enabled; }
+  void set_shared_scan_enabled(bool on) {
+    settings_.shared_scan_enabled = on;
+  }
 
   /// SET RESULT_CACHE ON|OFF: serve repeated read-only statements from the
   /// engine's versioned result cache (OFF by default; writes invalidate by
   /// version bump, so a hit is never stale).
-  bool result_cache_enabled() const { return result_cache_enabled_; }
-  void set_result_cache_enabled(bool on) { result_cache_enabled_ = on; }
+  bool result_cache_enabled() const { return settings_.result_cache_enabled; }
+  void set_result_cache_enabled(bool on) {
+    settings_.result_cache_enabled = on;
+  }
 
   /// SET SORT SERIAL|PARALLEL: force the single-threaded stable_sort
   /// oracle instead of the normalized-key run sort + merge (PARALLEL by
   /// default; SERIAL is the byte-identity baseline and bench A arm).
-  bool serial_sort() const { return serial_sort_; }
-  void set_serial_sort(bool on) { serial_sort_ = on; }
+  bool serial_sort() const { return settings_.serial_sort; }
+  void set_serial_sort(bool on) { settings_.serial_sort = on; }
 
   /// SET TOPN ON|OFF: allow the binder to fuse ORDER BY + LIMIT/OFFSET
   /// into the bounded-heap TopNOp (ON by default).
-  bool topn_enabled() const { return topn_enabled_; }
-  void set_topn_enabled(bool on) { topn_enabled_ = on; }
+  bool topn_enabled() const { return settings_.topn_enabled; }
+  void set_topn_enabled(bool on) { settings_.topn_enabled = on; }
 
   // --- query governance (DESIGN.md "Query governance") -------------------
 
   /// SET STATEMENT_TIMEOUT <seconds>: deadline armed on every subsequent
   /// statement's QueryContext. 0 = none.
-  double statement_timeout_seconds() const { return statement_timeout_s_; }
+  double statement_timeout_seconds() const {
+    return settings_.statement_timeout_s;
+  }
   void set_statement_timeout_seconds(double s) {
-    statement_timeout_s_ = s > 0 ? s : 0;
+    settings_.statement_timeout_s = s > 0 ? s : 0;
   }
 
   /// SET MEM_BUDGET <bytes>: per-statement memory reservation cap charged
   /// by materializing operators. 0 = unlimited.
-  int64_t mem_budget_bytes() const { return mem_budget_bytes_; }
-  void set_mem_budget_bytes(int64_t b) { mem_budget_bytes_ = b > 0 ? b : 0; }
+  int64_t mem_budget_bytes() const { return settings_.mem_budget_bytes; }
+  void set_mem_budget_bytes(int64_t b) {
+    settings_.mem_budget_bytes = b > 0 ? b : 0;
+  }
 
   /// SET ADMISSION ON|OFF: whether this session's SELECTs pass through the
   /// engine's admission controller (ON by default; OFF bypasses queueing).
-  bool admission_enabled() const { return admission_enabled_; }
-  void set_admission_enabled(bool on) { admission_enabled_ = on; }
+  bool admission_enabled() const { return settings_.admission_enabled; }
+  void set_admission_enabled(bool on) { settings_.admission_enabled = on; }
 
   /// The governor of the statement currently executing on this session
   /// (null between statements). Published by the engine under a mutex so a
@@ -228,39 +252,11 @@ class Session {
     return bind_params_[static_cast<size_t>(index)];
   }
 
-  /// Pre-installed scan filters (cross-shard Bloom pushdown). Replaces any
-  /// existing filter on the same table+column.
-  void AddRuntimeFilter(RuntimeScanFilter f) {
-    for (auto& existing : runtime_filters_) {
-      if (existing.table == f.table && existing.column == f.column) {
-        existing.bloom = std::move(f.bloom);
-        return;
-      }
-    }
-    runtime_filters_.push_back(std::move(f));
-  }
-  const std::vector<RuntimeScanFilter>& runtime_filters() const {
-    return runtime_filters_;
-  }
-  void ClearRuntimeFilters() { runtime_filters_.clear(); }
-
  private:
-  Dialect dialect_ = Dialect::kAnsi;
-  std::string default_schema_ = "PUBLIC";
-  int max_parallelism_ = 0;  ///< 0 = ANY
-  OptimizerMode optimizer_mode_ = OptimizerMode::kCost;
-  bool adaptive_enabled_ = true;
-  bool shared_scan_enabled_ = false;
-  bool result_cache_enabled_ = false;
-  bool serial_sort_ = false;
-  bool topn_enabled_ = true;
-  double statement_timeout_s_ = 0;
-  int64_t mem_budget_bytes_ = 0;
-  bool admission_enabled_ = true;
+  Settings settings_;
   mutable std::mutex query_mu_;
   std::shared_ptr<QueryContext> current_query_;
   std::shared_ptr<QueryContext> pending_query_;
-  std::vector<RuntimeScanFilter> runtime_filters_;
   std::shared_ptr<const Trace> last_trace_;
   ExecContext exec_ctx_;
   std::map<std::string, SequenceState> sequences_;

@@ -172,6 +172,26 @@ TEST(FlatKeyIndexTest, MatchesMapOracleAcrossGrowth) {
             -1);
 }
 
+TEST(FlatKeyIndexTest, ZeroLengthKeys) {
+  // A global aggregate keys every row on zero bytes, so the arena can stay
+  // empty; lookups must never hand its null data() to memcmp.
+  FlatKeyIndex idx;
+  const uint64_t h = HashBytes("", 0);
+  bool inserted = false;
+  EXPECT_EQ(idx.FindOrInsert(nullptr, 0, h, &inserted), 0u);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(idx.FindOrInsert(nullptr, 0, h, &inserted), 0u);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(idx.Find(nullptr, 0, h), 0);
+  EXPECT_EQ(idx.KeyLen(0), 0u);
+  // A one-byte key on the same hash is a different group.
+  const uint8_t one = 7;
+  EXPECT_EQ(idx.FindOrInsert(&one, 1, h, &inserted), 1u);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(idx.Find(nullptr, 0, h), 0);
+  EXPECT_EQ(idx.Find(&one, 1, h), 1);
+}
+
 // ----------------------------------------------------------- FlatIntMap --
 
 TEST(FlatIntMapTest, MatchesMapOracleIncludingSentinels) {

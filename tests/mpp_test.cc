@@ -1,8 +1,18 @@
-// Tests for the MPP layer: topology/HA/elasticity (paper II.E, Figure 9)
-// and distributed query execution (Figure 2).
+// Tests for the MPP layer: topology/HA/elasticity (paper II.E, Figure 9),
+// distributed query execution (Figure 2), and concurrent statements on one
+// cluster.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/fault_injector.h"
 #include "common/rng.h"
+#include "corpus_util.h"
 #include "mpp/mpp.h"
 
 namespace dashdb {
@@ -246,12 +256,25 @@ TEST_F(MppTest, RoutedInsertLandsOnOneShard) {
 TEST_F(MppTest, BroadcastDeleteAndUpdate) {
   auto d = db_.Execute("DELETE FROM sales WHERE cust = 7");
   ASSERT_TRUE(d.ok());
+  // The cluster's count, not one shard's: 200 rows have cust = 7.
+  EXPECT_EQ(d->result.affected_rows, 200);
+  EXPECT_EQ(d->result.message, "DELETED 200");
   auto c = db_.Execute("SELECT COUNT(*) FROM sales");
   EXPECT_EQ(c->result.rows.columns[0].GetInt(0), 9800);
   auto u = db_.Execute("UPDATE sales SET amt = 0 WHERE cust = 8");
   ASSERT_TRUE(u.ok());
+  EXPECT_EQ(u->result.affected_rows, 200);
+  EXPECT_EQ(u->result.message, "UPDATED 200");
   auto s = db_.Execute("SELECT SUM(amt) FROM sales WHERE cust = 8");
   EXPECT_DOUBLE_EQ(s->result.rows.columns[1 - 1].GetDouble(0), 0.0);
+  // Every shard holds a full copy of a replicated table: one replica's
+  // count.
+  auto rd = db_.Execute("DELETE FROM cust WHERE c_id < 5");
+  ASSERT_TRUE(rd.ok());
+  EXPECT_EQ(rd->result.affected_rows, 5);
+  auto ru = db_.Execute("UPDATE cust SET c_id = c_id + 100 WHERE c_id >= 45");
+  ASSERT_TRUE(ru.ok());
+  EXPECT_EQ(ru->result.affected_rows, 5);
 }
 
 TEST_F(MppTest, QueriesSurviveNodeFailure) {
@@ -277,6 +300,176 @@ TEST_F(MppTest, ExplicitDdlBroadcast) {
   ASSERT_TRUE(i.ok());
   auto c = db_.Execute("SELECT COUNT(*) FROM t2");
   EXPECT_EQ(c->result.rows.columns[0].GetInt(0), 1);
+}
+
+TEST_F(MppTest, SpeculativeAttemptsKeepEverySessionSetting) {
+  // S2.SALES holds 300 rows beside PUBLIC.SALES' 10000: an attempt that
+  // lost SET SCHEMA would count the wrong table.
+  ASSERT_TRUE(db_.Execute("CREATE SCHEMA S2").ok());
+  TableSchema s2("S2", "SALES",
+                 {{"ID", TypeId::kInt64, false, 0, false},
+                  {"AMT", TypeId::kDouble, true, 0, false}});
+  s2.set_distribution_key(0);
+  ASSERT_TRUE(db_.CreateTable(s2).ok());
+  RowBatch rows;
+  rows.columns.emplace_back(TypeId::kInt64);
+  rows.columns.emplace_back(TypeId::kDouble);
+  for (int i = 0; i < 300; ++i) {
+    rows.columns[0].AppendInt(i);
+    rows.columns[1].AppendDouble(1.0);
+  }
+  ASSERT_TRUE(db_.Load("S2", "SALES", rows).ok());
+  // A primary still running after 20 ms gets a speculative duplicate; the
+  // stalled one's duplicate wins.
+  db_.failover_policy().straggler_after_seconds = 0.02;
+  auto speculated_count = [&]() -> int64_t {
+    FaultSpec stall;
+    stall.code = StatusCode::kOk;
+    stall.stall_seconds = 0.3;
+    stall.max_fires = 1;
+    ScopedFault fault("mpp.shard_stall", stall);
+    auto r = db_.Execute("SELECT COUNT(*) FROM sales");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return -1;
+    EXPECT_GE(r->exec.speculative_wins, 1u);
+    return r->result.rows.columns[0].GetInt(0);
+  };
+  ASSERT_TRUE(db_.Execute("SET SCHEMA S2").ok());
+  EXPECT_EQ(speculated_count(), 300);
+  ASSERT_TRUE(db_.Execute("SET DOP = 2").ok());
+  EXPECT_EQ(speculated_count(), 300);
+}
+
+// ------------------------------------------------------------ concurrency --
+//
+// One MppDatabase serves concurrent statements: SELECT and EXPLAIN run side
+// by side, every other statement alone, and each statement's shards run
+// concurrently. A reader must return the bytes of a serial run whatever
+// else is in flight.
+
+/// Canonical bytes of one statement's outcome: its rows, or its error.
+std::string Outcome(MppDatabase* db, const std::string& sql) {
+  auto r = db->Execute(sql);
+  return r.ok() ? corpus::ResultKey(r->result)
+                : "error: " + r.status().ToString();
+}
+
+class MppConcurrencyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = corpus::MakeLoadedDb(1);
+    // The differential corpus plus the fault suite's shapes; EXPLAIN
+    // ANALYZE returns the rows too (its timed report is not compared).
+    queries_.assign(std::begin(corpus::kCorpus), std::end(corpus::kCorpus));
+    queries_.push_back("SELECT ID, V FROM T ORDER BY ID LIMIT 25");
+    queries_.push_back(
+        "EXPLAIN ANALYZE SELECT GRP, COUNT(*), SUM(V) FROM T GROUP BY GRP "
+        "ORDER BY GRP");
+    for (const auto& q : queries_) {
+      serial_.push_back(Outcome(db_.get(), q));
+      ASSERT_EQ(serial_.back().rfind("error", 0), std::string::npos) << q;
+    }
+  }
+
+  /// Runs every query `passes` times on each of `readers` threads (staggered
+  /// starts) while `during` runs on this thread; expects the serial bytes.
+  void ReadWhile(int readers, int passes, const std::function<void()>& during) {
+    std::vector<std::string> diverged(readers);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < readers; ++t) {
+      threads.emplace_back([&, t] {
+        for (int p = 0; p < passes; ++p) {
+          for (size_t i = 0; i < queries_.size(); ++i) {
+            const size_t q = (i + 5 * static_cast<size_t>(t)) % queries_.size();
+            if (diverged[t].empty() &&
+                Outcome(db_.get(), queries_[q]) != serial_[q]) {
+              diverged[t] = queries_[q];
+            }
+          }
+        }
+      });
+    }
+    during();
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < readers; ++t) {
+      EXPECT_EQ(diverged[t], "") << "reader " << t << " diverged";
+    }
+  }
+
+  std::unique_ptr<MppDatabase> db_;
+  std::vector<std::string> queries_;
+  std::vector<std::string> serial_;
+};
+
+TEST_F(MppConcurrencyTest, ConcurrentReadersMatchSerialRun) {
+  ReadWhile(/*readers=*/6, /*passes=*/2, [] {});
+}
+
+TEST_F(MppConcurrencyTest, WritesAndSetsInterleaveWithReaders) {
+  std::vector<std::string> errors;
+  ReadWhile(/*readers=*/4, /*passes=*/2, [&] {
+    auto run = [&](const std::string& sql, int64_t want_rows) {
+      auto r = db_->Execute(sql);
+      if (!r.ok()) {
+        errors.push_back(sql + ": " + r.status().ToString());
+      } else if (want_rows >= 0 && r->result.affected_rows != want_rows) {
+        errors.push_back(sql + ": " + std::to_string(r->result.affected_rows) +
+                         " rows");
+      }
+    };
+    for (int i = 0; i < 6; ++i) {
+      const std::string w = "PUBLIC.W" + std::to_string(i);
+      run("CREATE TABLE " + w + " (ID BIGINT NOT NULL, V BIGINT)", -1);
+      run("INSERT INTO " + w + " VALUES (1, 10), (2, 20), (3, 30)", 3);
+      // Plan-shape knobs: every reader's bytes are the same under both.
+      run(i % 2 ? "SET OPTIMIZER COST" : "SET OPTIMIZER HEURISTIC", -1);
+      run("UPDATE " + w + " SET V = V + 1 WHERE ID >= 2", 2);
+      run(i % 2 ? "SET SHARED_SCAN OFF" : "SET SHARED_SCAN ON", -1);
+      run("DELETE FROM " + w + " WHERE ID = 1", 1);
+      const std::string sum =
+          Outcome(db_.get(), "SELECT COUNT(*), SUM(V) FROM " + w);
+      if (sum.find("\n2|52|\n") == std::string::npos) {
+        errors.push_back(w + ": " + sum);
+      }
+      run("DROP TABLE " + w, -1);
+    }
+  });
+  for (const auto& e : errors) ADD_FAILURE() << e;
+}
+
+TEST_F(MppConcurrencyTest, CancellingOneStatementLeavesOthersUntouched) {
+  const std::string sql = "SELECT S, V, ID FROM T ORDER BY S, V DESC, ID";
+  const std::string want = Outcome(db_.get(), sql);
+  std::vector<std::string> errors;
+  ReadWhile(/*readers=*/4, /*passes=*/1, [&] {
+    // Each victim ends cancelled or with the serial bytes.
+    auto victim = [&](std::shared_ptr<QueryContext> qc, bool must_cancel) {
+      auto r = db_->Execute(sql, std::move(qc));
+      if (r.ok() ? must_cancel || corpus::ResultKey(r->result) != want
+                 : !r.status().IsCancelled()) {
+        errors.push_back(r.ok() ? "victim ran to a wrong or uncancelled end"
+                                : r.status().ToString());
+      }
+    };
+    for (int i = 0; i < 8; ++i) {
+      // Cancelled before it starts, at one of its first governor checks,
+      // and from another thread mid-flight.
+      auto before = std::make_shared<QueryContext>();
+      before->Cancel();
+      victim(before, /*must_cancel=*/true);
+      auto early = std::make_shared<QueryContext>();
+      early->CancelAfterChecks(1 + i);
+      victim(early, /*must_cancel=*/false);
+      auto mid = std::make_shared<QueryContext>();
+      std::thread killer([mid] {
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        mid->Cancel();
+      });
+      victim(mid, /*must_cancel=*/false);
+      killer.join();
+    }
+  });
+  for (const auto& e : errors) ADD_FAILURE() << e;
 }
 
 }  // namespace
