@@ -133,4 +133,48 @@ class QueryContext {
   std::atomic<bool> timeout_counted_{false};
 };
 
+/// Bytes reserved against one statement's memory budget, returned when the
+/// holder is reset or destroyed. It keeps the ROOT context, so it may
+/// outlive the child context it was made from (an MPP shard attempt's
+/// result outlives the attempt). Move-only.
+class MemCharge {
+ public:
+  MemCharge() = default;
+  explicit MemCharge(QueryContext* qc) : qc_(qc) {
+    while (qc_ != nullptr && qc_->parent() != nullptr) qc_ = qc_->parent();
+  }
+  MemCharge(MemCharge&& o) noexcept : qc_(o.qc_), bytes_(o.bytes_) {
+    o.bytes_ = 0;
+  }
+  MemCharge& operator=(MemCharge&& o) noexcept {
+    if (this != &o) {
+      Reset();
+      qc_ = o.qc_;
+      bytes_ = o.bytes_;
+      o.bytes_ = 0;
+    }
+    return *this;
+  }
+  ~MemCharge() { Reset(); }
+
+  /// Charges `bytes` more; on breach nothing is added and the statement's
+  /// kResourceExhausted comes back.
+  Status Add(int64_t bytes, const char* what) {
+    if (qc_ == nullptr || bytes <= 0) return Status::OK();
+    DASHDB_RETURN_IF_ERROR(qc_->Charge(bytes, what));
+    bytes_ += bytes;
+    return Status::OK();
+  }
+  /// Returns everything charged so far.
+  void Reset() {
+    if (qc_ != nullptr && bytes_ > 0) qc_->Release(bytes_);
+    bytes_ = 0;
+  }
+  int64_t bytes() const { return bytes_; }
+
+ private:
+  QueryContext* qc_ = nullptr;
+  int64_t bytes_ = 0;
+};
+
 }  // namespace dashdb

@@ -587,6 +587,20 @@ Result<std::vector<MppDatabase::ShardRun>> MppDatabase::RunShards(
       std::lock_guard<std::mutex> topo_lock(topo_mu_);
       for (int s : pending) owner[s] = topo_.OwnerOf(s);
     }
+    // Whether a failed attempt ends the statement instead of retrying. A
+    // governed abort (CANCEL or statement timeout on the query root) must
+    // surface, never be retried — even though kTimeout is transient for
+    // shard-budget timeouts. Sticky once true, so a body and the retry
+    // decisions below agree.
+    auto gives_up = [&](const Status& st, bool at_gate) {
+      const bool governed = qctx != nullptr && qctx->cancelled();
+      const bool retryable =
+          st.IsTransient() && (at_gate || idempotent) && !governed;
+      return !retryable || attempt >= pol.max_attempts_per_shard;
+    };
+    // Set once the statement is bound to fail this round: no further
+    // shard body is dispatched.
+    std::atomic<bool> failed{false};
     std::vector<int> dispatch;
     for (int s : pending) {
       ins.shard_attempts->Add(1);
@@ -594,12 +608,14 @@ Result<std::vector<MppDatabase::ShardRun>> MppDatabase::RunShards(
       gated[s] = !status[s].ok();
       ran[s] = 0;
       if (!gated[s]) dispatch.push_back(s);
+      if (gated[s] && gives_up(status[s], true)) failed = true;
     }
     // Bodies, concurrently. ParallelFor probes the governor before every
     // claim, so a cancelled statement dispatches no further shards.
     pool_->ParallelFor(
         dispatch.size(),
         [&](size_t i) {
+          if (failed.load(std::memory_order_acquire)) return;
           const int s = dispatch[i];
           ShardRun& run = runs[s];
           run.out = ShardAttemptOut{};
@@ -620,6 +636,12 @@ Result<std::vector<MppDatabase::ShardRun>> MppDatabase::RunShards(
                                  std::to_string(pol.shard_timeout_seconds) +
                                  "s)");
           }
+          if (!st.ok()) {
+            run.out = ShardAttemptOut{};  // frees the partial result now
+            if (gives_up(st, false)) {
+              failed.store(true, std::memory_order_release);
+            }
+          }
           status[s] = std::move(st);
           ran[s] = 1;
         },
@@ -629,6 +651,9 @@ Result<std::vector<MppDatabase::ShardRun>> MppDatabase::RunShards(
     double backoff = 0;
     for (int s : pending) {
       if (!gated[s] && !ran[s]) {
+        // A shard that gives up below ends the statement; an unclaimed one
+        // is just not run.
+        if (failed.load(std::memory_order_acquire)) continue;
         // The governor stopped the loop before this shard was claimed.
         Status alive = qctx->CheckAlive();
         status[s] = alive.ok() ? Status::Cancelled("shard not dispatched")
@@ -636,13 +661,7 @@ Result<std::vector<MppDatabase::ShardRun>> MppDatabase::RunShards(
       }
       const Status& st = status[s];
       if (st.ok()) continue;
-      // A governed abort (CANCEL or statement timeout on the query root)
-      // must surface, never be retried — even though kTimeout is transient
-      // for shard-budget timeouts.
-      const bool governed = qctx != nullptr && qctx->cancelled();
-      const bool retryable =
-          st.IsTransient() && (gated[s] || idempotent) && !governed;
-      if (!retryable || attempt >= pol.max_attempts_per_shard) {
+      if (gives_up(st, gated[s])) {
         return st.WithContext("shard " + std::to_string(s) + " (node " +
                               std::to_string(owner[s]) + ")");
       }
@@ -799,22 +818,40 @@ struct FinalItem {
   int sum_idx = 0, count_idx = 0;  // kAvg
 };
 
-/// Coordinator-side memory accounting: merged shard results are charged to
-/// the query root's budget (the coordinator materializes every shard's
-/// output) and released in one piece when merging finishes.
-struct MergeCharge {
-  QueryContext* qc = nullptr;
-  int64_t bytes = 0;
-  Status Add(int64_t b, const char* what) {
-    if (qc == nullptr || b <= 0) return Status::OK();
-    DASHDB_RETURN_IF_ERROR(qc->Charge(b, what));
-    bytes += b;
-    return Status::OK();
+bool HasSequenceRef(const ast::ExprP& e) {
+  if (!e) return false;
+  if (e->kind == ExprKind::kSequenceRef) return true;
+  for (const auto& c : e->children) {
+    if (HasSequenceRef(c)) return true;
   }
-  ~MergeCharge() {
-    if (qc != nullptr && bytes > 0) qc->Release(bytes);
+  return HasSequenceRef(e->else_branch);
+}
+
+bool HasSequenceRef(const ast::SelectStmt& sel) {
+  for (const auto& cte : sel.ctes) {
+    if (cte.query && HasSequenceRef(*cte.query)) return true;
   }
-};
+  for (const auto& item : sel.items) {
+    if (HasSequenceRef(item.expr)) return true;
+  }
+  for (const auto& ref : sel.from) {
+    if (ref.subquery && HasSequenceRef(*ref.subquery)) return true;
+    if (HasSequenceRef(ref.join_condition)) return true;
+  }
+  for (const auto& g : sel.group_by) {
+    if (HasSequenceRef(g)) return true;
+  }
+  for (const auto& o : sel.order_by) {
+    if (HasSequenceRef(o.expr)) return true;
+  }
+  for (const auto& row : sel.values_rows) {
+    for (const auto& v : row) {
+      if (HasSequenceRef(v)) return true;
+    }
+  }
+  return HasSequenceRef(sel.where) || HasSequenceRef(sel.having) ||
+         HasSequenceRef(sel.start_with) || HasSequenceRef(sel.connect_by);
+}
 
 bool IsSimpleAgg(const ast::ExprP& e) {
   if (e->kind != ExprKind::kFuncCall) return false;
@@ -838,6 +875,13 @@ bool IsSimpleAgg(const ast::ExprP& e) {
 Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
                                                QueryContext* qctx,
                                                bool analyze) {
+  // Sequences live on the session that created them. Shard attempts bind
+  // on fresh per-attempt sessions, and one counter per shard could not give
+  // cluster-unique values anyway.
+  if (HasSequenceRef(sel)) {
+    return Status::Unimplemented(
+        "MPP SELECT does not support sequence references (NEXTVAL/CURRVAL)");
+  }
   // Detect aggregation.
   bool has_agg = !sel.group_by.empty();
   for (const auto& item : sel.items) {
@@ -966,23 +1010,27 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     std::vector<OutputCol> cols = runs.front().out.cols;
     RowBatch merged;                      // legacy concatenation
     for (const auto& c : cols) merged.columns.emplace_back(c.type);
-    std::vector<RowBatch> shard_batches;  // push_sort: one stream per shard
-    MergeCharge mem{qctx};
+    // push_sort: one stream per shard, still charged through runs[s].
+    std::vector<RowBatch> shard_batches;
+    MemCharge mem(qctx);
     for (size_t s = 0; s < runs.size(); ++s) {
       ShardRun& r = runs[s];
-      DASHDB_RETURN_IF_ERROR(
-          mem.Add(BatchMemoryBytes(r.out.batch), "MPP result assembly"));
       record_shard(s, r);
       if (push_sort) {
         shard_batches.push_back(std::move(r.out.batch));
         continue;
       }
+      // The copy takes over the shard batch's charge, which is freed.
       const RowBatch& batch = r.out.batch;
+      DASHDB_RETURN_IF_ERROR(
+          mem.Add(r.out.charge.bytes(), "MPP result assembly"));
       for (size_t i = 0; i < batch.num_rows(); ++i) {
         for (size_t c = 0; c < batch.columns.size(); ++c) {
           merged.columns[c].AppendFrom(batch.columns[c], i);
         }
       }
+      r.out.batch = RowBatch{};
+      r.out.charge.Reset();
     }
     out.result.columns = cols;
     if (push_sort) {
@@ -1197,12 +1245,14 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
   DASHDB_ASSIGN_OR_RETURN(std::vector<ShardRun> runs,
                           RunShards(/*idempotent=*/true, fn, qctx));
   const std::vector<OutputCol> partial_cols = runs.front().out.cols;
-  MergeCharge mem{qctx};
+  MemCharge mem(qctx);
   for (size_t s = 0; s < runs.size(); ++s) {
     record_shard(s, runs[s]);
+    // The group table takes over the partial batch's charge; the batch is
+    // freed once folded in.
     const RowBatch& batch = runs[s].out.batch;
-    DASHDB_RETURN_IF_ERROR(
-        mem.Add(BatchMemoryBytes(batch), "MPP partial-aggregate merge"));
+    DASHDB_RETURN_IF_ERROR(mem.Add(runs[s].out.charge.bytes(),
+                                   "MPP partial-aggregate merge"));
     for (size_t i = 0; i < batch.num_rows(); ++i) {
       std::string key;
       for (size_t g = 0; g < n_groups; ++g) {
@@ -1245,6 +1295,8 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
         }
       }
     }
+    runs[s].out.batch = RowBatch{};
+    runs[s].out.charge.Reset();
   }
   // Final projection.
   std::vector<OutputCol> final_cols;
@@ -1521,7 +1573,8 @@ MppDatabase::ShardFn MppDatabase::MakeShardSelectFn(
     // Shard results travel through the flow-controlled exchange: a producer
     // thread drains the plan into size-bounded dictionary-coded chunks and
     // blocks whenever the credit window fills (backpressure); this thread
-    // decodes chunks into the attempt payload as they arrive. The fn stays
+    // charges each chunk to the statement's budget and decodes it into the
+    // attempt payload as it arrives. The fn stays
     // synchronous overall, so retry/speculation semantics are unchanged.
     constexpr size_t kChunkTargetBytes = 64 << 10;
     constexpr size_t kCreditWindow = 4;
@@ -1559,6 +1612,7 @@ MppDatabase::ShardFn MppDatabase::MakeShardSelectFn(
     });
     o->cols = root->output();
     o->batch = RowBatch{};  // retries reuse the attempt payload
+    o->charge = MemCharge(qctx);
     for (const OutputCol& c : o->cols) o->batch.columns.emplace_back(c.type);
     MppInstruments& ins = GlobalMppInstruments();
     Status decode_err;
@@ -1566,7 +1620,11 @@ MppDatabase::ShardFn MppDatabase::MakeShardSelectFn(
     ExchangeChunk chunk;
     while (channel.Pop(&chunk, &produce_st)) {
       if (decode_err.ok()) {
-        decode_err = DecodeExchangeBatch(chunk.payload, &o->batch);
+        decode_err = o->charge.Add(static_cast<int64_t>(chunk.raw_bytes),
+                                   "MPP shard result");
+        if (decode_err.ok()) {
+          decode_err = DecodeExchangeBatch(chunk.payload, &o->batch);
+        }
         if (!decode_err.ok()) channel.CancelConsumer();
         ins.exchange_chunks->Add(1);
         ins.exchange_bytes->Add(static_cast<int64_t>(chunk.raw_bytes));

@@ -216,6 +216,10 @@ class MppDatabase {
   /// (speculative) attempts never share output state.
   struct ShardAttemptOut {
     RowBatch batch;
+    /// `batch`'s bytes, charged to the statement's budget chunk by chunk as
+    /// the shard decodes them, so an over-budget query fails while its
+    /// shards still run. Released with the payload.
+    MemCharge charge;
     std::vector<OutputCol> cols;
     QueryResult qr;
     /// EXPLAIN ANALYZE payloads (filled when the shard fn runs analyzed):
@@ -272,7 +276,9 @@ class MppDatabase {
   /// gate in shard order (so fault hits map to shards identically on every
   /// run), the shard bodies run concurrently on pool_, then this thread
   /// decides retries in shard order — failover, one backoff sleep for the
-  /// round — and the retried shards form the next round. `idempotent`
+  /// round — and the retried shards form the next round. A body failure
+  /// that will not be retried stops the round from dispatching further
+  /// shards, and a failed attempt's payload is freed at once. `idempotent`
   /// marks side-effect-free tasks (SELECT); non-idempotent tasks only
   /// retry failures at the gate, before the task ran.
   Result<std::vector<ShardRun>> RunShards(bool idempotent, const ShardFn& fn,

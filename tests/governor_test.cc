@@ -240,7 +240,8 @@ TEST_F(GovernorTest, StatementTimeoutTripsAndClears) {
   auto session = engine.CreateSession();
   LoadRows(&engine, "BIG", 1000000);
   SetDop(engine, session.get(), 4);
-  const std::string sql = "SELECT GRP, COUNT(*), SUM(V) FROM BIG GROUP BY GRP";
+  const std::string sql =
+      "SELECT GRP, COUNT(*), SUM(V) FROM BIG GROUP BY GRP ORDER BY GRP";
   auto baseline = Exec(engine, session.get(), sql);
   ASSERT_TRUE(baseline.ok());
   ASSERT_TRUE(Exec(engine, session.get(),
@@ -264,7 +265,8 @@ TEST_F(GovernorTest, MemBudgetExceededFailsCleanlyAndRecovers) {
   auto session = engine.CreateSession();
   LoadRows(&engine, "BIG", 1000000);
   SetDop(engine, session.get(), 4);
-  const std::string sql = "SELECT GRP, COUNT(*), SUM(V) FROM BIG GROUP BY GRP";
+  const std::string sql =
+      "SELECT GRP, COUNT(*), SUM(V) FROM BIG GROUP BY GRP ORDER BY GRP";
   auto baseline = Exec(engine, session.get(), sql);
   ASSERT_TRUE(baseline.ok());
   ASSERT_TRUE(Exec(engine, session.get(), "SET MEM_BUDGET = 10000").ok());
@@ -284,7 +286,10 @@ TEST_F(GovernorTest, AllocPressureFaultPointDrills) {
   Engine engine(ParallelConfig());
   auto session = engine.CreateSession();
   LoadRows(&engine, "S", 30000);
-  const std::string sql = "SELECT GRP, SUM(V) FROM S GROUP BY GRP";
+  // Parallel aggregation emits groups in a scheduling-dependent order, so
+  // the byte comparison below needs the ORDER BY.
+  const std::string sql =
+      "SELECT GRP, SUM(V) FROM S GROUP BY GRP ORDER BY GRP";
   auto baseline = Exec(engine, session.get(), sql);
   ASSERT_TRUE(baseline.ok());
   FaultSpec pressure;
@@ -451,7 +456,8 @@ TEST_F(GovernorTest, MppCancellationStormAcrossShards) {
 
 TEST_F(GovernorTest, MppDeadlineAndBudget) {
   auto db = MakeMppDb();
-  const std::string sql = "SELECT GRP, COUNT(*), SUM(V) FROM T GROUP BY GRP";
+  const std::string sql =
+      "SELECT GRP, COUNT(*), SUM(V) FROM T GROUP BY GRP ORDER BY GRP";
   auto baseline = db->Execute(sql);
   ASSERT_TRUE(baseline.ok());
   auto timed = std::make_shared<QueryContext>();
@@ -467,6 +473,35 @@ TEST_F(GovernorTest, MppDeadlineAndBudget) {
   auto after = db->Execute(sql);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(MppKey(*after), MppKey(*baseline));
+}
+
+TEST_F(GovernorTest, MppBudgetTripsWhileShardsRun) {
+  auto db = MakeMppDb();
+  // A plain scan: the shard plans charge nothing, so every byte charged is
+  // a shard result travelling to the coordinator (4000 rows x 3 BIGINTs).
+  const std::string sql = "SELECT ID, GRP, V FROM T";
+  const int64_t result_bytes = 4000 * 3 * 8;
+  auto baseline = db->Execute(sql);
+  ASSERT_TRUE(baseline.ok());
+  // Half the result: the shards' own charges trip before the coordinator
+  // holds every shard's result, and everything charged is returned.
+  auto tight = std::make_shared<QueryContext>();
+  tight->SetMemBudget(result_bytes / 2);
+  auto r = db->Execute(sql, tight);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("MPP shard result"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_LE(tight->mem_peak(), result_bytes / 2);
+  EXPECT_EQ(tight->mem_used(), 0);
+  // Room for the shard results plus one shard's copy in the merged result:
+  // each shard batch is freed once appended, so the query fits.
+  auto roomy = std::make_shared<QueryContext>();
+  roomy->SetMemBudget(result_bytes + result_bytes / 2);
+  auto ok = db->Execute(sql, roomy);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(MppKey(*ok), MppKey(*baseline));
+  EXPECT_EQ(roomy->mem_used(), 0);
 }
 
 TEST_F(GovernorTest, SpeculationActivelyCancelsLosingAttempt) {

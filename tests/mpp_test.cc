@@ -302,6 +302,27 @@ TEST_F(MppTest, ExplicitDdlBroadcast) {
   EXPECT_EQ(c->result.rows.columns[0].GetInt(0), 1);
 }
 
+TEST_F(MppTest, SequenceReferencesAreRejectedTyped) {
+  // CREATE SEQUENCE broadcasts, but each shard session keeps its own
+  // counter, so an MPP SELECT cannot hand out cluster-wide values.
+  ASSERT_TRUE(db_.Execute("CREATE SEQUENCE seq1").ok());
+  for (const char* sql :
+       {"SELECT seq1.NEXTVAL FROM sales", "SELECT id FROM sales WHERE id = "
+                                          "seq1.CURRVAL",
+        "SELECT COUNT(*) FROM sales WHERE id < NEXT VALUE FOR seq1",
+        "SELECT cust, COUNT(*) FROM sales GROUP BY cust ORDER BY "
+        "seq1.NEXTVAL"}) {
+    auto r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented)
+        << sql << ": " << r.status().ToString();
+  }
+  // The rejection happens before any shard runs; plain queries still work.
+  auto c = db_.Execute("SELECT COUNT(*) FROM sales");
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c->result.rows.columns[0].GetInt(0), 10000);
+}
+
 TEST_F(MppTest, SpeculativeAttemptsKeepEverySessionSetting) {
   // S2.SALES holds 300 rows beside PUBLIC.SALES' 10000: an attempt that
   // lost SET SCHEMA would count the wrong table.
