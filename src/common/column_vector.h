@@ -127,11 +127,34 @@ class ColumnVector {
     }
   }
 
-  /// Appends rows sel[0..k) of `src` (same type) — the selection-vector
+  /// Appends every row of `src` (same payload) — the bulk AppendFrom.
+  void Append(const ColumnVector& src) {
+    assert(SamePayload(type_, src.type_));
+    if (src.has_nulls()) {
+      for (size_t i = 0; i < src.size_; ++i) AppendFrom(src, i);
+      return;
+    }
+    if (type_ == TypeId::kDouble) {
+      doubles_.insert(doubles_.end(), src.doubles_.begin(),
+                      src.doubles_.begin() + src.size_);
+    } else if (type_ == TypeId::kVarchar) {
+      strings_.insert(strings_.end(), src.strings_.begin(),
+                      src.strings_.begin() + src.size_);
+    } else {
+      ints_.insert(ints_.end(), src.ints_.begin(),
+                   src.ints_.begin() + src.size_);
+    }
+    size_ += src.size_;
+    if (null_count_ > 0) nulls_.GrowTo(size_);
+    dict_codes_.reset();
+  }
+
+  /// Appends rows sel[0..k) of `src` (same payload) — the selection-vector
   /// compaction primitive. Attached dictionary codes never survive a
   /// gather (row positions change).
   void Gather(const ColumnVector& src, const uint32_t* sel, size_t k) {
-    assert(type_ == src.type_);
+    assert(SamePayload(type_, src.type_));
+    dict_codes_.reset();
     Reserve(size_ + k);
     if (!src.has_nulls()) {
       if (type_ == TypeId::kDouble) {
@@ -145,6 +168,22 @@ class ColumnVector {
       if (null_count_ > 0) nulls_.GrowTo(size_);
     } else {
       for (size_t i = 0; i < k; ++i) AppendFrom(src, sel[i]);
+    }
+  }
+
+  /// Gather index that appends a NULL instead of a row of `src`.
+  static constexpr uint32_t kNullRow = 0xFFFFFFFFu;
+
+  /// Gather where an index may be kNullRow (outer-join misses).
+  void GatherOrNull(const ColumnVector& src, const uint32_t* sel, size_t k) {
+    assert(SamePayload(type_, src.type_));
+    Reserve(size_ + k);
+    for (size_t i = 0; i < k; ++i) {
+      if (sel[i] == kNullRow) {
+        AppendNull();
+      } else {
+        AppendFrom(src, sel[i]);
+      }
     }
   }
 
@@ -201,6 +240,15 @@ class ColumnVector {
   const BitVector& nulls() const { return nulls_; }
 
  private:
+  /// Whether two types share a payload array (every integer-backed type
+  /// uses ints_), which is all the bulk copies need.
+  static bool SamePayload(TypeId a, TypeId b) {
+    const auto kind = [](TypeId t) {
+      return t == TypeId::kDouble ? 1 : t == TypeId::kVarchar ? 2 : 0;
+    };
+    return kind(a) == kind(b);
+  }
+
   void BumpSize(bool is_null) {
     if (is_null) {
       if (nulls_.size() < size_ + 1) nulls_.GrowTo(size_ + 1);

@@ -53,6 +53,19 @@ void AppendRowFrom(const RowBatch& src, size_t row, RowBatch* dst,
   }
 }
 
+/// Appends every logical row of `src` (its selection honored) to `dst`,
+/// column by column.
+void AppendBatch(const RowBatch& src, RowBatch* dst) {
+  for (size_t c = 0; c < src.columns.size(); ++c) {
+    if (src.selection) {
+      dst->columns[c].Gather(src.columns[c], src.selection->data(),
+                             src.selection->size());
+    } else {
+      dst->columns[c].Append(src.columns[c]);
+    }
+  }
+}
+
 /// HashValue without the Value boxing: hashes cell r of a typed column
 /// vector, producing the same hash HashValue(cv.GetValue(r)) would.
 uint64_t HashCell(const ColumnVector& cv, size_t r) {
@@ -198,6 +211,12 @@ Status Operator::ChargeMemory(int64_t bytes, const char* what) {
   return Status::OK();
 }
 
+void Operator::ReleaseMemory(int64_t bytes) {
+  if (bytes <= 0) return;
+  if (qctx_ != nullptr) qctx_->Release(bytes);
+  mem_reserved_ -= bytes;
+}
+
 Status Operator::Open() {
   ++metrics_.open_calls;
   GlobalExecInstruments().operator_opens->Add(1);
@@ -314,9 +333,9 @@ Result<RowBatch> DrainOperator(Operator* op) {
   InitBatchFor(op->output(), &all);
   RowBatch batch;
   for (;;) {
-    DASHDB_ASSIGN_OR_RETURN(bool more, op->Next(&batch));
+    DASHDB_ASSIGN_OR_RETURN(bool more, op->NextSel(&batch));
     if (!more) break;
-    for (size_t i = 0; i < batch.num_rows(); ++i) AppendRowFrom(batch, i, &all);
+    AppendBatch(batch, &all);
   }
   return all;
 }
@@ -612,9 +631,7 @@ Status RowIndexScanOp::OpenImpl() {
   return table_->IndexScan(
       index_col_, lo_, hi_, residual_, projection_,
       [&](RowBatch& b, const std::vector<uint64_t>&) {
-        for (size_t i = 0; i < b.num_rows(); ++i) {
-          AppendRowFrom(b, i, &buffer_);
-        }
+        AppendBatch(b, &buffer_);
       });
 }
 
@@ -729,6 +746,13 @@ Status HashJoinOp::OpenImpl() {
   partitions_.clear();
   fast_int_ = false;
   filter_installed_ = false;
+  window_.clear();
+  window_next_ = 0;
+  ReleaseMemory(window_bytes_);
+  window_bytes_ = 0;
+  probe_done_ = false;
+  windows_ = 0;
+  parallel_windows_ = 0;
   DASHDB_RETURN_IF_ERROR(probe_->Open());
   return build_->Open();
 }
@@ -740,18 +764,23 @@ std::string HashJoinOp::label() const {
   if (ctx_->parallel() && partitioned_) {
     s += ", build-dop=" + std::to_string(ctx_->dop);
   }
+  if (ctx_->parallel()) s += ", probe-dop=" + std::to_string(ctx_->dop);
   s += ")";
   return s;
 }
 
 std::string HashJoinOp::AnalyzeExtra() const {
-  if (!filter_installed_) return std::string();
-  return " bloom-pushdown=yes";
+  std::string s;
+  if (filter_installed_) s += " bloom-pushdown=yes";
+  if (ctx_->parallel() && windows_ > 0) {
+    s += " probe-fanouts=" + std::to_string(parallel_windows_) + "/" +
+         std::to_string(windows_);
+  }
+  return s;
 }
 
 bool HashJoinOp::ParallelBuildEligible(size_t build_rows) const {
-  return ctx_->parallel() && partitioned_ &&
-         build_rows >= kParallelBuildMinRows;
+  return ctx_->parallel() && partitioned_ && build_rows >= kParallelMinRows;
 }
 
 Status HashJoinOp::BuildSide() {
@@ -771,15 +800,15 @@ Status HashJoinOp::BuildSide() {
   }
   // Drain the build side first: cardinality is then known before any hash
   // table is sized, and the appended build_data_ batch becomes the single
-  // input the (possibly parallel) partitioning phases read from.
+  // input the (possibly parallel) partitioning phases read from. Batches
+  // append column by column (selected rows gathered directly), in arrival
+  // order, so build row ids are the child's row order.
   {
     RowBatch in;
     for (;;) {
-      DASHDB_ASSIGN_OR_RETURN(bool more, build_->Next(&in));
+      DASHDB_ASSIGN_OR_RETURN(bool more, build_->NextSel(&in));
       if (!more) break;
-      for (size_t r = 0; r < in.num_rows(); ++r) {
-        AppendRowFrom(in, r, &build_data_);
-      }
+      AppendBatch(in, &build_data_);
     }
   }
   const size_t n = build_data_.num_rows();
@@ -921,100 +950,172 @@ bool HashJoinOp::KeysEqual(const std::vector<ColumnVector>& probe_key_cols,
 
 Result<bool> HashJoinOp::NextImpl(RowBatch* out) {
   if (!built_) DASHDB_RETURN_IF_ERROR(BuildSide());
-  const int nparts = partitioned_ ? (1 << kPartitionBits) : 1;
-  RowBatch in;
-  std::vector<ColumnVector> probe_key_cols;
-  std::vector<uint64_t> probe_hash;
-  std::vector<uint8_t> probe_null;
   for (;;) {
-    DASHDB_ASSIGN_OR_RETURN(bool more, probe_->NextSel(&in));
+    while (window_next_ < window_.size()) {
+      RowBatch& joined = window_[window_next_++].out;
+      if (joined.num_rows() > 0) {
+        *out = std::move(joined);
+        return true;
+      }
+    }
+    DASHDB_ASSIGN_OR_RETURN(bool more, ProbeWindow());
     if (!more) return false;
-    InitBatchFor(output_, out);
-    const size_t probe_cols = in.columns.size();
-    // Selection-aware: `i` walks the batch's logical (selected) rows and
-    // in.row_at(i) maps to the dense row for direct column access. Key
-    // expressions evaluate through Evaluate(), which honors the selection
-    // and produces logical-dense vectors indexed by `i`. The join output
-    // is a blow-up point, so qualifying probe rows gather here exactly
-    // once — never compacted upstream.
-    const size_t nrows = in.logical_rows();
-
-    // Vectorized probe prologue: evaluate the key expressions once per
-    // batch and hash every key column in one column-major pass, instead of
-    // boxing a std::vector<Value> per probe row.
-    probe_hash.assign(nrows, 0);
-    probe_null.assign(nrows, 0);
-    if (fast_int_) {
-      const ColumnVector& kc = in.columns[probe_key_col_];
-      for (size_t i = 0; i < nrows; ++i) {
-        const size_t r = in.row_at(i);
-        if (kc.IsNull(r)) {
-          probe_null[i] = 1;
-        } else {
-          probe_hash[i] = HashInt64(static_cast<uint64_t>(kc.GetInt(r)));
-        }
-      }
-    } else {
-      probe_key_cols.clear();
-      probe_key_cols.reserve(probe_keys_.size());
-      for (const auto& k : probe_keys_) {
-        DASHDB_ASSIGN_OR_RETURN(ColumnVector cv, k->Evaluate(in, *ctx_));
-        probe_key_cols.push_back(std::move(cv));
-      }
-      for (const auto& kc : probe_key_cols) {
-        for (size_t i = 0; i < nrows; ++i) {
-          probe_null[i] |= kc.IsNull(i) ? 1 : 0;
-          probe_hash[i] = HashCombine(probe_hash[i], HashCell(kc, i));
-        }
-      }
-    }
-
-    const ColumnVector* fast_kc =
-        fast_int_ ? &in.columns[probe_key_col_] : nullptr;
-    constexpr size_t kPrefetchDist = 8;
-    for (size_t i = 0; i < nrows; ++i) {
-      // Overlap the next rows' filter-word and slot misses with this
-      // row's work; all addresses derive from the already-batched hashes.
-      if (i + kPrefetchDist < nrows && !probe_null[i + kPrefetchDist]) {
-        const uint64_t ph = probe_hash[i + kPrefetchDist];
-        const Partition& pp =
-            partitions_[partitioned_ ? (ph >> 32) & (nparts - 1) : 0];
-        pp.bloom.Prefetch(ph);
-        pp.table.Prefetch(ph);
-      }
-      const size_t r = in.row_at(i);
-      bool matched = false;
-      if (!probe_null[i]) {
-        const uint64_t h = probe_hash[i];
-        const Partition& part =
-            partitions_[partitioned_ ? (h >> 32) & (nparts - 1) : 0];
-        // Bloom prefilter: most probe misses reject on one or two cache
-        // lines of filter words without ever touching the table.
-        if (part.bloom.MayContain(h)) {
-          const uint64_t key =
-              fast_int_ ? static_cast<uint64_t>(fast_kc->GetInt(r)) : h;
-          for (int32_t cur = part.table.Find(key, h);
-               cur != FlatJoinIndex::kNone; cur = part.table.Next(cur)) {
-            const uint32_t brow = part.table.Row(cur);
-            if (!fast_int_ && !KeysEqual(probe_key_cols, i, brow)) continue;
-            matched = true;
-            AppendRowFrom(in, r, out);
-            for (size_t c = 0; c < build_data_.columns.size(); ++c) {
-              out->columns[probe_cols + c].AppendFrom(build_data_.columns[c],
-                                                      brow);
-            }
-          }
-        }
-      }
-      if (!matched && type_ == JoinType::kLeft) {
-        AppendRowFrom(in, r, out);
-        for (size_t c = 0; c < build_data_.columns.size(); ++c) {
-          out->columns[probe_cols + c].AppendNull();
-        }
-      }
-    }
-    if (out->num_rows() > 0) return true;
   }
+}
+
+Result<bool> HashJoinOp::ProbeWindow() {
+  // The consumer has taken every batch of the previous window.
+  ReleaseMemory(window_bytes_);
+  window_bytes_ = 0;
+  window_.clear();
+  window_next_ = 0;
+  // The window bounds both the fan-out and the memory held: at most
+  // 2 x dop probe batches and their joined output, never the whole input.
+  const size_t capacity =
+      ctx_->parallel() ? 2 * static_cast<size_t>(ctx_->dop) : 1;
+  size_t rows = 0;
+  while (!probe_done_ && window_.size() < capacity) {
+    ProbeSlot slot;
+    DASHDB_ASSIGN_OR_RETURN(bool more, probe_->NextSel(&slot.in));
+    if (!more) {
+      probe_done_ = true;
+      break;
+    }
+    const size_t n = slot.in.logical_rows();
+    if (n == 0) continue;
+    if (!fast_int_) {
+      slot.key_cols.reserve(probe_keys_.size());
+      for (const auto& k : probe_keys_) {
+        DASHDB_ASSIGN_OR_RETURN(ColumnVector cv, k->Evaluate(slot.in, *ctx_));
+        slot.key_cols.push_back(std::move(cv));
+      }
+    }
+    rows += n;
+    window_.push_back(std::move(slot));
+  }
+  if (window_.empty()) return false;
+  ++windows_;
+  // Fan out only when there are batches to spread and rows to pay for the
+  // hand-off; otherwise the same kernel runs inline.
+  if (window_.size() >= 2 && rows >= kParallelMinRows) {
+    ++parallel_windows_;
+    const int workers =
+        static_cast<int>(std::min<size_t>(ctx_->dop, window_.size()));
+    ctx_->pool->ParallelFor(
+        window_.size(), [&](size_t i) { ProbeBatch(&window_[i]); }, workers,
+        query_ctx());
+    // A governed ParallelFor abandons its tail on cancel/timeout without an
+    // error: re-probe before emitting, or a cancelled join would surface
+    // as a clean but truncated result.
+    DASHDB_RETURN_IF_ERROR(CheckQueryAlive());
+  } else {
+    for (ProbeSlot& slot : window_) ProbeBatch(&slot);
+  }
+  int64_t bytes = 0;
+  for (const ProbeSlot& slot : window_) bytes += slot.out_bytes;
+  DASHDB_RETURN_IF_ERROR(ChargeMemory(bytes, "hash join probe window"));
+  window_bytes_ = bytes;
+  return true;
+}
+
+void HashJoinOp::ProbeBatch(ProbeSlot* slot) const {
+  const RowBatch& in = slot->in;
+  const int nparts = partitioned_ ? (1 << kPartitionBits) : 1;
+  // Selection-aware: `i` walks the batch's logical (selected) rows and
+  // in.row_at(i) maps to the dense row for direct column access. Key
+  // columns are logical-dense (Evaluate honors the selection), indexed by
+  // `i`. The join output is a blow-up point, so qualifying probe rows are
+  // gathered here exactly once — never compacted upstream.
+  const size_t nrows = in.logical_rows();
+
+  // Hash every key column in one column-major pass, instead of boxing a
+  // std::vector<Value> per probe row.
+  std::vector<uint64_t> probe_hash(nrows, 0);
+  std::vector<uint8_t> probe_null(nrows, 0);
+  const ColumnVector* fast_kc =
+      fast_int_ ? &in.columns[probe_key_col_] : nullptr;
+  if (fast_int_) {
+    for (size_t i = 0; i < nrows; ++i) {
+      const size_t r = in.row_at(i);
+      if (fast_kc->IsNull(r)) {
+        probe_null[i] = 1;
+      } else {
+        probe_hash[i] = HashInt64(static_cast<uint64_t>(fast_kc->GetInt(r)));
+      }
+    }
+  } else {
+    for (const auto& kc : slot->key_cols) {
+      for (size_t i = 0; i < nrows; ++i) {
+        probe_null[i] |= kc.IsNull(i) ? 1 : 0;
+        probe_hash[i] = HashCombine(probe_hash[i], HashCell(kc, i));
+      }
+    }
+  }
+
+  // Match phase: one (probe row, build row) pair per output row, in probe
+  // order and chain order. A LEFT-join miss pairs with kNullRow.
+  std::vector<uint32_t> probe_rows, build_rows;
+  probe_rows.reserve(nrows);
+  build_rows.reserve(nrows);
+  bool misses = false;
+  constexpr size_t kPrefetchDist = 8;
+  for (size_t i = 0; i < nrows; ++i) {
+    // Overlap the next rows' filter-word and slot misses with this row's
+    // work; all addresses derive from the already-batched hashes.
+    if (i + kPrefetchDist < nrows && !probe_null[i + kPrefetchDist]) {
+      const uint64_t ph = probe_hash[i + kPrefetchDist];
+      const Partition& pp =
+          partitions_[partitioned_ ? (ph >> 32) & (nparts - 1) : 0];
+      pp.bloom.Prefetch(ph);
+      pp.table.Prefetch(ph);
+    }
+    const uint32_t r = static_cast<uint32_t>(in.row_at(i));
+    const size_t matched_before = probe_rows.size();
+    if (!probe_null[i]) {
+      const uint64_t h = probe_hash[i];
+      const Partition& part =
+          partitions_[partitioned_ ? (h >> 32) & (nparts - 1) : 0];
+      // Bloom prefilter: most probe misses reject on one or two cache
+      // lines of filter words without ever touching the table.
+      if (part.bloom.MayContain(h)) {
+        const uint64_t key =
+            fast_int_ ? static_cast<uint64_t>(fast_kc->GetInt(r)) : h;
+        for (int32_t cur = part.table.Find(key, h);
+             cur != FlatJoinIndex::kNone; cur = part.table.Next(cur)) {
+          const uint32_t brow = part.table.Row(cur);
+          if (!fast_int_ && !KeysEqual(slot->key_cols, i, brow)) continue;
+          probe_rows.push_back(r);
+          build_rows.push_back(brow);
+        }
+      }
+    }
+    if (type_ == JoinType::kLeft && probe_rows.size() == matched_before) {
+      probe_rows.push_back(r);
+      build_rows.push_back(ColumnVector::kNullRow);
+      misses = true;
+    }
+  }
+
+  // Gather phase: the output, column by column.
+  RowBatch& out = slot->out;
+  InitBatchFor(output_, &out);
+  const size_t k = probe_rows.size();
+  const size_t probe_cols = in.columns.size();
+  for (size_t c = 0; c < probe_cols; ++c) {
+    out.columns[c].Gather(in.columns[c], probe_rows.data(), k);
+  }
+  for (size_t c = 0; c < build_data_.columns.size(); ++c) {
+    ColumnVector& dst = out.columns[probe_cols + c];
+    if (misses) {
+      dst.GatherOrNull(build_data_.columns[c], build_rows.data(), k);
+    } else {
+      dst.Gather(build_data_.columns[c], build_rows.data(), k);
+    }
+  }
+  slot->out_bytes = BatchMemoryBytes(out);
+  // The input is no longer needed; free it while the window is held.
+  slot->in = RowBatch();
+  slot->key_cols = {};
 }
 
 // -------------------------------------------------------- NestedLoopJoin --

@@ -30,8 +30,10 @@ struct OutputCol {
 /// Wall/CPU time is cumulative over the operator's subtree (a parent's
 /// Next() nests its children's), so "self" time is wall minus the sum of
 /// the children's wall; EXPLAIN ANALYZE renders both. CPU time is the
-/// calling thread's (CLOCK_THREAD_CPUTIME_ID) — pool workers spawned by
-/// parallel operators contribute wall time but not cpu_seconds.
+/// calling thread's (CLOCK_THREAD_CPUTIME_ID) only: work a parallel
+/// operator hands to pool helpers (scan morsels, join build partitions and
+/// probe batches, aggregation partials) is in wall_seconds but not in
+/// cpu_seconds.
 struct OperatorMetrics {
   uint64_t open_calls = 0;
   uint64_t next_calls = 0;
@@ -131,6 +133,9 @@ class Operator {
   /// is per-operator and unsynchronized (the QueryContext totals are
   /// atomic).
   Status ChargeMemory(int64_t bytes, const char* what);
+  /// Returns part of the reservation early (transient state such as a
+  /// join's probe window); same threading rule as ChargeMemory.
+  void ReleaseMemory(int64_t bytes);
 
   /// The governor probe available to operator internals that loop without
   /// pulling a child (morsel workers, build loops).
@@ -348,6 +353,12 @@ enum class JoinType : uint8_t { kInner = 0, kLeft, kCross };
 /// cache-sized partitions, each with its own hash table — the Hybrid Hash
 /// Join / BLU-style "partition into L2/L3 chunks" strategy of paper II.B.7.
 /// `partitioned=false` degrades to one global table (ablation baseline).
+///
+/// The probe pulls a window of up to 2 x dop batches and runs one kernel
+/// per batch — a match phase producing (probe row, build row) index lists,
+/// then a column-by-column gather — fanning the window out over the pool
+/// when it is large enough. Batches are emitted in probe order, so output
+/// is byte-identical at every degree; DOP 1 is a window of one batch.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr probe, OperatorPtr build,
@@ -376,8 +387,9 @@ class HashJoinOp : public Operator {
 
  private:
   static constexpr int kPartitionBits = 6;  // 64 cache-sized partitions
-  /// Below this build cardinality the fan-out overhead beats the win.
-  static constexpr size_t kParallelBuildMinRows = 4096;
+  /// Below this many build rows (build) or probe-window rows (probe) the
+  /// fan-out overhead beats the win.
+  static constexpr size_t kParallelMinRows = 4096;
   /// One cache-sized radix partition: a flat open-addressing multimap from
   /// the 64-bit key (combined key hash, or the raw int64 on the fast-int
   /// path) to the build-row chain, fronted by a Bloom-style prefilter so
@@ -392,7 +404,25 @@ class HashJoinOp : public Operator {
   /// and enough rows to amortize the fan-out).
   bool ParallelBuildEligible(size_t build_rows) const;
 
+  /// One probe batch moving through the window: the input (possibly
+  /// carrying a selection), its generic-path key columns (logical-dense,
+  /// evaluated on the calling thread — Evaluate is not guaranteed
+  /// re-entrant), and the joined output.
+  struct ProbeSlot {
+    RowBatch in;
+    std::vector<ColumnVector> key_cols;
+    RowBatch out;
+    int64_t out_bytes = 0;
+  };
+
   Status BuildSide();
+  /// Refills window_ from the probe child and probes it, in parallel when
+  /// the window is large enough. Returns false once the probe side is
+  /// exhausted.
+  Result<bool> ProbeWindow();
+  /// The probe kernel: match phase, then gather into slot->out. Reads only
+  /// state that is immutable after the build, so slots probe concurrently.
+  void ProbeBatch(ProbeSlot* slot) const;
   /// Typed equality of the probe row's key cells against the build row's
   /// (hash-equal candidates only; never allocates).
   bool KeysEqual(const std::vector<ColumnVector>& probe_key_cols,
@@ -417,6 +447,14 @@ class HashJoinOp : public Operator {
   Operator* filter_target_ = nullptr;
   int filter_target_col_ = -1;
   bool filter_installed_ = false;
+  /// Probe window: slots in probe order, the next one to emit, and the
+  /// bytes of output charged for it until the consumer has taken it all.
+  std::vector<ProbeSlot> window_;
+  size_t window_next_ = 0;
+  int64_t window_bytes_ = 0;
+  bool probe_done_ = false;
+  uint64_t windows_ = 0;           ///< windows probed
+  uint64_t parallel_windows_ = 0;  ///< of which fanned out over the pool
 };
 
 /// Cross / non-equi nested-loop join (small inputs: DUAL, dimension

@@ -483,24 +483,40 @@ TEST(OperatorTest, PartitionedAndGlobalJoinAgree) {
   auto orders = MakeOrders(3000);
   auto custs = MakeCustomers(100);
   ExecContext ctx = Ctx();
-  size_t results[2];
+  RowBatch results[2];
   for (int mode = 0; mode < 2; ++mode) {
     auto probe = std::make_unique<ColumnScanOp>(
-        orders, std::vector<ColumnPredicate>{}, std::vector<int>{1},
+        orders, std::vector<ColumnPredicate>{}, std::vector<int>{0, 1, 2},
         ScanOptions{});
     auto build = std::make_unique<ColumnScanOp>(
-        custs, std::vector<ColumnPredicate>{}, std::vector<int>{0},
+        custs, std::vector<ColumnPredicate>{}, std::vector<int>{0, 1},
         ScanOptions{});
     auto join = std::make_unique<HashJoinOp>(
         std::move(probe), std::move(build),
-        std::vector<ExprPtr>{Col(0, TypeId::kInt64)},
+        std::vector<ExprPtr>{Col(1, TypeId::kInt64)},
         std::vector<ExprPtr>{Col(0, TypeId::kInt64)}, JoinType::kInner, &ctx,
         mode == 0);
     auto r = DrainOperator(join.get());
     ASSERT_TRUE(r.ok());
-    results[mode] = r->num_rows();
+    results[mode] = std::move(*r);
   }
-  EXPECT_EQ(results[0], results[1]);
+  // Same rows in the same order, cell for cell: both layouts walk probe
+  // rows in order and each key's build rows in ascending build-row order.
+  const RowBatch& part = results[0];
+  const RowBatch& global = results[1];
+  ASSERT_EQ(part.num_rows(), 3000u);
+  ASSERT_EQ(part.num_rows(), global.num_rows());
+  ASSERT_EQ(part.num_columns(), 5u);
+  ASSERT_EQ(part.num_columns(), global.num_columns());
+  for (size_t c = 0; c < part.num_columns(); ++c) {
+    EXPECT_EQ(part.columns[c].type(), global.columns[c].type()) << c;
+    for (size_t i = 0; i < part.num_rows(); ++i) {
+      const Value a = part.columns[c].GetValue(i);
+      const Value b = global.columns[c].GetValue(i);
+      ASSERT_EQ(a.is_null(), b.is_null()) << "row " << i << " col " << c;
+      ASSERT_EQ(a.ToString(), b.ToString()) << "row " << i << " col " << c;
+    }
+  }
 }
 
 TEST(OperatorTest, HashAggGroupBy) {

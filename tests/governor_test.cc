@@ -7,8 +7,10 @@
 // racing a second thread; a real cross-thread CANCEL is drilled separately.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,6 +22,7 @@
 #include "common/query_context.h"
 #include "common/threadpool.h"
 #include "exec/admission.h"
+#include "exec/operator.h"
 #include "fluid/nickname.h"
 #include "fluid/remote_store.h"
 #include "mpp/mpp.h"
@@ -317,6 +320,197 @@ TEST_F(GovernorTest, ExplainAnalyzeReportsOperatorPeakBytes) {
                 "WHERE A.ID = B.ID");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_NE(r->message.find(" mem="), std::string::npos) << r->message;
+}
+
+// ---------------------------------------------------------------------------
+// Hash-join probe fan-out at DOP 4: a cancel, a deadline and a budget trip
+// landing while probe batches run on the pool end in their typed Status —
+// never in an OK result missing the abandoned batches.
+
+constexpr size_t kDrillProbeBatches = 16;
+constexpr size_t kDrillBatchRows = 1024;
+
+/// ID/GRP/V batches; on_emit(i) runs as batch i leaves, so a test can arm
+/// the governor at an exact point of the probe.
+class DrillSourceOp : public Operator {
+ public:
+  DrillSourceOp(size_t batches, size_t rows, std::function<void(size_t)> on_emit)
+      : batches_(batches), rows_(rows), on_emit_(std::move(on_emit)) {
+    output_ = {{"ID", TypeId::kInt64},
+               {"GRP", TypeId::kInt64},
+               {"V", TypeId::kInt64}};
+  }
+  Status OpenImpl() override {
+    emitted_ = 0;
+    return Status::OK();
+  }
+  Result<bool> NextImpl(RowBatch* out) override {
+    if (emitted_ == batches_) return false;
+    out->columns.assign(3, ColumnVector(TypeId::kInt64));
+    for (size_t r = 0; r < rows_; ++r) {
+      const int64_t id = static_cast<int64_t>(emitted_ * rows_ + r);
+      out->columns[0].AppendInt(id);
+      out->columns[1].AppendInt(id % 97);
+      out->columns[2].AppendInt(id * 31 % 101);
+    }
+    if (on_emit_) on_emit_(emitted_);
+    ++emitted_;
+    return true;
+  }
+  std::string label() const override { return "DrillSource"; }
+  size_t emitted() const { return emitted_; }
+
+ private:
+  size_t batches_, rows_;
+  std::function<void(size_t)> on_emit_;
+  size_t emitted_ = 0;
+};
+
+/// PROBE.GRP = DIM.ID over 16 x 1024 probe rows and a 97-row build: every
+/// probe row matches once, and each 8-batch window fans out over the pool.
+struct JoinDrill {
+  explicit JoinDrill(ThreadPool* pool,
+                     std::function<void(size_t)> on_emit = nullptr,
+                     size_t probe_batches = kDrillProbeBatches) {
+    ctx.pool = pool;
+    ctx.dop = 4;
+    auto p = std::make_unique<DrillSourceOp>(probe_batches, kDrillBatchRows,
+                                             std::move(on_emit));
+    probe = p.get();
+    join = std::make_unique<HashJoinOp>(
+        std::move(p), std::make_unique<DrillSourceOp>(1, 97, nullptr),
+        std::vector<ExprPtr>{std::make_shared<ColumnRefExpr>(1, TypeId::kInt64)},
+        std::vector<ExprPtr>{std::make_shared<ColumnRefExpr>(0, TypeId::kInt64)},
+        JoinType::kInner, &ctx);
+  }
+  ExecContext ctx;
+  DrillSourceOp* probe = nullptr;
+  std::unique_ptr<HashJoinOp> join;
+};
+
+std::string BatchKey(const RowBatch& b) {
+  std::ostringstream os;
+  for (size_t i = 0; i < b.num_rows(); ++i) {
+    for (const auto& c : b.columns) os << c.GetValue(i).ToString() << '|';
+    os << '\n';
+  }
+  return os.str();
+}
+
+/// Pulls `op` batch by batch, appending each batch's rows to *got, until
+/// end of stream or the first error, which is returned.
+Status DrainRows(Operator* op, std::string* got) {
+  DASHDB_RETURN_IF_ERROR(op->Open());
+  RowBatch b;
+  for (;;) {
+    DASHDB_ASSIGN_OR_RETURN(bool more, op->Next(&b));
+    if (!more) return Status::OK();
+    *got += BatchKey(b);
+  }
+}
+
+TEST_F(GovernorTest, JoinProbeCancelAtEveryCheckAtDop4) {
+  ThreadPool pool(4);
+  std::string want;
+  uint64_t total = 0;
+  // Checks made before the first fan-out: everything up to the window's
+  // last pull runs on the calling thread, so the count is the same in
+  // every run. The fan-out's 8 chunk claims and the re-probe follow.
+  uint64_t before_fanout = 0;
+  {
+    QueryContext qc;  // outlives the plan, which releases into it
+    JoinDrill drill(&pool, [&](size_t i) {
+      if (i == 7) before_fanout = qc.checks();
+    });
+    AttachQueryContext(drill.join.get(), &qc);
+    ASSERT_TRUE(DrainRows(drill.join.get(), &want).ok());
+    ASSERT_EQ(std::count(want.begin(), want.end(), '\n'),
+              static_cast<long>(kDrillProbeBatches * kDrillBatchRows));
+    total = qc.checks();
+  }
+  ASSERT_GT(before_fanout, 0u);
+  uint64_t cancelled = 0;
+  for (uint64_t n = 1; n <= total + 4; ++n) {
+    QueryContext qc;
+    qc.CancelAfterChecks(n);
+    JoinDrill drill(&pool);
+    AttachQueryContext(drill.join.get(), &qc);
+    std::string got;
+    Status st = DrainRows(drill.join.get(), &got);
+    const bool in_fanout = n > before_fanout && n <= before_fanout + 9;
+    if (st.ok()) {
+      // Pool helpers' claims vary run to run, so a late trip can miss.
+      EXPECT_FALSE(in_fanout) << "n=" << n;
+      EXPECT_EQ(got, want) << "n=" << n;
+      continue;
+    }
+    EXPECT_TRUE(st.IsCancelled()) << "n=" << n << ": " << st.ToString();
+    ++cancelled;
+    // Whatever came out before the cancel is a prefix of the full result.
+    EXPECT_EQ(want.compare(0, got.size(), got), 0) << "n=" << n;
+    // A trip on a chunk claim leaves the window with abandoned slots;
+    // none of that window may be emitted.
+    if (in_fanout) {
+      EXPECT_EQ(drill.probe->emitted(), 8u) << "n=" << n;
+      EXPECT_TRUE(got.empty()) << "n=" << n;
+    }
+  }
+  EXPECT_GT(cancelled, 0u);
+}
+
+TEST_F(GovernorTest, JoinProbeDeadlineMidFanOutAtDop4) {
+  ThreadPool pool(4);
+  QueryContext qc;
+  // Armed as the window's last batch leaves: the first check after it is
+  // a chunk claim inside the probe fan-out.
+  JoinDrill drill(&pool, [&qc](size_t i) {
+    if (i == 7) qc.SetTimeout(1e-9);
+  });
+  AttachQueryContext(drill.join.get(), &qc);
+  auto r = DrainOperator(drill.join.get());
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsTimeout()) << r.status().ToString();
+  EXPECT_EQ(drill.probe->emitted(), 8u);
+  EXPECT_EQ(drill.join->metrics().batches_out, 0u);
+}
+
+TEST_F(GovernorTest, JoinProbeBudgetTripsMidProbeAtDop4) {
+  ThreadPool pool(4);
+  // What the build alone reserves: the same join over an empty probe.
+  int64_t build_bytes = 0;
+  {
+    QueryContext qc;
+    JoinDrill drill(&pool, nullptr, /*probe_batches=*/0);
+    AttachQueryContext(drill.join.get(), &qc);
+    auto r = DrainOperator(drill.join.get());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    build_bytes = qc.mem_peak();
+    ASSERT_GT(build_bytes, 0);
+  }
+  // Room for the build but not for one probe window of joined output.
+  QueryContext qc;
+  qc.SetMemBudget(build_bytes + 1024);
+  {
+    JoinDrill drill(&pool);
+    AttachQueryContext(drill.join.get(), &qc);
+    auto r = DrainOperator(drill.join.get());
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("probe window"), std::string::npos)
+        << r.status().ToString();
+    EXPECT_EQ(drill.probe->emitted(), 8u);
+    EXPECT_EQ(drill.join->metrics().batches_out, 0u);
+    EXPECT_LE(qc.mem_peak(), build_bytes + 1024);
+  }
+  EXPECT_EQ(qc.mem_used(), 0);
+  // A budget that holds the build and a window runs to completion.
+  QueryContext roomy;
+  roomy.SetMemBudget(build_bytes + (int64_t{8} << 20));
+  JoinDrill drill(&pool);
+  AttachQueryContext(drill.join.get(), &roomy);
+  auto ok = DrainOperator(drill.join.get());
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->num_rows(), kDrillProbeBatches * kDrillBatchRows);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 // Morsel-driven parallelism end-to-end: parallel execution must return the
 // same rows as serial execution at every degree, over both the TPC-DS mini
 // star schema and the customer workload's statement stream, and EXPLAIN
-// must report the effective degree.
+// must report the effective degree. The hash-join probe is also driven
+// directly, batch by batch, and must be byte-identical at DOP 1 and 4.
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/threadpool.h"
+#include "exec/operator.h"
 #include "sql/engine.h"
 #include "workloads/customer_workload.h"
 #include "workloads/tpcds_mini.h"
@@ -184,6 +188,255 @@ TEST(ParallelExecTest, DistinctAggregateStaysSerialButCorrect) {
   ASSERT_EQ(r->rows.num_rows(), 5u);
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(r->rows.columns[1].GetInt(i), 37);
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Hash-join probe: DOP 1 vs DOP 4, byte for byte
+
+/// Emits a fixed list of batches in order (each may carry a selection).
+class BatchSourceOp : public Operator {
+ public:
+  BatchSourceOp(std::vector<RowBatch> batches, std::vector<OutputCol> cols)
+      : batches_(std::move(batches)) {
+    output_ = std::move(cols);
+  }
+  Status OpenImpl() override {
+    next_ = 0;
+    return Status::OK();
+  }
+  Result<bool> NextImpl(RowBatch* out) override {
+    if (next_ >= batches_.size()) return false;
+    *out = batches_[next_++];
+    return true;
+  }
+  std::string label() const override { return "BatchSource"; }
+
+ private:
+  std::vector<RowBatch> batches_;
+  size_t next_ = 0;
+};
+
+/// Join inputs: K BIGINT (nullable), S VARCHAR (= "s<K>"), K2 BIGINT,
+/// P DOUBLE (nullable payload).
+const std::vector<OutputCol> kJoinCols = {{"K", TypeId::kInt64},
+                                          {"S", TypeId::kVarchar},
+                                          {"K2", TypeId::kInt64},
+                                          {"P", TypeId::kDouble}};
+
+void AppendJoinRow(RowBatch* b, bool null_key, int64_t k, int64_t k2,
+                   int64_t p) {
+  if (null_key) {
+    b->columns[0].AppendNull();
+    b->columns[1].AppendNull();
+  } else {
+    b->columns[0].AppendInt(k);
+    b->columns[1].AppendString("s" + std::to_string(k));
+  }
+  b->columns[2].AppendInt(k2);
+  if (p % 11 == 0) {
+    b->columns[3].AppendNull();
+  } else {
+    b->columns[3].AppendDouble(static_cast<double>(p) * 0.25);
+  }
+}
+
+RowBatch EmptyJoinBatch() {
+  RowBatch b;
+  for (const auto& c : kJoinCols) b.columns.emplace_back(c.type);
+  return b;
+}
+
+/// Build side: keys 0..199, key k repeated (k % 3) + 1 times, so most keys
+/// chain several build rows.
+std::vector<RowBatch> BuildBatches(bool empty) {
+  std::vector<RowBatch> out;
+  if (empty) return out;
+  RowBatch b = EmptyJoinBatch();
+  int64_t row = 0;
+  for (int64_t k = 0; k < 200; ++k) {
+    for (int64_t d = 0; d <= k % 3; ++d) {
+      AppendJoinRow(&b, false, k, k % 7, row++);
+      if (b.num_rows() == 128) {
+        out.push_back(std::move(b));
+        b = EmptyJoinBatch();
+      }
+    }
+  }
+  out.push_back(std::move(b));
+  return out;
+}
+
+/// Probe side: keys in 0..299 (a third miss the build), a NULL key every
+/// 17th row, K2 off by one on every 5th row (two-key misses).
+std::vector<RowBatch> ProbeBatches(size_t n_batches, size_t rows_per_batch) {
+  std::vector<RowBatch> out;
+  int64_t row = 0;
+  for (size_t b = 0; b < n_batches; ++b) {
+    RowBatch batch = EmptyJoinBatch();
+    for (size_t i = 0; i < rows_per_batch; ++i, ++row) {
+      const int64_t k = (row * 37) % 300;
+      const int64_t k2 = row % 5 == 0 ? k % 7 + 1 : k % 7;
+      AppendJoinRow(&batch, row % 17 == 0, k, k2, row);
+    }
+    out.push_back(std::move(batch));
+  }
+  return out;
+}
+
+struct JoinCase {
+  std::string name;
+  std::vector<int> keys;  ///< key columns, same index on both sides
+  JoinType type;
+  bool filtered;          ///< probe through a FilterOp (selection vectors)
+  bool empty_build;
+};
+
+/// Every cell as type, null flag and exact value, row by row.
+std::string BatchBytes(const RowBatch& b) {
+  std::string s;
+  for (size_t i = 0; i < b.num_rows(); ++i) {
+    for (const ColumnVector& cv : b.columns) {
+      s += std::to_string(static_cast<int>(cv.type()));
+      if (cv.IsNull(i)) {
+        s += ":null|";
+      } else if (cv.type() == TypeId::kDouble) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, ":%a|", cv.GetDouble(i));
+        s += buf;
+      } else {
+        s += ":" + cv.GetValue(i).ToString() + "|";
+      }
+    }
+    s += '\n';
+  }
+  return s;
+}
+
+/// Output rows a join case must produce, counted by brute force.
+size_t ExpectedJoinRows(const JoinCase& jc,
+                        const std::vector<RowBatch>& probe,
+                        const std::vector<RowBatch>& build) {
+  auto key_of = [&](const RowBatch& b, size_t r, std::string* key) {
+    for (int c : jc.keys) {
+      if (b.columns[c].IsNull(r)) return false;
+      *key += b.columns[c].GetValue(r).ToString() + "|";
+    }
+    return true;
+  };
+  std::map<std::string, size_t> build_count;
+  for (const RowBatch& b : build) {
+    for (size_t r = 0; r < b.num_rows(); ++r) {
+      std::string key;
+      if (key_of(b, r, &key)) ++build_count[key];
+    }
+  }
+  size_t rows = 0;
+  for (const RowBatch& b : probe) {
+    for (size_t r = 0; r < b.num_rows(); ++r) {
+      if (jc.filtered && r % 3 == 0) continue;  // the FilterOp's predicate
+      std::string key;
+      size_t m = 0;
+      if (key_of(b, r, &key)) {
+        auto it = build_count.find(key);
+        if (it != build_count.end()) m = it->second;
+      }
+      rows += m > 0 ? m : (jc.type == JoinType::kLeft ? 1 : 0);
+    }
+  }
+  return rows;
+}
+
+/// Runs one join case at `dop`; returns the output bytes and fills
+/// *analyze with the join's EXPLAIN ANALYZE line.
+std::string RunJoinCase(const JoinCase& jc,
+                        const std::vector<RowBatch>& probe,
+                        const std::vector<RowBatch>& build, ThreadPool* pool,
+                        int dop, size_t* rows, std::string* analyze) {
+  ExecContext ctx;
+  ctx.pool = pool;
+  ctx.dop = dop;
+  // The filtered variant adds POS = dense row index mod 3 and keeps
+  // POS <> 0, so the join sees batches carrying a selection vector.
+  std::vector<RowBatch> probe_in = probe;
+  std::vector<OutputCol> probe_cols = kJoinCols;
+  if (jc.filtered) {
+    probe_cols.push_back({"POS", TypeId::kInt64});
+    for (RowBatch& b : probe_in) {
+      ColumnVector pos(TypeId::kInt64);
+      for (size_t r = 0; r < b.num_rows(); ++r) {
+        pos.AppendInt(static_cast<int64_t>(r % 3));
+      }
+      b.columns.push_back(std::move(pos));
+    }
+  }
+  OperatorPtr probe_op =
+      std::make_unique<BatchSourceOp>(std::move(probe_in), probe_cols);
+  if (jc.filtered) {
+    auto pred = std::make_shared<CompareExpr>(
+        CmpOp::kNe, std::make_shared<ColumnRefExpr>(4, TypeId::kInt64),
+        std::make_shared<LiteralExpr>(Value::Int64(0)));
+    probe_op = std::make_unique<FilterOp>(std::move(probe_op), pred, &ctx);
+  }
+  std::vector<ExprPtr> probe_keys, build_keys;
+  for (int c : jc.keys) {
+    probe_keys.push_back(std::make_shared<ColumnRefExpr>(c, kJoinCols[c].type));
+    build_keys.push_back(std::make_shared<ColumnRefExpr>(c, kJoinCols[c].type));
+  }
+  HashJoinOp join(std::move(probe_op),
+                  std::make_unique<BatchSourceOp>(build, kJoinCols),
+                  probe_keys, build_keys, jc.type, &ctx);
+  auto r = DrainOperator(&join);
+  EXPECT_TRUE(r.ok()) << jc.name << ": " << r.status().ToString();
+  if (!r.ok()) return std::string();
+  *rows = r->num_rows();
+  *analyze = join.AnalyzeString();
+  return BatchBytes(*r);
+}
+
+TEST(ParallelExecTest, HashJoinProbeIdenticalAtDop1AndDop4) {
+  ThreadPool pool(4);
+  const std::vector<JoinCase> cases = {
+      {"int inner, duplicate build keys", {0}, JoinType::kInner, false, false},
+      {"int left, misses and NULL keys", {0}, JoinType::kLeft, false, false},
+      {"varchar inner", {1}, JoinType::kInner, false, false},
+      {"varchar left", {1}, JoinType::kLeft, false, false},
+      {"two-key inner", {0, 2}, JoinType::kInner, false, false},
+      {"two-key left", {0, 2}, JoinType::kLeft, false, false},
+      {"int inner over a filter", {0}, JoinType::kInner, true, false},
+      {"varchar left over a filter", {1}, JoinType::kLeft, true, false},
+      {"int inner, empty build", {0}, JoinType::kInner, false, true},
+      {"two-key left, empty build", {0, 2}, JoinType::kLeft, false, true},
+  };
+  // 3 x 500 rows stays under the fan-out threshold; 16 x 1024 is above it.
+  const struct {
+    size_t batches, rows;
+    bool fans_out;
+  } sizes[] = {{3, 500, false}, {16, 1024, true}};
+  for (const auto& size : sizes) {
+    const auto probe = ProbeBatches(size.batches, size.rows);
+    for (const JoinCase& jc : cases) {
+      const auto build = BuildBatches(jc.empty_build);
+      const std::string label =
+          jc.name + " @ " + std::to_string(size.batches) + "x" +
+          std::to_string(size.rows);
+      size_t rows1 = 0, rows4 = 0;
+      std::string analyze1, analyze4;
+      const std::string serial =
+          RunJoinCase(jc, probe, build, nullptr, 1, &rows1, &analyze1);
+      const std::string parallel =
+          RunJoinCase(jc, probe, build, &pool, 4, &rows4, &analyze4);
+      EXPECT_EQ(rows1, ExpectedJoinRows(jc, probe, build)) << label;
+      EXPECT_EQ(rows1, rows4) << label;
+      EXPECT_TRUE(serial == parallel) << label;
+      EXPECT_NE(analyze4.find("probe-dop=4"), std::string::npos) << analyze4;
+      // The fan-out decision follows the input: large windows go to the
+      // pool, small ones run the same kernel inline.
+      const bool fanned = analyze4.find("probe-fanouts=0/") ==
+                          std::string::npos;
+      EXPECT_EQ(fanned, size.fans_out) << label << ": " << analyze4;
+    }
   }
 }
 
