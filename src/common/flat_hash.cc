@@ -134,23 +134,16 @@ void FlatIntMap::Reserve(size_t n) {
 }
 
 void FlatIntMap::Grow(size_t new_cap) {
-  std::vector<uint8_t> old_ctrl = std::move(ctrl_);
-  std::vector<int64_t> old_keys = std::move(keys_);
-  std::vector<uint32_t> old_id = std::move(slot_id_);
-  const size_t old_cap = cap_;
+  std::vector<Slot> old = std::move(slots_);
   cap_ = new_cap;
-  ctrl_.assign(cap_, 0);
-  keys_.resize(cap_);
-  slot_id_.resize(cap_);
+  slots_.assign(cap_, Slot{});
   const size_t mask = cap_ - 1;
-  for (size_t s = 0; s < old_cap; ++s) {
-    if (old_ctrl[s] == 0) continue;
-    uint64_t h = HashInt64(static_cast<uint64_t>(old_keys[s]));
-    size_t i = static_cast<size_t>(h) & mask;
-    while (ctrl_[i] != 0) i = (i + 1) & mask;
-    ctrl_[i] = old_ctrl[s];
-    keys_[i] = old_keys[s];
-    slot_id_[i] = old_id[s];
+  for (const Slot& o : old) {
+    if (o.tag == 0) continue;
+    size_t i = static_cast<size_t>(HashInt64(static_cast<uint64_t>(o.key))) &
+               mask;
+    while (slots_[i].tag != 0) i = (i + 1) & mask;
+    slots_[i] = o;
   }
 }
 
@@ -160,20 +153,18 @@ uint32_t FlatIntMap::FindOrInsert(int64_t key, bool* inserted) {
   }
   const uint64_t h = HashInt64(static_cast<uint64_t>(key));
   const size_t mask = cap_ - 1;
-  const uint8_t tag = CtrlTag(h);
+  const uint32_t tag = CtrlTag(h);
   size_t i = static_cast<size_t>(h) & mask;
-  while (ctrl_[i] != 0) {
-    if (ctrl_[i] == tag && keys_[i] == key) {
+  while (slots_[i].tag != 0) {
+    if (slots_[i].tag == tag && slots_[i].key == key) {
       *inserted = false;
-      return slot_id_[i];
+      return slots_[i].id;
     }
     i = (i + 1) & mask;
   }
   const uint32_t id = static_cast<uint32_t>(keys_dense_.size());
   keys_dense_.push_back(key);
-  ctrl_[i] = tag;
-  keys_[i] = key;
-  slot_id_[i] = id;
+  slots_[i] = Slot{key, id, tag};
   *inserted = true;
   return id;
 }

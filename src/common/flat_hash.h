@@ -8,11 +8,11 @@
 //    (low hash bits), so the radix-partition digit (bits 32..37), the
 //    Bloom prefilter bits (13.., 38..43, 51..56) and the control tag
 //    (top 7 bits) all draw from disjoint hash ranges;
-//  - the variable-length-key and int-map tables keep one control byte per
-//    slot: 0 = empty, else 0x80 | (hash >> 57), so a probe compares one
-//    byte before touching the slot's payload; the join index instead
-//    embeds occupancy in its 16-byte slot (the key compare already shares
-//    that cache line);
+//  - the variable-length-key table keeps one control byte per slot:
+//    0 = empty, else 0x80 | (hash >> 57), so a probe compares one byte
+//    before touching the slot's payload; the int map and the join index
+//    instead embed the tag or occupancy in a 16-byte slot (the key compare
+//    already shares that cache line);
 //  - the full 64-bit hash is stored per slot, making growth a re-bucketing
 //    pass that never re-hashes keys;
 //  - growth doubles at 7/8 load factor. Linear probing keeps every probe
@@ -280,7 +280,8 @@ class FlatKeyIndex {
 };
 
 /// Map from an int64 key to a dense insertion-order id — the single
-/// integer group-key fast path (NULL keys use a caller-chosen sentinel).
+/// integer group-key fast path. The NULL key is tracked outside the int64
+/// domain, so no value collides with it.
 class FlatIntMap {
  public:
   void Reserve(size_t n);
@@ -288,16 +289,35 @@ class FlatIntMap {
   /// Returns the id of `key`, assigning the next dense id when absent.
   uint32_t FindOrInsert(int64_t key, bool* inserted);
 
+  /// Returns the id of the NULL key, assigning the next dense id when
+  /// absent.
+  uint32_t FindOrInsertNull(bool* inserted) {
+    *inserted = null_id_ < 0;
+    if (*inserted) {
+      null_id_ = static_cast<int64_t>(keys_dense_.size());
+      keys_dense_.push_back(0);
+    }
+    return static_cast<uint32_t>(null_id_);
+  }
+
   size_t size() const { return keys_dense_.size(); }
+  bool IsNull(uint32_t id) const { return id == null_id_; }
   int64_t KeyOf(uint32_t id) const { return keys_dense_[id]; }
 
  private:
+  /// Key, id and control tag share one 16-byte slot (tag 0 = empty), so
+  /// a probe touches one cache line.
+  struct Slot {
+    int64_t key = 0;
+    uint32_t id = 0;
+    uint32_t tag = 0;
+  };
+
   void Grow(size_t new_cap);
 
-  std::vector<uint8_t> ctrl_;
-  std::vector<int64_t> keys_;
-  std::vector<uint32_t> slot_id_;
+  std::vector<Slot> slots_;
   std::vector<int64_t> keys_dense_;
+  int64_t null_id_ = -1;
   size_t cap_ = 0;
 };
 

@@ -7,12 +7,16 @@ namespace dashdb {
 
 namespace {
 
-inline void AppendBigEndian(uint64_t u, std::string* out) {
-  char buf[8];
+inline void StoreBigEndian(uint64_t u, char* buf) {
   for (int i = 7; i >= 0; --i) {
     buf[i] = static_cast<char>(u & 0xFF);
     u >>= 8;
   }
+}
+
+inline void AppendBigEndian(uint64_t u, std::string* out) {
+  char buf[8];
+  StoreBigEndian(u, buf);
   out->append(buf, 8);
 }
 
@@ -28,6 +32,24 @@ inline uint64_t DoubleBits(double d) {
   // Negative doubles: complement everything (reverses their order).
   // Non-negative: set the sign bit so they sort above all negatives.
   return (bits >> 63) ? ~bits : (bits | 0x8000000000000000ULL);
+}
+
+/// AppendNormalizedCell for a non-varchar cell, written in place at `p`
+/// (room for 9 bytes); returns the bytes written.
+inline size_t EncodeFixedCell(const ColumnVector& cv, size_t row, bool desc,
+                              char* p) {
+  const unsigned char flip = desc ? 0xFF : 0x00;
+  if (cv.IsNull(row)) {
+    p[0] = static_cast<char>(0x01 ^ flip);
+    return 1;
+  }
+  uint64_t u = cv.type() == TypeId::kDouble
+                   ? DoubleBits(cv.GetDouble(row))
+                   : static_cast<uint64_t>(cv.GetInt(row)) ^
+                         0x8000000000000000ULL;
+  p[0] = static_cast<char>(flip);
+  StoreBigEndian(desc ? ~u : u, p + 1);
+  return 9;
 }
 
 }  // namespace
@@ -75,17 +97,33 @@ void NormalizedKeyColumn::Build(
     const std::vector<const ColumnVector*>& key_cols,
     const std::vector<bool>& desc, size_t begin, size_t end) {
   bytes_.clear();
-  offsets_.clear();
   const size_t n = end - begin;
-  offsets_.reserve(n + 1);
-  // Fixed-width keys dominate; reserve as if every part were int/double.
+  offsets_.resize(n + 1);
+  offsets_[0] = 0;
+  bool fixed = true;
+  for (const ColumnVector* cv : key_cols) {
+    fixed = fixed && cv->type() != TypeId::kVarchar;
+  }
+  if (fixed) {
+    // Every part takes at most 9 bytes: size the buffer once and write the
+    // keys in place.
+    bytes_.resize(n * key_cols.size() * 9);
+    size_t pos = 0;
+    for (size_t r = begin; r < end; ++r) {
+      for (size_t k = 0; k < key_cols.size(); ++k) {
+        pos += EncodeFixedCell(*key_cols[k], r, desc[k], &bytes_[pos]);
+      }
+      offsets_[r - begin + 1] = pos;
+    }
+    bytes_.resize(pos);
+    return;
+  }
   bytes_.reserve(n * (key_cols.size() * 9 + 1));
-  offsets_.push_back(0);
   for (size_t r = begin; r < end; ++r) {
     for (size_t k = 0; k < key_cols.size(); ++k) {
       AppendNormalizedCell(*key_cols[k], r, desc[k], &bytes_);
     }
-    offsets_.push_back(bytes_.size());
+    offsets_[r - begin + 1] = bytes_.size();
   }
 }
 

@@ -49,57 +49,59 @@ void AggState::Add(const Value& v, const Value& v2) {
   if (v.is_null()) return;
   if (spec_->distinct) {
     std::string key = TypeName(v.type()) + std::string(":") + v.ToString();
-    if (!seen_.insert(key).second) return;
+    if (!extra().seen.insert(key).second) return;
   }
   switch (spec_->kind) {
     case AggKind::kCount:
       ++count_;
-      break;
-    case AggKind::kSum:
-    case AggKind::kAvg: {
-      ++count_;
-      if (v.type() == TypeId::kDouble) int_domain_ = false;
-      sum_ += v.AsDouble();
-      if (int_domain_) isum_ += v.AsInt();
-      break;
-    }
+      return;
     case AggKind::kMin:
-      if (!min_ || v.Compare(*min_) < 0) min_ = v;
-      break;
     case AggKind::kMax:
-      if (!max_ || v.Compare(*max_) > 0) max_ = v;
-      break;
-    case AggKind::kVarPop:
-    case AggKind::kVarSamp:
-    case AggKind::kStddevPop:
-    case AggKind::kStddevSamp: {
-      ++count_;
-      double x = v.AsDouble();
-      double d = x - mean_;
-      mean_ += d / count_;
-      m2_ += d * (x - mean_);
-      break;
-    }
+      if (v.type() != TypeId::kVarchar) break;
+      // Strings keep their boxed extremes.
+      if (spec_->kind == AggKind::kMin) {
+        if (!extra().min || v.Compare(*extra_->min) < 0) extra_->min = v;
+      } else if (!extra().max || v.Compare(*extra_->max) > 0) {
+        extra_->max = v;
+      }
+      return;
     case AggKind::kCovarPop:
     case AggKind::kCovarSamp: {
       if (v2.is_null()) return;
       ++count_;
       double x = v.AsDouble(), y = v2.AsDouble();
-      double dx = x - mean_x_;
-      mean_x_ += dx / count_;
-      mean_y_ += (y - mean_y_) / count_;
-      cxy_ += dx * (y - mean_y_);
-      break;
+      Extra& e = extra();
+      double dx = x - e.mean_x;
+      e.mean_x += dx / count_;
+      e.mean_y += (y - e.mean_y) / count_;
+      e.cxy += dx * (y - e.mean_y);
+      return;
     }
-    case AggKind::kMedian:
-    case AggKind::kPercentileCont:
-    case AggKind::kPercentileDisc:
-      ++count_;
-      values_.push_back(v.AsDouble());
-      break;
-    case AggKind::kCountStar:
+    default:
       break;
   }
+  // Every other input takes the typed path.
+  const bool is_int = v.type() != TypeId::kDouble;
+  AddNumericFast(v.AsDouble(), is_int ? v.AsInt() : 0, is_int);
+}
+
+void AggState::AddSum(double x, int64_t ix, bool is_int) {
+  if (is_int && int_domain_) {
+    isum_ += ix;
+    return;
+  }
+  if (int_domain_) {
+    int_domain_ = false;
+    sum_ = static_cast<double>(isum_);
+  }
+  // Neumaier's compensated step: sum_ + sum_err_ stays the correctly
+  // rounded total in practice, whatever order the inputs (or partial
+  // states) arrive in, so the result does not depend on the degree.
+  const double y = is_int ? static_cast<double>(ix) : x;
+  const double t = sum_ + y;
+  sum_err_ +=
+      std::fabs(sum_) >= std::fabs(y) ? (sum_ - t) + y : (y - t) + sum_;
+  sum_ = t;
 }
 
 void AggState::AddNumericFast(double x, int64_t ix, bool int_domain) {
@@ -111,9 +113,7 @@ void AggState::AddNumericFast(double x, int64_t ix, bool int_domain) {
     case AggKind::kSum:
     case AggKind::kAvg:
       ++count_;
-      if (!int_domain) int_domain_ = false;
-      sum_ += x;
-      if (int_domain_) isum_ += ix;
+      AddSum(x, ix, int_domain);
       break;
     case AggKind::kMin:
     case AggKind::kMax:
@@ -144,7 +144,7 @@ void AggState::AddNumericFast(double x, int64_t ix, bool int_domain) {
     case AggKind::kPercentileCont:
     case AggKind::kPercentileDisc:
       ++count_;
-      values_.push_back(x);
+      extra().values.push_back(x);
       break;
     case AggKind::kCovarPop:
     case AggKind::kCovarSamp:
@@ -163,9 +163,12 @@ void AggState::Merge(const AggState& o) {
       break;  // count_ merged below
     case AggKind::kSum:
     case AggKind::kAvg:
-      sum_ += o.sum_;
-      isum_ += o.isum_;
-      int_domain_ = int_domain_ && o.int_domain_;
+      if (o.int_domain_) {
+        AddSum(0.0, o.isum_, true);
+      } else {
+        AddSum(o.sum_, 0, false);
+        sum_err_ += o.sum_err_;
+      }
       break;
     case AggKind::kMin:
     case AggKind::kMax:
@@ -185,8 +188,14 @@ void AggState::Merge(const AggState& o) {
           imax_ = std::max(imax_, o.imax_);
         }
       }
-      if (o.min_ && (!min_ || o.min_->Compare(*min_) < 0)) min_ = o.min_;
-      if (o.max_ && (!max_ || o.max_->Compare(*max_) > 0)) max_ = o.max_;
+      if (o.extra_ && o.extra_->min &&
+          (!extra().min || o.extra_->min->Compare(*extra_->min) < 0)) {
+        extra_->min = o.extra_->min;
+      }
+      if (o.extra_ && o.extra_->max &&
+          (!extra().max || o.extra_->max->Compare(*extra_->max) > 0)) {
+        extra_->max = o.extra_->max;
+      }
       break;
     case AggKind::kVarPop:
     case AggKind::kVarSamp:
@@ -207,24 +216,29 @@ void AggState::Merge(const AggState& o) {
     case AggKind::kCovarPop:
     case AggKind::kCovarSamp:
       if (o.count_ > 0) {
+        const Extra& oe = *o.extra_;
+        Extra& e = extra();
         if (count_ == 0) {
-          mean_x_ = o.mean_x_;
-          mean_y_ = o.mean_y_;
-          cxy_ = o.cxy_;
+          e.mean_x = oe.mean_x;
+          e.mean_y = oe.mean_y;
+          e.cxy = oe.cxy;
         } else {
-          double dx = o.mean_x_ - mean_x_;
-          double dy = o.mean_y_ - mean_y_;
+          double dx = oe.mean_x - e.mean_x;
+          double dy = oe.mean_y - e.mean_y;
           double tot = n1 + n2;
-          mean_x_ += dx * n2 / tot;
-          mean_y_ += dy * n2 / tot;
-          cxy_ += o.cxy_ + dx * dy * n1 * n2 / tot;
+          e.mean_x += dx * n2 / tot;
+          e.mean_y += dy * n2 / tot;
+          e.cxy += oe.cxy + dx * dy * n1 * n2 / tot;
         }
       }
       break;
     case AggKind::kMedian:
     case AggKind::kPercentileCont:
     case AggKind::kPercentileDisc:
-      values_.insert(values_.end(), o.values_.begin(), o.values_.end());
+      if (o.extra_) {
+        std::vector<double>& v = extra().values;
+        v.insert(v.end(), o.extra_->values.begin(), o.extra_->values.end());
+      }
       break;
   }
   count_ += o.count_;
@@ -239,10 +253,10 @@ Value AggState::Finish() const {
       if (count_ == 0) return Value::Null(spec_->out_type);
       return int_domain_ && spec_->out_type != TypeId::kDouble
                  ? Value::Int64(isum_)
-                 : Value::Double(sum_);
+                 : Value::Double(Sum());
     case AggKind::kAvg:
       if (count_ == 0) return Value::Null(TypeId::kDouble);
-      return Value::Double(sum_ / count_);
+      return Value::Double(Sum() / count_);
     case AggKind::kMin:
     case AggKind::kMax: {
       if (fast_minmax_) {
@@ -254,10 +268,11 @@ Value AggState::Finish() const {
         }
         return Value::Double(want_min ? dmin_ : dmax_);
       }
-      if (spec_->kind == AggKind::kMin) {
-        return min_ ? *min_ : Value::Null(spec_->out_type);
+      const std::optional<Value>* v = nullptr;
+      if (extra_) {
+        v = spec_->kind == AggKind::kMin ? &extra_->min : &extra_->max;
       }
-      return max_ ? *max_ : Value::Null(spec_->out_type);
+      return v && *v ? **v : Value::Null(spec_->out_type);
     }
     case AggKind::kVarPop:
       if (count_ == 0) return Value::Null(TypeId::kDouble);
@@ -273,27 +288,30 @@ Value AggState::Finish() const {
       return Value::Double(std::sqrt(m2_ / (count_ - 1)));
     case AggKind::kCovarPop:
       if (count_ == 0) return Value::Null(TypeId::kDouble);
-      return Value::Double(cxy_ / count_);
+      return Value::Double(extra_->cxy / count_);
     case AggKind::kCovarSamp:
       if (count_ < 2) return Value::Null(TypeId::kDouble);
-      return Value::Double(cxy_ / (count_ - 1));
+      return Value::Double(extra_->cxy / (count_ - 1));
     case AggKind::kMedian:
     case AggKind::kPercentileCont:
     case AggKind::kPercentileDisc: {
-      if (values_.empty()) return Value::Null(TypeId::kDouble);
-      std::sort(values_.begin(), values_.end());
+      if (!extra_ || extra_->values.empty()) {
+        return Value::Null(TypeId::kDouble);
+      }
+      std::vector<double>& values = extra_->values;
+      std::sort(values.begin(), values.end());
       double f = spec_->kind == AggKind::kMedian ? 0.5 : spec_->param;
-      double idx = f * (values_.size() - 1);
+      double idx = f * (values.size() - 1);
       if (spec_->kind == AggKind::kPercentileDisc) {
         // Smallest value whose cumulative distribution >= f.
-        size_t k = static_cast<size_t>(std::ceil(f * values_.size()));
+        size_t k = static_cast<size_t>(std::ceil(f * values.size()));
         if (k > 0) --k;
-        return Value::Double(values_[k]);
+        return Value::Double(values[k]);
       }
       size_t lo = static_cast<size_t>(std::floor(idx));
       size_t hi = static_cast<size_t>(std::ceil(idx));
       double frac = idx - lo;
-      return Value::Double(values_[lo] * (1 - frac) + values_[hi] * frac);
+      return Value::Double(values[lo] * (1 - frac) + values[hi] * frac);
     }
   }
   return Value::Null(TypeId::kDouble);

@@ -78,25 +78,42 @@ class AggState {
 
  private:
   const AggSpec* spec_;
+  /// SUM/AVG accumulation: exact in isum_ while every input is an
+  /// integer, then a compensated double sum (sum_ + sum_err_).
+  void AddSum(double x, int64_t ix, bool is_int);
+  double Sum() const {
+    return int_domain_ ? static_cast<double>(isum_) : sum_ + sum_err_;
+  }
+
+  /// State only some aggregates need, allocated on first use: boxed
+  /// MIN/MAX, covariance, order statistics and DISTINCT dedup. Keeps the
+  /// common state small, since a group-by holds one per (group, aggregate).
+  struct Extra {
+    std::optional<Value> min, max;
+    double mean_x = 0, mean_y = 0, cxy = 0;
+    std::vector<double> values;  ///< order statistics (Finish sorts)
+    std::set<std::string> seen;
+  };
+  Extra& extra() {
+    if (!extra_) extra_ = std::make_unique<Extra>();
+    return *extra_;
+  }
+
+  // The fields COUNT and SUM touch come first (after spec_), so a
+  // group-by's hot states cost one cache line each.
   int64_t count_ = 0;          // non-null inputs (or all rows for COUNT(*))
-  double sum_ = 0;
   int64_t isum_ = 0;
+  double sum_ = 0, sum_err_ = 0;
   bool int_domain_ = true;
-  std::optional<Value> min_, max_;
-  // Welford.
-  double mean_ = 0, m2_ = 0;
-  // Covariance.
-  double mean_x_ = 0, mean_y_ = 0, cxy_ = 0;
-  // Typed fast-path min/max mirror (used instead of min_/max_ when the
-  // fast entries fed this state).
   bool fast_minmax_ = false;
   bool fast_int_domain_ = true;
+  // Typed fast-path min/max (used instead of Extra's boxed min/max when
+  // the fast entries fed this state).
   double dmin_ = 0, dmax_ = 0;
   int64_t imin_ = 0, imax_ = 0;
-  // Order statistics (median / percentiles).
-  mutable std::vector<double> values_;
-  // DISTINCT support.
-  std::set<std::string> seen_;
+  // Welford.
+  double mean_ = 0, m2_ = 0;
+  std::unique_ptr<Extra> extra_;
 };
 
 }  // namespace dashdb

@@ -16,58 +16,14 @@
 
 #include "common/hash.h"
 #include "common/metrics.h"
+#include "common/sort_key.h"
 #include "common/threadpool.h"
 #include "exec/join_order.h"
 #include "exec/shared_scan.h"
+#include "exec/window.h"
 
 namespace dashdb {
 
-uint64_t HashValue(const Value& v) {
-  if (v.is_null()) return 0x9E3779B97F4A7C15ull;
-  switch (v.type()) {
-    case TypeId::kVarchar:
-      return HashString(v.AsString());
-    case TypeId::kDouble: {
-      double d = v.AsDouble();
-      uint64_t bits;
-      std::memcpy(&bits, &d, 8);
-      return HashInt64(bits);
-    }
-    default:
-      return HashInt64(static_cast<uint64_t>(v.AsInt()));
-  }
-}
-
-namespace {
-
-void InitBatchFor(const std::vector<OutputCol>& cols, RowBatch* out) {
-  out->columns.clear();
-  out->columns.reserve(cols.size());
-  for (const auto& c : cols) out->columns.emplace_back(c.type);
-}
-
-void AppendRowFrom(const RowBatch& src, size_t row, RowBatch* dst,
-                   size_t dst_col_offset = 0) {
-  for (size_t c = 0; c < src.columns.size(); ++c) {
-    dst->columns[dst_col_offset + c].AppendFrom(src.columns[c], row);
-  }
-}
-
-/// Appends every logical row of `src` (its selection honored) to `dst`,
-/// column by column.
-void AppendBatch(const RowBatch& src, RowBatch* dst) {
-  for (size_t c = 0; c < src.columns.size(); ++c) {
-    if (src.selection) {
-      dst->columns[c].Gather(src.columns[c], src.selection->data(),
-                             src.selection->size());
-    } else {
-      dst->columns[c].Append(src.columns[c]);
-    }
-  }
-}
-
-/// HashValue without the Value boxing: hashes cell r of a typed column
-/// vector, producing the same hash HashValue(cv.GetValue(r)) would.
 uint64_t HashCell(const ColumnVector& cv, size_t r) {
   if (cv.IsNull(r)) return 0x9E3779B97F4A7C15ull;
   switch (cv.type()) {
@@ -81,6 +37,33 @@ uint64_t HashCell(const ColumnVector& cv, size_t r) {
     }
     default:
       return HashInt64(static_cast<uint64_t>(cv.GetInt(r)));
+  }
+}
+
+void InitBatchFor(const std::vector<OutputCol>& cols, RowBatch* out) {
+  out->columns.clear();
+  out->columns.reserve(cols.size());
+  for (const auto& c : cols) out->columns.emplace_back(c.type);
+}
+
+void AppendRowFrom(const RowBatch& src, size_t row, RowBatch* dst) {
+  for (size_t c = 0; c < src.columns.size(); ++c) {
+    dst->columns[c].AppendFrom(src.columns[c], row);
+  }
+}
+
+namespace {
+
+/// Appends every logical row of `src` (its selection honored) to `dst`,
+/// column by column.
+void AppendBatch(const RowBatch& src, RowBatch* dst) {
+  for (size_t c = 0; c < src.columns.size(); ++c) {
+    if (src.selection) {
+      dst->columns[c].Gather(src.columns[c], src.selection->data(),
+                             src.selection->size());
+    } else {
+      dst->columns[c].Append(src.columns[c]);
+    }
   }
 }
 
@@ -125,11 +108,9 @@ size_t ApplyScanBlooms(const std::vector<ScanRuntimeFilter>& filters,
   if (keep.size() == n) return 0;
   RowBatch out;
   out.columns.reserve(batch->columns.size());
-  for (const auto& c : batch->columns) out.columns.emplace_back(c.type());
-  for (uint32_t r : keep) {
-    for (size_t c = 0; c < batch->columns.size(); ++c) {
-      out.columns[c].AppendFrom(batch->columns[c], r);
-    }
+  for (const auto& c : batch->columns) {
+    out.columns.emplace_back(c.type());
+    out.columns.back().Gather(c, keep.data(), keep.size());
   }
   const size_t dropped = n - keep.size();
   *batch = std::move(out);
@@ -352,15 +333,14 @@ void AttachQueryContext(Operator* root, QueryContext* qctx) {
 
 int64_t BatchMemoryBytes(const RowBatch& b) {
   int64_t bytes = 0;
-  for (const auto& col : b.columns) {
-    if (col.type() == TypeId::kVarchar) {
-      for (const auto& s : col.strings()) {
-        bytes += static_cast<int64_t>(s.size()) + 2;
-      }
-    } else {
-      bytes += static_cast<int64_t>(col.size()) * 8;
-    }
-  }
+  for (const auto& col : b.columns) bytes += ColumnMemoryBytes(col);
+  return bytes;
+}
+
+int64_t ColumnMemoryBytes(const ColumnVector& c) {
+  if (c.type() != TypeId::kVarchar) return static_cast<int64_t>(c.size()) * 8;
+  int64_t bytes = 0;
+  for (const auto& s : c.strings()) bytes += static_cast<int64_t>(s.size()) + 2;
   return bytes;
 }
 
@@ -418,27 +398,11 @@ Result<bool> ColumnScanOp::NextImpl(RowBatch* out) {
 
 // ---------------------------------------------------- ParallelColumnScan --
 
-ParallelColumnScanOp::ParallelColumnScanOp(
-    std::shared_ptr<const ColumnTable> table,
-    std::vector<ColumnPredicate> preds, std::vector<int> projection,
-    ScanOptions opts)
-    : table_(std::move(table)),
-      preds_(std::move(preds)),
-      projection_(std::move(projection)),
-      opts_(opts) {
-  for (int c : projection_) {
-    output_.push_back(
-        {table_->schema().column(c).name, table_->schema().column(c).type});
-  }
-}
-
 Status ParallelColumnScanOp::OpenImpl() {
   ran_ = false;
   next_slot_ = 0;
   results_.clear();
-  stats_ = ScanStats{};
-  bloom_dropped_ = 0;
-  return Status::OK();
+  return ColumnScanOp::OpenImpl();
 }
 
 bool ParallelColumnScanOp::AcceptRuntimeFilter(
@@ -446,16 +410,7 @@ bool ParallelColumnScanOp::AcceptRuntimeFilter(
   // Filters must land before the morsel fan-out snapshots them; a build
   // side always completes before the probe side's first pull, so this
   // holds for every install path.
-  if (ran_ || col < 0 || col >= static_cast<int>(output_.size()) || !bloom) {
-    return false;
-  }
-  runtime_filters_.push_back({col, std::move(bloom)});
-  GlobalExecInstruments().bloom_pushdowns->Add(1);
-  return true;
-}
-
-std::string ParallelColumnScanOp::AnalyzeExtra() const {
-  return BloomDroppedExtra(runtime_filters_, bloom_dropped_);
+  return !ran_ && ColumnScanOp::AcceptRuntimeFilter(col, std::move(bloom));
 }
 
 Status ParallelColumnScanOp::RunMorsels() {
@@ -737,7 +692,11 @@ HashJoinOp::HashJoinOp(OperatorPtr probe, OperatorPtr build,
       partitioned_(partitioned) {
   output_ = probe_->output();
   for (const auto& c : build_->output()) output_.push_back(c);
+  window_ = std::make_unique<InputWindow>(this, probe_.get(), probe_keys_, ctx_,
+                                          "hash join probe window");
 }
+
+HashJoinOp::~HashJoinOp() = default;
 
 Status HashJoinOp::OpenImpl() {
   built_ = false;
@@ -746,13 +705,9 @@ Status HashJoinOp::OpenImpl() {
   partitions_.clear();
   fast_int_ = false;
   filter_installed_ = false;
-  window_.clear();
-  window_next_ = 0;
-  ReleaseMemory(window_bytes_);
-  window_bytes_ = 0;
-  probe_done_ = false;
-  windows_ = 0;
-  parallel_windows_ = 0;
+  window_->Reset();
+  joined_.clear();
+  joined_next_ = 0;
   DASHDB_RETURN_IF_ERROR(probe_->Open());
   return build_->Open();
 }
@@ -772,15 +727,12 @@ std::string HashJoinOp::label() const {
 std::string HashJoinOp::AnalyzeExtra() const {
   std::string s;
   if (filter_installed_) s += " bloom-pushdown=yes";
-  if (ctx_->parallel() && windows_ > 0) {
-    s += " probe-fanouts=" + std::to_string(parallel_windows_) + "/" +
-         std::to_string(windows_);
-  }
-  return s;
+  return s + window_->FanoutExtra("probe-fanouts");
 }
 
 bool HashJoinOp::ParallelBuildEligible(size_t build_rows) const {
-  return ctx_->parallel() && partitioned_ && build_rows >= kParallelMinRows;
+  return ctx_->parallel() && partitioned_ &&
+         build_rows >= InputWindow::kParallelMinRows;
 }
 
 Status HashJoinOp::BuildSide() {
@@ -918,7 +870,7 @@ Status HashJoinOp::BuildSide() {
   // Scan-side semi-join pushdown: the build is complete and the probe side
   // has not been pulled yet, so a Bloom filter over the (single) build key
   // column can still land on the probe-side scan before it runs. The
-  // filter hashes raw key cells (HashValue semantics), independent of the
+  // filter hashes raw key cells (HashCell semantics), independent of the
   // multi-key HashCombine chain the join tables use.
   if (filter_target_ != nullptr && type_ == JoinType::kInner &&
       build_keys_.size() == 1) {
@@ -937,10 +889,11 @@ Status HashJoinOp::BuildSide() {
   return Status::OK();
 }
 
-bool HashJoinOp::KeysEqual(const std::vector<ColumnVector>& probe_key_cols,
-                           size_t probe_row, uint32_t build_row) const {
+bool HashJoinOp::KeysEqual(
+    const std::vector<const ColumnVector*>& probe_key_cols, size_t probe_row,
+    uint32_t build_row) const {
   for (size_t i = 0; i < build_key_cols_.size(); ++i) {
-    const ColumnVector& pc = probe_key_cols[i];
+    const ColumnVector& pc = *probe_key_cols[i];
     const ColumnVector& bc = build_key_cols_[i];
     if (pc.IsNull(probe_row) || bc.IsNull(build_row)) return false;
     if (!CellsEqual(pc, probe_row, bc, build_row)) return false;
@@ -951,103 +904,57 @@ bool HashJoinOp::KeysEqual(const std::vector<ColumnVector>& probe_key_cols,
 Result<bool> HashJoinOp::NextImpl(RowBatch* out) {
   if (!built_) DASHDB_RETURN_IF_ERROR(BuildSide());
   for (;;) {
-    while (window_next_ < window_.size()) {
-      RowBatch& joined = window_[window_next_++].out;
+    while (joined_next_ < joined_.size()) {
+      RowBatch& joined = joined_[joined_next_++];
       if (joined.num_rows() > 0) {
         *out = std::move(joined);
         return true;
       }
     }
-    DASHDB_ASSIGN_OR_RETURN(bool more, ProbeWindow());
+    // The consumer has taken every batch of the previous window.
+    DASHDB_ASSIGN_OR_RETURN(bool more, window_->Fill());
     if (!more) return false;
+    joined_.assign(window_->morsels().size(), RowBatch());
+    joined_next_ = 0;
+    DASHDB_RETURN_IF_ERROR(window_->Run(
+        joined_.size(), [this](size_t m) { ProbeMorsel(m, &joined_[m]); }));
+    int64_t bytes = 0;
+    for (const RowBatch& b : joined_) bytes += BatchMemoryBytes(b);
+    DASHDB_RETURN_IF_ERROR(window_->Hold(bytes));
   }
 }
 
-Result<bool> HashJoinOp::ProbeWindow() {
-  // The consumer has taken every batch of the previous window.
-  ReleaseMemory(window_bytes_);
-  window_bytes_ = 0;
-  window_.clear();
-  window_next_ = 0;
-  // The window bounds both the fan-out and the memory held: at most
-  // 2 x dop probe batches and their joined output, never the whole input.
-  const size_t capacity =
-      ctx_->parallel() ? 2 * static_cast<size_t>(ctx_->dop) : 1;
-  size_t rows = 0;
-  while (!probe_done_ && window_.size() < capacity) {
-    ProbeSlot slot;
-    DASHDB_ASSIGN_OR_RETURN(bool more, probe_->NextSel(&slot.in));
-    if (!more) {
-      probe_done_ = true;
-      break;
-    }
-    const size_t n = slot.in.logical_rows();
-    if (n == 0) continue;
-    if (!fast_int_) {
-      slot.key_cols.reserve(probe_keys_.size());
-      for (const auto& k : probe_keys_) {
-        DASHDB_ASSIGN_OR_RETURN(ColumnVector cv, k->Evaluate(slot.in, *ctx_));
-        slot.key_cols.push_back(std::move(cv));
-      }
-    }
-    rows += n;
-    window_.push_back(std::move(slot));
-  }
-  if (window_.empty()) return false;
-  ++windows_;
-  // Fan out only when there are batches to spread and rows to pay for the
-  // hand-off; otherwise the same kernel runs inline.
-  if (window_.size() >= 2 && rows >= kParallelMinRows) {
-    ++parallel_windows_;
-    const int workers =
-        static_cast<int>(std::min<size_t>(ctx_->dop, window_.size()));
-    ctx_->pool->ParallelFor(
-        window_.size(), [&](size_t i) { ProbeBatch(&window_[i]); }, workers,
-        query_ctx());
-    // A governed ParallelFor abandons its tail on cancel/timeout without an
-    // error: re-probe before emitting, or a cancelled join would surface
-    // as a clean but truncated result.
-    DASHDB_RETURN_IF_ERROR(CheckQueryAlive());
-  } else {
-    for (ProbeSlot& slot : window_) ProbeBatch(&slot);
-  }
-  int64_t bytes = 0;
-  for (const ProbeSlot& slot : window_) bytes += slot.out_bytes;
-  DASHDB_RETURN_IF_ERROR(ChargeMemory(bytes, "hash join probe window"));
-  window_bytes_ = bytes;
-  return true;
-}
-
-void HashJoinOp::ProbeBatch(ProbeSlot* slot) const {
-  const RowBatch& in = slot->in;
+void HashJoinOp::ProbeMorsel(size_t m, RowBatch* out) const {
+  const InputWindow::Batch& batch = window_->batch(m);
+  const InputWindow::Morsel& morsel = window_->morsels()[m];
+  const RowBatch& in = batch.in;
   const int nparts = partitioned_ ? (1 << kPartitionBits) : 1;
-  // Selection-aware: `i` walks the batch's logical (selected) rows and
-  // in.row_at(i) maps to the dense row for direct column access. Key
-  // columns are logical-dense (Evaluate honors the selection), indexed by
-  // `i`. The join output is a blow-up point, so qualifying probe rows are
-  // gathered here exactly once — never compacted upstream.
-  const size_t nrows = in.logical_rows();
+  // Selection-aware: `i` walks the morsel's logical (selected) rows, which
+  // index the window's key columns directly; in.row_at(i) maps to the
+  // dense row for the gather. The join output is a blow-up point, so
+  // qualifying probe rows are gathered here exactly once — never
+  // compacted upstream.
+  const size_t lo = morsel.begin, nrows = morsel.end - morsel.begin;
 
   // Hash every key column in one column-major pass, instead of boxing a
-  // std::vector<Value> per probe row.
+  // std::vector<Value> per probe row. Arrays are indexed by i - lo.
   std::vector<uint64_t> probe_hash(nrows, 0);
   std::vector<uint8_t> probe_null(nrows, 0);
-  const ColumnVector* fast_kc =
-      fast_int_ ? &in.columns[probe_key_col_] : nullptr;
+  const ColumnVector* fast_kc = fast_int_ ? batch.cols[0] : nullptr;
   if (fast_int_) {
-    for (size_t i = 0; i < nrows; ++i) {
-      const size_t r = in.row_at(i);
-      if (fast_kc->IsNull(r)) {
-        probe_null[i] = 1;
+    for (size_t j = 0; j < nrows; ++j) {
+      if (fast_kc->IsNull(lo + j)) {
+        probe_null[j] = 1;
       } else {
-        probe_hash[i] = HashInt64(static_cast<uint64_t>(fast_kc->GetInt(r)));
+        probe_hash[j] =
+            HashInt64(static_cast<uint64_t>(fast_kc->GetInt(lo + j)));
       }
     }
   } else {
-    for (const auto& kc : slot->key_cols) {
-      for (size_t i = 0; i < nrows; ++i) {
-        probe_null[i] |= kc.IsNull(i) ? 1 : 0;
-        probe_hash[i] = HashCombine(probe_hash[i], HashCell(kc, i));
+    for (const ColumnVector* kc : batch.cols) {
+      for (size_t j = 0; j < nrows; ++j) {
+        probe_null[j] |= kc->IsNull(lo + j) ? 1 : 0;
+        probe_hash[j] = HashCombine(probe_hash[j], HashCell(*kc, lo + j));
       }
     }
   }
@@ -1059,31 +966,31 @@ void HashJoinOp::ProbeBatch(ProbeSlot* slot) const {
   build_rows.reserve(nrows);
   bool misses = false;
   constexpr size_t kPrefetchDist = 8;
-  for (size_t i = 0; i < nrows; ++i) {
+  for (size_t j = 0; j < nrows; ++j) {
     // Overlap the next rows' filter-word and slot misses with this row's
     // work; all addresses derive from the already-batched hashes.
-    if (i + kPrefetchDist < nrows && !probe_null[i + kPrefetchDist]) {
-      const uint64_t ph = probe_hash[i + kPrefetchDist];
+    if (j + kPrefetchDist < nrows && !probe_null[j + kPrefetchDist]) {
+      const uint64_t ph = probe_hash[j + kPrefetchDist];
       const Partition& pp =
           partitions_[partitioned_ ? (ph >> 32) & (nparts - 1) : 0];
       pp.bloom.Prefetch(ph);
       pp.table.Prefetch(ph);
     }
-    const uint32_t r = static_cast<uint32_t>(in.row_at(i));
+    const uint32_t r = static_cast<uint32_t>(in.row_at(lo + j));
     const size_t matched_before = probe_rows.size();
-    if (!probe_null[i]) {
-      const uint64_t h = probe_hash[i];
+    if (!probe_null[j]) {
+      const uint64_t h = probe_hash[j];
       const Partition& part =
           partitions_[partitioned_ ? (h >> 32) & (nparts - 1) : 0];
       // Bloom prefilter: most probe misses reject on one or two cache
       // lines of filter words without ever touching the table.
       if (part.bloom.MayContain(h)) {
         const uint64_t key =
-            fast_int_ ? static_cast<uint64_t>(fast_kc->GetInt(r)) : h;
+            fast_int_ ? static_cast<uint64_t>(fast_kc->GetInt(lo + j)) : h;
         for (int32_t cur = part.table.Find(key, h);
              cur != FlatJoinIndex::kNone; cur = part.table.Next(cur)) {
           const uint32_t brow = part.table.Row(cur);
-          if (!fast_int_ && !KeysEqual(slot->key_cols, i, brow)) continue;
+          if (!fast_int_ && !KeysEqual(batch.cols, lo + j, brow)) continue;
           probe_rows.push_back(r);
           build_rows.push_back(brow);
         }
@@ -1097,25 +1004,20 @@ void HashJoinOp::ProbeBatch(ProbeSlot* slot) const {
   }
 
   // Gather phase: the output, column by column.
-  RowBatch& out = slot->out;
-  InitBatchFor(output_, &out);
+  InitBatchFor(output_, out);
   const size_t k = probe_rows.size();
   const size_t probe_cols = in.columns.size();
   for (size_t c = 0; c < probe_cols; ++c) {
-    out.columns[c].Gather(in.columns[c], probe_rows.data(), k);
+    out->columns[c].Gather(in.columns[c], probe_rows.data(), k);
   }
   for (size_t c = 0; c < build_data_.columns.size(); ++c) {
-    ColumnVector& dst = out.columns[probe_cols + c];
+    ColumnVector& dst = out->columns[probe_cols + c];
     if (misses) {
       dst.GatherOrNull(build_data_.columns[c], build_rows.data(), k);
     } else {
       dst.Gather(build_data_.columns[c], build_rows.data(), k);
     }
   }
-  slot->out_bytes = BatchMemoryBytes(out);
-  // The input is no longer needed; free it while the window is held.
-  slot->in = RowBatch();
-  slot->key_cols = {};
 }
 
 // -------------------------------------------------------- NestedLoopJoin --
@@ -1188,92 +1090,10 @@ Result<bool> NestedLoopJoinOp::NextImpl(RowBatch* out) {
 // --------------------------------------------------------------- HashAgg --
 
 namespace {
-// Group keys are serialized to a canonical byte string and interned in a
-// FlatKeyIndex (arena-backed), replacing the per-group std::vector<Value>
-// boxing. The encoding is one tagged cell per group column:
-//   0x00                  NULL (no payload)
-//   0x01 + 8B int64       integer-backed types (BOOL/INT/DATE/TS/DECIMAL)
-//   0x02 + 8B double      DOUBLE (-0.0 and NaN canonicalized so equal keys
-//                         serialize identically)
-//   0x03 + u32 len + data VARCHAR
-// Cells serialize from the expression's output type, so the column fast
-// path and the row-at-a-time slow path produce identical bytes.
-constexpr uint8_t kKeyTagNull = 0x00;
-constexpr uint8_t kKeyTagInt = 0x01;
-constexpr uint8_t kKeyTagDouble = 0x02;
-constexpr uint8_t kKeyTagString = 0x03;
-
-void SerializeCell(const ColumnVector& cv, size_t r, std::string* out) {
-  if (cv.IsNull(r)) {
-    out->push_back(static_cast<char>(kKeyTagNull));
-    return;
-  }
-  char buf[8];
-  switch (cv.type()) {
-    case TypeId::kVarchar: {
-      const std::string& s = cv.GetString(r);
-      out->push_back(static_cast<char>(kKeyTagString));
-      uint32_t len = static_cast<uint32_t>(s.size());
-      std::memcpy(buf, &len, 4);
-      out->append(buf, 4);
-      out->append(s);
-      return;
-    }
-    case TypeId::kDouble: {
-      double d = cv.GetDouble(r);
-      if (d == 0.0) d = 0.0;                                  // -0.0 -> +0.0
-      if (d != d) d = std::numeric_limits<double>::quiet_NaN();  // one NaN
-      out->push_back(static_cast<char>(kKeyTagDouble));
-      std::memcpy(buf, &d, 8);
-      out->append(buf, 8);
-      return;
-    }
-    default: {
-      int64_t v = cv.GetInt(r);
-      out->push_back(static_cast<char>(kKeyTagInt));
-      std::memcpy(buf, &v, 8);
-      out->append(buf, 8);
-      return;
-    }
-  }
-}
-
-/// Decodes a serialized group key back into the first `ncols` columns of
-/// `out` (which are typed by the grouping expressions' output types).
-void AppendSerializedKey(const uint8_t* p, size_t len, size_t ncols,
-                         RowBatch* out) {
-  const uint8_t* end = p + len;
-  for (size_t c = 0; c < ncols && p < end; ++c) {
-    ColumnVector& cv = out->columns[c];
-    uint8_t tag = *p++;
-    switch (tag) {
-      case kKeyTagNull:
-        cv.AppendNull();
-        break;
-      case kKeyTagInt: {
-        int64_t v;
-        std::memcpy(&v, p, 8);
-        p += 8;
-        cv.AppendInt(v);
-        break;
-      }
-      case kKeyTagDouble: {
-        double d;
-        std::memcpy(&d, p, 8);
-        p += 8;
-        cv.AppendDouble(d);
-        break;
-      }
-      default: {  // kKeyTagString
-        uint32_t slen;
-        std::memcpy(&slen, p, 4);
-        p += 4;
-        cv.AppendString(std::string(reinterpret_cast<const char*>(p), slen));
-        p += slen;
-        break;
-      }
-    }
-  }
+/// Merge shard of a group hash, from its high half: the shard tables
+/// bucket on the low bits, which must stay spread within a shard.
+size_t PartitionOfHash(uint64_t h, size_t parts) {
+  return static_cast<size_t>(((h >> 32) * parts) >> 32);
 }
 }  // namespace
 
@@ -1292,340 +1112,286 @@ HashAggOp::HashAggOp(OperatorPtr child, std::vector<ExprPtr> group_exprs,
   for (size_t i = 0; i < aggs_.size(); ++i) {
     output_.push_back({agg_names[i], aggs_[i].out_type});
   }
+  // Window columns: the group keys, then every aggregate argument.
+  std::vector<ExprPtr> exprs = group_exprs_;
+  auto column_of = [&exprs](const ExprPtr& e) {
+    if (!e) return -1;
+    exprs.push_back(e);
+    return static_cast<int>(exprs.size()) - 1;
+  };
+  for (const AggSpec& a : aggs_) {
+    arg_col_.push_back(column_of(a.arg));
+    arg2_col_.push_back(column_of(a.arg2));
+  }
+  int_key_ = group_exprs_.size() == 1 &&
+             IsIntegerBacked(group_exprs_[0]->out_type());
+  // DISTINCT states dedup per partial and cannot merge across partials.
+  if (ctx_->parallel()) lanes_ = static_cast<size_t>(ctx_->dop);
+  for (const AggSpec& a : aggs_) {
+    if (!AggState::CanMergeParallel(a)) lanes_ = 1;
+  }
+  window_ = std::make_unique<InputWindow>(this, child_.get(), std::move(exprs),
+                                          ctx_, "group-by input window");
 }
+
+HashAggOp::~HashAggOp() = default;
 
 Status HashAggOp::OpenImpl() {
   done_ = false;
   materialized_ = false;
+  window_->Reset();
+  partials_.clear();
+  ReleaseMemory(table_bytes_);
+  table_bytes_ = 0;
   return child_->Open();
 }
 
 std::string HashAggOp::label() const {
   std::string s = "HashAggregate(groups=" + std::to_string(group_exprs_.size()) +
                   ", aggs=" + std::to_string(aggs_.size());
-  if (ParallelEligible()) s += ", dop=" + std::to_string(ctx_->dop);
+  if (lanes_ > 1) s += ", dop=" + std::to_string(lanes_);
   s += ")";
   return s;
 }
 
-bool HashAggOp::ParallelEligible() const {
-  if (!ctx_->parallel()) return false;
-  for (const auto& a : aggs_) {
-    if (!AggState::CanMergeParallel(a)) return false;
+std::string HashAggOp::AnalyzeExtra() const {
+  return window_->FanoutExtra("fanouts");
+}
+
+void HashAggOp::Consume(size_t m, Partial* p) {
+  const InputWindow::Batch& b = window_->batch(m);
+  const size_t lo = window_->morsels()[m].begin;
+  const size_t n = window_->morsels()[m].end - lo;
+  const size_t A = aggs_.size();
+  auto new_group = [&](size_t j) {
+    p->first.push_back(b.first_row + lo + j);
+    for (const AggSpec& a : aggs_) p->states.emplace_back(&a);
+  };
+  // Phase 1: a group id per row; new groups append in first-seen order.
+  p->gids.resize(n);
+  uint32_t* gids = p->gids.data();
+  bool inserted = false;
+  if (int_key_) {
+    const ColumnVector& kc = *b.cols[0];
+    for (size_t j = 0; j < n; ++j) {
+      gids[j] = kc.IsNull(lo + j)
+                    ? p->ints.FindOrInsertNull(&inserted)
+                    : p->ints.FindOrInsert(kc.GetInt(lo + j), &inserted);
+      if (inserted) new_group(j);
+    }
+  } else if (group_exprs_.empty()) {
+    // Global aggregate: one group under the empty key.
+    if (p->groups() == 0) {
+      p->keys.FindOrInsert(
+          reinterpret_cast<const uint8_t*>(p->scratch.data()), 0,
+          HashBytesFast(p->scratch.data(), 0), &inserted);
+      new_group(0);
+    }
+    std::fill(gids, gids + n, 0);
+  } else {
+    // Keys intern as their normalized sort-key bytes (equal keys encode
+    // identically); each group keeps its key cells for the output.
+    if (p->key_rows.columns.empty()) {
+      for (size_t c = 0; c < group_exprs_.size(); ++c) {
+        p->key_rows.columns.emplace_back(b.cols[c]->type());
+      }
+    }
+    for (size_t j = 0; j < n; ++j) {
+      p->scratch.clear();
+      for (size_t c = 0; c < group_exprs_.size(); ++c) {
+        AppendNormalizedCell(*b.cols[c], lo + j, false, &p->scratch);
+      }
+      gids[j] = p->keys.FindOrInsert(
+          reinterpret_cast<const uint8_t*>(p->scratch.data()),
+          p->scratch.size(),
+          HashBytesFast(p->scratch.data(), p->scratch.size()), &inserted);
+      if (!inserted) continue;
+      new_group(j);
+      for (size_t c = 0; c < group_exprs_.size(); ++c) {
+        p->key_rows.columns[c].AppendFrom(*b.cols[c], lo + j);
+      }
+    }
   }
-  return true;
+  // Phase 2: each aggregate folds its argument column into the states,
+  // on raw payloads where the state allows it.
+  for (size_t a = 0; a < A; ++a) {
+    AggState* st = p->states.data() + a;
+    const AggSpec& spec = aggs_[a];
+    if (spec.kind == AggKind::kCountStar) {
+      for (size_t j = 0; j < n; ++j) st[gids[j] * A].AddCountStarFast();
+      continue;
+    }
+    const ColumnVector* x = arg_col_[a] < 0 ? nullptr : b.cols[arg_col_[a]];
+    const ColumnVector* y = arg2_col_[a] < 0 ? nullptr : b.cols[arg2_col_[a]];
+    const bool typed = x != nullptr && y == nullptr && !spec.distinct &&
+                       spec.kind != AggKind::kCovarPop &&
+                       spec.kind != AggKind::kCovarSamp &&
+                       x->type() != TypeId::kVarchar;
+    if (typed) {
+      const bool is_int = x->type() != TypeId::kDouble;
+      for (size_t j = 0; j < n; ++j) {
+        if (x->IsNull(lo + j)) continue;
+        st[gids[j] * A].AddNumericFast(x->GetDouble(lo + j),
+                                       is_int ? x->GetInt(lo + j) : 0, is_int);
+      }
+    } else {
+      const Value none = Value::Null(TypeId::kInt64);
+      for (size_t j = 0; j < n; ++j) {
+        st[gids[j] * A].Add(x ? x->GetValue(lo + j) : none,
+                            y ? y->GetValue(lo + j) : none);
+      }
+    }
+  }
+}
+
+void HashAggOp::MergeGroup(Partial* src, uint32_t g, Partial* dst) {
+  bool inserted = false;
+  uint32_t id;
+  if (int_key_) {
+    id = src->ints.IsNull(g)
+             ? dst->ints.FindOrInsertNull(&inserted)
+             : dst->ints.FindOrInsert(src->ints.KeyOf(g), &inserted);
+  } else {
+    id = dst->keys.FindOrInsert(src->keys.KeyData(g), src->keys.KeyLen(g),
+                                src->keys.HashOf(g), &inserted);
+  }
+  const size_t A = aggs_.size();
+  AggState* from = src->states.data() + g * A;
+  if (inserted) {
+    if (!int_key_) {
+      if (dst->key_rows.columns.empty()) {
+        for (const ColumnVector& c : src->key_rows.columns) {
+          dst->key_rows.columns.emplace_back(c.type());
+        }
+      }
+      AppendRowFrom(src->key_rows, g, &dst->key_rows);
+    }
+    dst->first.push_back(src->first[g]);
+    for (size_t a = 0; a < A; ++a) dst->states.push_back(std::move(from[a]));
+    return;
+  }
+  dst->first[id] = std::min(dst->first[id], src->first[g]);
+  for (size_t a = 0; a < A; ++a) dst->states[id * A + a].Merge(from[a]);
+}
+
+Status HashAggOp::Merge(std::vector<RowBatch>* outs,
+                        std::vector<std::vector<uint64_t>>* firsts) {
+  size_t total = 0;
+  for (const Partial& p : partials_) total += p.groups();
+  // Shard s owns the keys whose hash lands in partition s, so shards build
+  // without locks; each partial group is read (its states moved) by one
+  // shard. A few groups merge into one shard inline.
+  const size_t M = total >= InputWindow::kParallelMinRows ? lanes_ : 1;
+  outs->resize(M);
+  firsts->resize(M);
+  auto merge_shard = [&](size_t s) {
+    Partial dst;
+    for (Partial& src : partials_) {
+      for (uint32_t g = 0; g < src.groups(); ++g) {
+        const uint64_t h =
+            !int_key_ ? src.keys.HashOf(g)
+            : src.ints.IsNull(g)
+                ? 0
+                : HashInt64(static_cast<uint64_t>(src.ints.KeyOf(g)));
+        if (PartitionOfHash(h, M) == s) MergeGroup(&src, g, &dst);
+      }
+    }
+    std::vector<uint32_t> order(dst.groups());
+    for (uint32_t g = 0; g < order.size(); ++g) order[g] = g;
+    std::sort(order.begin(), order.end(), [&dst](uint32_t a, uint32_t b) {
+      return dst.first[a] < dst.first[b];
+    });
+    InitBatchFor(output_, &(*outs)[s]);
+    (*firsts)[s].reserve(order.size());
+    for (uint32_t g : order) {
+      AppendGroup(dst, g, &(*outs)[s]);
+      (*firsts)[s].push_back(dst.first[g]);
+    }
+  };
+  if (M == 1) {
+    merge_shard(0);
+    return Status::OK();
+  }
+  ctx_->pool->ParallelFor(M, merge_shard, ctx_->dop, query_ctx());
+  // The partials are large exactly when the merge fans out; free them on
+  // the pool too.
+  ctx_->pool->ParallelFor(
+      partials_.size(), [this](size_t w) { partials_[w] = Partial(); },
+      ctx_->dop, query_ctx());
+  return CheckQueryAlive();
+}
+
+void HashAggOp::AppendGroup(const Partial& p, uint32_t g, RowBatch* out) {
+  const size_t G = group_exprs_.size();
+  if (int_key_) {
+    if (p.ints.IsNull(g)) {
+      out->columns[0].AppendNull();
+    } else {
+      out->columns[0].AppendInt(p.ints.KeyOf(g));
+    }
+  } else {
+    for (size_t c = 0; c < G; ++c) {
+      out->columns[c].AppendFrom(p.key_rows.columns[c], g);
+    }
+  }
+  const size_t A = aggs_.size();
+  for (size_t a = 0; a < A; ++a) {
+    out->columns[G + a].AppendValue(p.states[g * A + a].Finish());
+  }
 }
 
 Status HashAggOp::Materialize() {
-  // Fast path: when every group key and aggregate argument is a plain
-  // column reference, rows are consumed straight from the typed column
-  // vectors — no per-row expression evaluation, no per-row Value vectors.
-  // With a single integer-backed group column the hash table keys directly
-  // on the int64 value.
-  bool fast = true;
-  std::vector<int> group_cols, arg_cols, arg2_cols;
-  for (const auto& g : group_exprs_) {
-    auto* ref = dynamic_cast<ColumnRefExpr*>(g.get());
-    if (!ref) {
-      fast = false;
-      break;
-    }
-    group_cols.push_back(ref->index());
+  partials_.clear();
+  partials_.resize(lanes_);
+  const int64_t group_bytes =
+      static_cast<int64_t>(aggs_.size() * sizeof(AggState)) + 32;
+  for (;;) {
+    DASHDB_ASSIGN_OR_RETURN(bool more, window_->Fill());
+    if (!more) break;
+    const size_t n = window_->morsels().size();
+    DASHDB_RETURN_IF_ERROR(window_->Run(lanes_, [&](size_t w) {
+      for (size_t m = w; m < n; m += lanes_) Consume(m, &partials_[w]);
+    }));
+    size_t groups = 0;
+    for (const Partial& p : partials_) groups += p.groups();
+    const int64_t bytes = static_cast<int64_t>(groups) * group_bytes;
+    DASHDB_RETURN_IF_ERROR(
+        ChargeMemory(bytes - table_bytes_, "group-by table"));
+    table_bytes_ = bytes;
   }
-  for (const auto& a : aggs_) {
-    auto get_col = [&](const ExprPtr& e, std::vector<int>* out) {
-      if (!e) {
-        out->push_back(-1);
-        return true;
-      }
-      auto* ref = dynamic_cast<ColumnRefExpr*>(e.get());
-      if (!ref) return false;
-      out->push_back(ref->index());
-      return true;
-    };
-    if (!get_col(a.arg, &arg_cols) || !get_col(a.arg2, &arg2_cols)) {
-      fast = false;
-      break;
-    }
-  }
-  bool single_int_key =
-      fast && group_exprs_.size() == 1 &&
-      group_exprs_[0]->out_type() != TypeId::kVarchar &&
-      group_exprs_[0]->out_type() != TypeId::kDouble;
-  // A partial aggregation table. The serial path uses one; the parallel
-  // path gives each pool worker its own and merges them afterwards. Group
-  // keys live in a FlatKeyIndex (serialized bytes in a single arena);
-  // states are addressed by the index's dense insertion-order ids. The
-  // single-int-key path keys a FlatIntMap on the raw int64 instead and is
-  // flattened into the byte index before merge/output.
-  struct AggPartial {
-    FlatKeyIndex index;
-    FlatIntMap int_index;
-    std::vector<uint8_t> int_null;  // NULL-sentinel flag per int_index id
-    std::vector<std::vector<AggState>> states;
-    std::string scratch;
-  };
-  AggPartial root;
-
-  auto new_states = [&]() {
-    std::vector<AggState> states;
-    states.reserve(aggs_.size());
-    for (const auto& a : aggs_) states.emplace_back(&a);
-    return states;
-  };
-
-  // Consumes one batch into `P` on the column-ref fast path. No expression
-  // evaluation and no failure modes, so it is safe to run on pool workers
-  // against thread-local partials.
-  auto consume_fast = [&](const RowBatch& in, AggPartial& P) {
-    // Selection-aware: logical row i maps to dense row in.row_at(i); the
-    // aggregation table is the compaction point, so filtered batches are
-    // consumed without ever materializing the selected rows.
-    const size_t n = in.logical_rows();
-    auto feed = [&](std::vector<AggState>& states, size_t r) {
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        const AggSpec& spec = aggs_[a];
-        int c1 = arg_cols[a], c2 = arg2_cols[a];
-        // Typed hot path: single-arg non-DISTINCT numeric aggregates
-        // consume raw column payloads without boxing.
-        if (spec.kind == AggKind::kCountStar) {
-          states[a].AddCountStarFast();
-          continue;
-        }
-        if (!spec.distinct && c2 < 0 && c1 >= 0 &&
-            spec.kind != AggKind::kCovarPop &&
-            spec.kind != AggKind::kCovarSamp) {
-          const ColumnVector& cv = in.columns[c1];
-          if (cv.IsNull(r)) continue;
-          if (cv.type() == TypeId::kDouble) {
-            double x = cv.GetDouble(r);
-            states[a].AddNumericFast(x, static_cast<int64_t>(x), false);
-            continue;
-          }
-          if (cv.type() != TypeId::kVarchar) {
-            int64_t x = cv.GetInt(r);
-            states[a].AddNumericFast(static_cast<double>(x), x, true);
-            continue;
-          }
-        }
-        Value v1 = c1 < 0 ? Value::Null(TypeId::kInt64)
-                          : in.columns[c1].GetValue(r);
-        Value v2 = c2 < 0 ? Value::Null(TypeId::kInt64)
-                          : in.columns[c2].GetValue(r);
-        states[a].Add(v1, v2);
-      }
-    };
-    if (single_int_key) {
-      const ColumnVector& kc = in.columns[group_cols[0]];
-      for (size_t i = 0; i < n; ++i) {
-        const size_t r = in.row_at(i);
-        // NULL group keys collapse into one group, keyed by a sentinel
-        // tracked separately from the value domain.
-        bool is_null = kc.IsNull(r);
-        int64_t k = is_null ? INT64_MIN + 1 : kc.GetInt(r);
-        bool inserted = false;
-        uint32_t id = P.int_index.FindOrInsert(k, &inserted);
-        if (inserted) {
-          P.states.push_back(new_states());
-          P.int_null.push_back(is_null ? 1 : 0);
-        }
-        feed(P.states[id], r);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const size_t r = in.row_at(i);
-        P.scratch.clear();
-        for (int c : group_cols) SerializeCell(in.columns[c], r, &P.scratch);
-        uint64_t h = HashBytesFast(P.scratch.data(), P.scratch.size());
-        bool inserted = false;
-        uint32_t id = P.index.FindOrInsert(
-            reinterpret_cast<const uint8_t*>(P.scratch.data()),
-            P.scratch.size(), h, &inserted);
-        if (inserted) P.states.push_back(new_states());
-        feed(P.states[id], r);
-      }
-    }
-  };
-
-  // Moves a partial's single-int-key groups into its byte-key index (the
-  // merge and output paths speak serialized keys). Keys are distinct, so
-  // the dense ids — and with them the states addressing — are preserved.
-  auto flatten_int_groups = [&](AggPartial& P) {
-    for (uint32_t g = 0; g < P.int_index.size(); ++g) {
-      P.scratch.clear();
-      if (P.int_null[g]) {
-        P.scratch.push_back(static_cast<char>(kKeyTagNull));
-      } else {
-        char buf[8];
-        int64_t k = P.int_index.KeyOf(g);
-        P.scratch.push_back(static_cast<char>(kKeyTagInt));
-        std::memcpy(buf, &k, 8);
-        P.scratch.append(buf, 8);
-      }
-      uint64_t h = HashBytesFast(P.scratch.data(), P.scratch.size());
-      bool inserted = false;
-      P.index.FindOrInsert(
-          reinterpret_cast<const uint8_t*>(P.scratch.data()),
-          P.scratch.size(), h, &inserted);
-    }
-  };
-
-  // The parallel path additionally requires the fast path: slow-path rows
-  // go through expression evaluation, which can fail and is not guaranteed
-  // re-entrant across workers.
-  const bool parallel = fast && ParallelEligible();
-  // Final groups land here: index g in each shard addresses both the
-  // serialized key (index) and the agg states.
-  struct Shard {
-    FlatKeyIndex index;
-    std::vector<std::vector<AggState>> states;
-  };
-  std::vector<Shard> out_shards;
-  if (!parallel) {
-    RowBatch in;
-    for (;;) {
-      DASHDB_ASSIGN_OR_RETURN(bool more, child_->NextSel(&in));
-      if (!more) break;
-      if (fast) {
-        consume_fast(in, root);
-        continue;
-      }
-      // Slow path: evaluate the grouping expressions once per batch into
-      // typed columns (logical-dense: Evaluate honors the selection, so
-      // gcols index by logical row i), then serialize keys per row. Agg
-      // arguments still evaluate row-at-a-time against the dense batch.
-      const size_t n = in.logical_rows();
-      std::vector<ColumnVector> gcols;
-      gcols.reserve(group_exprs_.size());
-      for (const auto& g : group_exprs_) {
-        DASHDB_ASSIGN_OR_RETURN(ColumnVector cv, g->Evaluate(in, *ctx_));
-        gcols.push_back(std::move(cv));
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const size_t r = in.row_at(i);
-        root.scratch.clear();
-        for (const auto& gc : gcols) SerializeCell(gc, i, &root.scratch);
-        uint64_t h = HashBytesFast(root.scratch.data(), root.scratch.size());
-        bool inserted = false;
-        uint32_t id = root.index.FindOrInsert(
-            reinterpret_cast<const uint8_t*>(root.scratch.data()),
-            root.scratch.size(), h, &inserted);
-        if (inserted) root.states.push_back(new_states());
-        std::vector<AggState>& states = root.states[id];
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          Value v1 = Value::Null(TypeId::kInt64);
-          Value v2 = Value::Null(TypeId::kInt64);
-          if (aggs_[a].arg) {
-            DASHDB_ASSIGN_OR_RETURN(v1,
-                                    aggs_[a].arg->EvaluateRow(in, r, *ctx_));
-          }
-          if (aggs_[a].arg2) {
-            DASHDB_ASSIGN_OR_RETURN(v2,
-                                    aggs_[a].arg2->EvaluateRow(in, r, *ctx_));
-          }
-          states[a].Add(v1, v2);
-        }
-      }
-    }
-    if (single_int_key) flatten_int_groups(root);
-    out_shards.emplace_back();
-    out_shards[0].index = std::move(root.index);
-    out_shards[0].states = std::move(root.states);
-  } else {
-    // Morsel-driven parallel aggregation (paper II.B.7): drain the child's
-    // batches as morsels, fan them out over the pool building thread-local
-    // partials, then merge partials in a hash-partitioned phase.
-    std::vector<RowBatch> morsels;
-    {
-      RowBatch in;
-      for (;;) {
-        // Selections ride along into the morsels; consume_fast reads
-        // through them.
-        DASHDB_ASSIGN_OR_RETURN(bool more, child_->NextSel(&in));
-        if (!more) break;
-        // The collected morsels are the aggregation's dominant footprint;
-        // charge them as they arrive so a budget breach aborts mid-collect
-        // instead of after the whole input is pinned.
-        DASHDB_RETURN_IF_ERROR(
-            ChargeMemory(BatchMemoryBytes(in), "group-by materialize"));
-        morsels.push_back(std::move(in));
-        in = RowBatch();
-      }
-    }
-    std::deque<AggPartial> partials;  // deque: stable element addresses
-    std::unordered_map<std::thread::id, AggPartial*> slots;
-    std::mutex reg_mu;
-    ctx_->pool->ParallelFor(
-        morsels.size(),
-        [&](size_t i) {
-          AggPartial* P;
-          {
-            std::lock_guard<std::mutex> lk(reg_mu);
-            AggPartial*& slot = slots[std::this_thread::get_id()];
-            if (!slot) {
-              partials.emplace_back();
-              slot = &partials.back();
-            }
-            P = slot;
-          }
-          consume_fast(morsels[i], *P);
-        },
-        ctx_->dop, query_ctx());
-    // Partials are incomplete if the governed fan-out stopped early.
-    DASHDB_RETURN_IF_ERROR(CheckQueryAlive());
-    if (single_int_key) {
-      for (auto& P : partials) flatten_int_groups(P);
-    }
-    // Hash-partitioned merge: shard m owns the keys with hash % M == m, so
-    // shards build concurrently without locks — each partial group is read
-    // (and its states moved) by exactly one shard.
-    const size_t M = std::max<size_t>(1, static_cast<size_t>(ctx_->dop));
-    std::vector<Shard> shards(M);
-    ctx_->pool->ParallelFor(
-        M,
-        [&](size_t m) {
-          Shard& shard = shards[m];
-          for (auto& P : partials) {
-            for (uint32_t g = 0; g < P.index.size(); ++g) {
-              uint64_t h = P.index.HashOf(g);
-              if (h % M != m) continue;
-              bool inserted = false;
-              uint32_t id = shard.index.FindOrInsert(
-                  P.index.KeyData(g), P.index.KeyLen(g), h, &inserted);
-              if (inserted) {
-                shard.states.push_back(std::move(P.states[g]));
-              } else {
-                for (size_t a = 0; a < aggs_.size(); ++a) {
-                  shard.states[id][a].Merge(P.states[g][a]);
-                }
-              }
-            }
-          }
-        },
-        ctx_->dop, query_ctx());
-    DASHDB_RETURN_IF_ERROR(CheckQueryAlive());
-    out_shards = std::move(shards);
-  }
-
-  // Global aggregation with no groups must yield one row even on empty input.
   InitBatchFor(output_, &result_);
-  const size_t ngroups = group_exprs_.size();
-  size_t total_groups = 0;
-  for (const auto& s : out_shards) total_groups += s.index.size();
-  if (total_groups == 0 && group_exprs_.empty()) {
-    std::vector<AggState> states = new_states();
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      result_.columns[a].AppendValue(states[a].Finish());
+  if (partials_.size() == 1) {
+    // One partial is already in first-appearance order.
+    for (uint32_t g = 0; g < partials_[0].groups(); ++g) {
+      AppendGroup(partials_[0], g, &result_);
     }
   } else {
-    for (auto& s : out_shards) {
-      for (uint32_t g = 0; g < s.index.size(); ++g) {
-        AppendSerializedKey(s.index.KeyData(g), s.index.KeyLen(g), ngroups,
-                            &result_);
-        for (size_t a = 0; a < s.states[g].size(); ++a) {
-          result_.columns[ngroups + a].AppendValue(s.states[g][a].Finish());
+    std::vector<RowBatch> outs;
+    std::vector<std::vector<uint64_t>> firsts;
+    DASHDB_RETURN_IF_ERROR(Merge(&outs, &firsts));
+    // Shards interleave by first appearance.
+    std::vector<size_t> pos(outs.size(), 0);
+    for (;;) {
+      size_t best = outs.size();
+      for (size_t s = 0; s < outs.size(); ++s) {
+        if (pos[s] < firsts[s].size() &&
+            (best == outs.size() ||
+             firsts[s][pos[s]] < firsts[best][pos[best]])) {
+          best = s;
         }
       }
+      if (best == outs.size()) break;
+      for (size_t c = 0; c < result_.columns.size(); ++c) {
+        result_.columns[c].AppendFrom(outs[best].columns[c], pos[best]);
+      }
+      ++pos[best];
+    }
+  }
+  partials_.clear();
+  // Global aggregation with no groups must yield one row even on empty input.
+  if (group_exprs_.empty() && result_.num_rows() == 0) {
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      result_.columns[a].AppendValue(AggState(&aggs_[a]).Finish());
     }
   }
   DASHDB_RETURN_IF_ERROR(

@@ -110,7 +110,7 @@ class Operator {
   /// Sideways information passing: a hash-join build (or the adaptive join
   /// assembler, or the MPP coordinator) offers a Bloom filter over its
   /// build keys to a probe-side scan. `col` is an output-column index of
-  /// this operator; hashes follow HashValue semantics. Returns true when
+  /// this operator; hashes follow HashCell semantics. Returns true when
   /// the operator will apply the filter; the base class declines.
   virtual bool AcceptRuntimeFilter(int col,
                                    std::shared_ptr<const BloomPrefilter> bloom) {
@@ -146,6 +146,9 @@ class Operator {
   std::vector<OutputCol> output_;
 
  private:
+  /// Windows charge, release and probe on behalf of their operator.
+  friend class InputWindow;
+
   Result<bool> NextInternal(RowBatch* out, bool allow_selection);
 
   OperatorMetrics metrics_;
@@ -157,6 +160,8 @@ class Operator {
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
+
+class InputWindow;  // exec/window.h
 
 /// Storage objects that can produce their own scan operator. The binder
 /// uses this for catalog entries that are neither column nor row tables —
@@ -170,12 +175,12 @@ class ScannableStorage : public StorageObject {
       const std::vector<int>& projection) const = 0;
 };
 
-/// Hash of a Value for join/aggregation keys.
-uint64_t HashValue(const Value& v);
+/// Hash of cell r of a join key column (NULL has its own hash).
+uint64_t HashCell(const ColumnVector& cv, size_t r);
 
 /// A Bloom filter pushed sideways into a scan (semi-join reduction): rows
 /// whose `col` cell hash misses the filter are dropped at emit time. The
-/// cell hash matches HashValue, so any filter built over join-build keys
+/// cell hash is HashCell, so any filter built over join-build keys
 /// (locally or on another MPP node) composes with any scan.
 struct ScanRuntimeFilter {
   int col = 0;  ///< scan output-column index
@@ -197,7 +202,11 @@ class ColumnScanOp : public Operator {
   Result<bool> NextImpl(RowBatch* out) override;
   const ScanStats& stats() const { return stats_; }
 
-  std::string label() const override { return "ColumnScan(" + table_->schema().QualifiedName() + " preds=" + std::to_string(preds_.size()) + ")"; }
+  std::string label() const override {
+    return "ColumnScan(" + table_->schema().QualifiedName() +
+           " preds=" + std::to_string(preds_.size()) +
+           " cols=" + std::to_string(projection_.size()) + ")";
+  }
 
   bool AcceptRuntimeFilter(
       int col, std::shared_ptr<const BloomPrefilter> bloom) override;
@@ -205,7 +214,6 @@ class ColumnScanOp : public Operator {
  protected:
   std::string AnalyzeExtra() const override;
 
- private:
   std::shared_ptr<const ColumnTable> table_;
   std::vector<ColumnPredicate> preds_;
   std::vector<int> projection_;
@@ -223,18 +231,16 @@ class ColumnScanOp : public Operator {
 /// projection into a per-page slot, so emitted batches keep exact page
 /// order and results are identical to the serial ColumnScanOp. Per-worker
 /// ScanStats are merged when the fan-out completes.
-class ParallelColumnScanOp : public Operator {
+class ParallelColumnScanOp : public ColumnScanOp {
  public:
-  ParallelColumnScanOp(std::shared_ptr<const ColumnTable> table,
-                       std::vector<ColumnPredicate> preds,
-                       std::vector<int> projection, ScanOptions opts);
+  using ColumnScanOp::ColumnScanOp;
   Status OpenImpl() override;
   Result<bool> NextImpl(RowBatch* out) override;
-  const ScanStats& stats() const { return stats_; }
 
   std::string label() const override {
     return "ParallelColumnScan(" + table_->schema().QualifiedName() +
            " preds=" + std::to_string(preds_.size()) +
+           " cols=" + std::to_string(projection_.size()) +
            " dop=" + std::to_string(opts_.dop) + ")";
   }
   /// Same logical operator as the serial scan; keeps spans DOP-invariant.
@@ -243,23 +249,13 @@ class ParallelColumnScanOp : public Operator {
   bool AcceptRuntimeFilter(
       int col, std::shared_ptr<const BloomPrefilter> bloom) override;
 
- protected:
-  std::string AnalyzeExtra() const override;
-
  private:
   /// Runs the whole page range across the pool, filling results_.
   Status RunMorsels();
 
-  std::shared_ptr<const ColumnTable> table_;
-  std::vector<ColumnPredicate> preds_;
-  std::vector<int> projection_;
-  ScanOptions opts_;
   std::vector<RowBatch> results_;  ///< one slot per page, page order
   size_t next_slot_ = 0;
   bool ran_ = false;
-  ScanStats stats_;
-  std::vector<ScanRuntimeFilter> runtime_filters_;
-  uint64_t bloom_dropped_ = 0;
 };
 
 /// Full scan over the row-organized baseline table.
@@ -354,16 +350,16 @@ enum class JoinType : uint8_t { kInner = 0, kLeft, kCross };
 /// Join / BLU-style "partition into L2/L3 chunks" strategy of paper II.B.7.
 /// `partitioned=false` degrades to one global table (ablation baseline).
 ///
-/// The probe pulls a window of up to 2 x dop batches and runs one kernel
-/// per batch — a match phase producing (probe row, build row) index lists,
-/// then a column-by-column gather — fanning the window out over the pool
-/// when it is large enough. Batches are emitted in probe order, so output
-/// is byte-identical at every degree; DOP 1 is a window of one batch.
+/// The probe consumes an InputWindow (exec/window.h) and runs one kernel
+/// per morsel — a match phase producing (probe row, build row) index
+/// lists, then a column-by-column gather. Output is emitted in probe
+/// order, so it is byte-identical at every degree.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr probe, OperatorPtr build,
              std::vector<ExprPtr> probe_keys, std::vector<ExprPtr> build_keys,
              JoinType type, const ExecContext* ctx, bool partitioned = true);
+  ~HashJoinOp() override;
   Status OpenImpl() override;
   Result<bool> NextImpl(RowBatch* out) override;
 
@@ -387,9 +383,6 @@ class HashJoinOp : public Operator {
 
  private:
   static constexpr int kPartitionBits = 6;  // 64 cache-sized partitions
-  /// Below this many build rows (build) or probe-window rows (probe) the
-  /// fan-out overhead beats the win.
-  static constexpr size_t kParallelMinRows = 4096;
   /// One cache-sized radix partition: a flat open-addressing multimap from
   /// the 64-bit key (combined key hash, or the raw int64 on the fast-int
   /// path) to the build-row chain, fronted by a Bloom-style prefilter so
@@ -404,28 +397,14 @@ class HashJoinOp : public Operator {
   /// and enough rows to amortize the fan-out).
   bool ParallelBuildEligible(size_t build_rows) const;
 
-  /// One probe batch moving through the window: the input (possibly
-  /// carrying a selection), its generic-path key columns (logical-dense,
-  /// evaluated on the calling thread — Evaluate is not guaranteed
-  /// re-entrant), and the joined output.
-  struct ProbeSlot {
-    RowBatch in;
-    std::vector<ColumnVector> key_cols;
-    RowBatch out;
-    int64_t out_bytes = 0;
-  };
-
   Status BuildSide();
-  /// Refills window_ from the probe child and probes it, in parallel when
-  /// the window is large enough. Returns false once the probe side is
-  /// exhausted.
-  Result<bool> ProbeWindow();
-  /// The probe kernel: match phase, then gather into slot->out. Reads only
-  /// state that is immutable after the build, so slots probe concurrently.
-  void ProbeBatch(ProbeSlot* slot) const;
+  /// The probe kernel for morsel `m` of the probe window: a match phase,
+  /// then a gather into *out. Reads only state that is immutable after the
+  /// build, so morsels probe concurrently.
+  void ProbeMorsel(size_t m, RowBatch* out) const;
   /// Typed equality of the probe row's key cells against the build row's
   /// (hash-equal candidates only; never allocates).
-  bool KeysEqual(const std::vector<ColumnVector>& probe_key_cols,
+  bool KeysEqual(const std::vector<const ColumnVector*>& probe_key_cols,
                  size_t probe_row, uint32_t build_row) const;
 
   OperatorPtr probe_, build_;
@@ -447,14 +426,11 @@ class HashJoinOp : public Operator {
   Operator* filter_target_ = nullptr;
   int filter_target_col_ = -1;
   bool filter_installed_ = false;
-  /// Probe window: slots in probe order, the next one to emit, and the
-  /// bytes of output charged for it until the consumer has taken it all.
-  std::vector<ProbeSlot> window_;
-  size_t window_next_ = 0;
-  int64_t window_bytes_ = 0;
-  bool probe_done_ = false;
-  uint64_t windows_ = 0;           ///< windows probed
-  uint64_t parallel_windows_ = 0;  ///< of which fanned out over the pool
+  /// Probe window over the probe child (key expressions evaluated per
+  /// batch) and its joined output, one batch per morsel in probe order.
+  std::unique_ptr<InputWindow> window_;
+  std::vector<RowBatch> joined_;
+  size_t joined_next_ = 0;
 };
 
 /// Cross / non-equi nested-loop join (small inputs: DUAL, dimension
@@ -562,12 +538,19 @@ class AdaptiveJoinOp : public Operator {
   uint64_t blooms_ = 0;
 };
 
-/// Hash GROUP BY with the aggregate library. Materializes on first Next.
+/// Hash GROUP BY with the aggregate library (paper II.B.7: partitioned
+/// hash group-by over all cores). Group and argument expressions are
+/// evaluated once per batch by an InputWindow; one kernel folds morsel m
+/// of every window into partial m % lanes, and the partials merge
+/// hash-partitioned on the pool. Groups come out in order of first
+/// appearance, so the output is byte-identical at every degree (DOP 1 is
+/// one partial).
 class HashAggOp : public Operator {
  public:
   HashAggOp(OperatorPtr child, std::vector<ExprPtr> group_exprs,
             std::vector<std::string> group_names, std::vector<AggSpec> aggs,
             std::vector<std::string> agg_names, const ExecContext* ctx);
+  ~HashAggOp() override;
   Status OpenImpl() override;
   Result<bool> NextImpl(RowBatch* out) override;
 
@@ -576,17 +559,50 @@ class HashAggOp : public Operator {
     return {child_.get()};
   }
 
- private:
-  /// Whether materialization may use thread-local partials + parallel merge
-  /// (needs the context's pool and mergeable aggregate states).
-  bool ParallelEligible() const;
+ protected:
+  std::string AnalyzeExtra() const override;
 
+ private:
+  /// One aggregation table: group ids from a FlatIntMap on a single
+  /// integer-backed key, else from normalized key bytes in a FlatKeyIndex
+  /// (key_rows keeps those groups' key cells). Group g's states are
+  /// states[g * aggs, (g + 1) * aggs). Cache-line aligned: lanes update
+  /// neighbouring tables concurrently.
+  struct alignas(64) Partial {
+    FlatIntMap ints;
+    FlatKeyIndex keys;
+    RowBatch key_rows;
+    std::vector<AggState> states;
+    std::vector<uint64_t> first;  ///< stream position of each group's first row
+    std::vector<uint32_t> gids;   ///< per-morsel scratch
+    std::string scratch;
+    size_t groups() const { return first.size(); }
+  };
+
+  /// The kernel: folds morsel `m` of the window into `p`.
+  void Consume(size_t m, Partial* p);
+  /// Adds group `g` of `src` (states moved or merged) to `dst`.
+  void MergeGroup(Partial* src, uint32_t g, Partial* dst);
+  /// Hash-partitioned merge of partials_: shard s emits its groups into
+  /// (*outs)[s] in order of first appearance, each row's stream position
+  /// in (*firsts)[s].
+  Status Merge(std::vector<RowBatch>* outs,
+               std::vector<std::vector<uint64_t>>* firsts);
+  void AppendGroup(const Partial& p, uint32_t g, RowBatch* out);
   Status Materialize();
 
   OperatorPtr child_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;
   const ExecContext* ctx_;
+  /// Window column of each aggregate's argument(s); -1 when absent.
+  std::vector<int> arg_col_, arg2_col_;
+  bool int_key_ = false;  ///< one integer-backed group key
+  size_t lanes_ = 1;      ///< partials: dop when every state merges
+  std::unique_ptr<InputWindow> window_;
+  /// Morsel m of every window folds into partials_[m % lanes_].
+  std::vector<Partial> partials_;
+  int64_t table_bytes_ = 0;  ///< charged for the partials so far
   RowBatch result_;
   bool done_ = false;
   bool materialized_ = false;
@@ -681,6 +697,11 @@ class UnionAllOp : public Operator {
   size_t current_ = 0;
 };
 
+/// Resets *out to empty columns typed like `cols`.
+void InitBatchFor(const std::vector<OutputCol>& cols, RowBatch* out);
+/// Appends row `row` of `src` to `dst` (same column types).
+void AppendRowFrom(const RowBatch& src, size_t row, RowBatch* dst);
+
 /// Drains an operator into a single batch (used by the SQL engine, MPP
 /// gather, and tests).
 Result<RowBatch> DrainOperator(Operator* op);
@@ -694,5 +715,7 @@ void AttachQueryContext(Operator* root, QueryContext* qctx);
 /// accounting: 8 bytes per fixed-width cell, string size + 2 per varchar
 /// cell. Used by operators to size their budget reservations.
 int64_t BatchMemoryBytes(const RowBatch& b);
+/// The same estimate for one column.
+int64_t ColumnMemoryBytes(const ColumnVector& c);
 
 }  // namespace dashdb

@@ -11,18 +11,6 @@ namespace dashdb {
 
 namespace {
 
-void InitBatchFor(const std::vector<OutputCol>& cols, RowBatch* out) {
-  out->columns.clear();
-  out->columns.reserve(cols.size());
-  for (const auto& c : cols) out->columns.emplace_back(c.type);
-}
-
-void AppendRowFrom(const RowBatch& src, size_t row, RowBatch* dst) {
-  for (size_t c = 0; c < src.columns.size(); ++c) {
-    dst->columns[c].AppendFrom(src.columns[c], row);
-  }
-}
-
 /// memcmp over (ptr, len) byte strings: <0, 0, >0.
 int CompareBytes(const uint8_t* a, size_t la, const uint8_t* b, size_t lb) {
   const size_t n = la < lb ? la : lb;
@@ -78,8 +66,7 @@ Status SortOp::OpenImpl() {
   return child_->Open();
 }
 
-void SortOp::SerialOrder(const RowBatch& all,
-                         const std::vector<ColumnVector>& key_cols,
+void SortOp::SerialOrder(const std::vector<ColumnVector>& key_cols,
                          std::vector<uint32_t>* order) const {
   // Typed cell comparison straight off the key columns' primitive
   // payloads — no per-comparison Value boxing. Mirrors Value::Compare:
@@ -282,7 +269,7 @@ Status SortOp::Materialize() {
   for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
   if (serial_) {
     runs_used_ = 1;
-    SerialOrder(all, key_cols, &order);
+    SerialOrder(key_cols, &order);
   } else {
     DASHDB_RETURN_IF_ERROR(ParallelOrder(all, key_cols, &order));
   }
@@ -326,6 +313,13 @@ TopNOp::TopNOp(OperatorPtr child, std::vector<SortKey> keys, int64_t limit,
       ctx_(ctx) {
   capacity_ = static_cast<size_t>(limit_) + static_cast<size_t>(offset_);
   output_ = child_->output();
+  std::vector<ExprPtr> exprs;
+  for (const SortKey& k : keys_) {
+    exprs.push_back(k.expr);
+    desc_.push_back(k.desc);
+  }
+  window_ = std::make_unique<InputWindow>(this, child_.get(), std::move(exprs),
+                                          ctx_, "topn input window");
 }
 
 Status TopNOp::OpenImpl() {
@@ -333,12 +327,12 @@ Status TopNOp::OpenImpl() {
   materialized_ = false;
   heaps_.clear();
   heaps_used_ = 0;
+  window_->Reset();
   return child_->Open();
 }
 
-void TopNOp::Consume(Heap* h, const RowBatch& in,
-                     const NormalizedKeyColumn& keys, size_t lo, size_t hi,
-                     uint64_t seq_base) {
+void TopNOp::Consume(Heap* h, const InputWindow::Batch& b,
+                     const NormalizedKeyColumn& keys, size_t lo, size_t hi) {
   auto heap_less = [](const Heap::Entry& a, const Heap::Entry& b) {
     int c = CompareBytes(
         reinterpret_cast<const uint8_t*>(a.key.data()), a.key.size(),
@@ -349,7 +343,7 @@ void TopNOp::Consume(Heap* h, const RowBatch& in,
     const size_t local = row - lo;
     const uint8_t* kd = keys.data(local);
     const size_t kl = keys.length(local);
-    const uint64_t seq = seq_base + row;
+    const uint64_t seq = b.first_row + row;
     if (h->entries.size() >= capacity_) {
       // Admit only when strictly better than the boundary: an equal key
       // with a later sequence number loses, so the retained prefix is the
@@ -362,7 +356,7 @@ void TopNOp::Consume(Heap* h, const RowBatch& in,
       std::pop_heap(h->entries.begin(), h->entries.end(), heap_less);
       h->entries.pop_back();
     }
-    AppendRowFrom(in, row, &h->pool);
+    AppendRowFrom(b.in, b.in.row_at(row), &h->pool);
     Heap::Entry e;
     e.key.assign(reinterpret_cast<const char*>(kd), kl);
     e.seq = seq;
@@ -395,52 +389,24 @@ Status TopNOp::Materialize() {
   GlobalSortInstruments().topn_fused->Add(1);
   if (capacity_ == 0 || limit_ == 0) return Status::OK();  // never pulls
 
-  const size_t W =
-      (ctx_ != nullptr && ctx_->parallel()) ? static_cast<size_t>(ctx_->dop)
-                                            : 1;
+  const size_t W = ctx_->parallel() ? static_cast<size_t>(ctx_->dop) : 1;
   heaps_.resize(W);
   for (auto& h : heaps_) InitBatchFor(output_, &h.pool);
 
-  std::vector<const ColumnVector*> cols;
-  std::vector<bool> desc;
-  uint64_t seq_base = 0;
-  RowBatch in;
   for (;;) {
-    DASHDB_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
+    DASHDB_ASSIGN_OR_RETURN(bool more, window_->Fill());
     if (!more) break;
-    const size_t n = in.num_rows();
-    if (n == 0) continue;
-    std::vector<ColumnVector> key_cols;
-    for (const auto& k : keys_) {
-      DASHDB_ASSIGN_OR_RETURN(ColumnVector cv, k.expr->Evaluate(in, *ctx_));
-      key_cols.push_back(std::move(cv));
-    }
-    cols.clear();
-    desc.clear();
-    for (size_t k = 0; k < keys_.size(); ++k) {
-      cols.push_back(&key_cols[k]);
-      desc.push_back(keys_[k].desc);
-    }
-    if (W > 1 && n >= 8192) {
-      // Per-thread heaps over disjoint row slices; the slice owner is
-      // fixed by the slice index, so results are DOP-deterministic.
-      ctx_->pool->ParallelFor(
-          W,
-          [&](size_t w) {
-            const size_t lo = w * n / W, hi = (w + 1) * n / W;
-            if (lo >= hi) return;
-            NormalizedKeyColumn nk;
-            nk.Build(cols, desc, lo, hi);
-            Consume(&heaps_[w], in, nk, lo, hi, seq_base);
-          },
-          ctx_->dop, query_ctx());
-      DASHDB_RETURN_IF_ERROR(CheckQueryAlive());
-    } else {
-      NormalizedKeyColumn nk;
-      nk.Build(cols, desc, 0, n);
-      Consume(&heaps_[0], in, nk, 0, n, seq_base);
-    }
-    seq_base += n;
+    // Morsel m of every window feeds heap m % W.
+    const size_t n = window_->morsels().size();
+    DASHDB_RETURN_IF_ERROR(window_->Run(W, [&](size_t w) {
+      for (size_t m = w; m < n; m += W) {
+        const InputWindow::Morsel& mo = window_->morsels()[m];
+        const InputWindow::Batch& b = window_->batch(m);
+        NormalizedKeyColumn nk;
+        nk.Build(b.cols, desc_, mo.begin, mo.end);
+        Consume(&heaps_[w], b, nk, mo.begin, mo.end);
+      }
+    }));
   }
 
   int64_t held = 0;
@@ -492,7 +458,7 @@ std::string TopNOp::AnalyzeExtra() const {
   char buf[64];
   std::snprintf(buf, sizeof(buf), " strategy=topn capacity=%zu heaps=%zu",
                 capacity_, heaps_used_);
-  return buf;
+  return buf + window_->FanoutExtra("fanouts");
 }
 
 }  // namespace dashdb

@@ -10,10 +10,10 @@
 // byte-identical to the retained serial stable_sort oracle at any DOP.
 //
 // TopNOp is the ORDER BY + LIMIT/OFFSET fusion the binder emits when the
-// requested prefix is small: bounded (limit+offset)-entry max-heaps —
-// per-thread on large batches — admit a row only when it beats the
-// current boundary, with a global sequence number as tie-break so the
-// kept prefix matches the stable full sort exactly.
+// requested prefix is small: bounded (limit+offset)-entry max-heaps — one
+// per lane of an InputWindow — admit a row only when it beats the current
+// boundary, with a global sequence number as tie-break so the kept prefix
+// matches the stable full sort exactly.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +22,7 @@
 
 #include "common/sort_key.h"
 #include "exec/operator.h"
+#include "exec/window.h"
 
 namespace dashdb {
 
@@ -54,8 +55,7 @@ class SortOp : public Operator {
  private:
   Status Materialize();
   /// The pre-PR single-threaded stable_sort over typed cell comparisons.
-  void SerialOrder(const RowBatch& all,
-                   const std::vector<ColumnVector>& key_cols,
+  void SerialOrder(const std::vector<ColumnVector>& key_cols,
                    std::vector<uint32_t>* order) const;
   /// Normalized-key run sort + (parallel) tournament-tree merge.
   Status ParallelOrder(const RowBatch& all,
@@ -74,10 +74,11 @@ class SortOp : public Operator {
   size_t merge_fanin_ = 0;
 };
 
-/// Bounded-heap ORDER BY + LIMIT/OFFSET fusion. Streams the child,
-/// keeping only the best (limit+offset) rows; per-thread heaps on large
-/// batches, merged at materialization. Emits rows [offset, offset+limit)
-/// of the total order — byte-identical to Sort + Limit.
+/// Bounded-heap ORDER BY + LIMIT/OFFSET fusion. Streams the child through
+/// an InputWindow, keeping only the best (limit+offset) rows: morsel m of
+/// every window feeds heap m % dop, and the heaps merge at
+/// materialization. Emits rows [offset, offset+limit) of the total order —
+/// byte-identical to Sort + Limit.
 class TopNOp : public Operator {
  public:
   TopNOp(OperatorPtr child, std::vector<SortKey> keys, int64_t limit,
@@ -111,11 +112,10 @@ class TopNOp : public Operator {
   };
 
   Status Materialize();
-  /// Feeds rows [lo, hi) of `in` (dense) with keys from `keys` (built over
-  /// the same range, so local index = row - lo) into `h`. `seq_base` is
-  /// the global sequence number of the batch's row 0.
-  void Consume(Heap* h, const RowBatch& in, const NormalizedKeyColumn& keys,
-               size_t lo, size_t hi, uint64_t seq_base);
+  /// Feeds logical rows [lo, hi) of `b` with keys from `keys` (built over
+  /// the same range, so local index = row - lo) into `h`.
+  void Consume(Heap* h, const InputWindow::Batch& b,
+               const NormalizedKeyColumn& keys, size_t lo, size_t hi);
   void CompactPool(Heap* h);
 
   OperatorPtr child_;
@@ -123,6 +123,8 @@ class TopNOp : public Operator {
   int64_t limit_, offset_;
   size_t capacity_;  ///< limit + offset: rows every heap retains
   const ExecContext* ctx_;
+  std::vector<bool> desc_;  ///< per key
+  std::unique_ptr<InputWindow> window_;  ///< key expressions per batch
   std::vector<Heap> heaps_;
   RowBatch result_;
   bool done_ = false;

@@ -1535,7 +1535,7 @@ std::vector<RuntimeScanFilter> MppDatabase::PrepareBloomPushdown(
     bloom.Init(std::max<size_t>(1, kv.size()));
     for (size_t r = 0; r < kv.size(); ++r) {
       if (kv.IsNull(r)) continue;
-      bloom.Add(HashValue(kv.GetValue(r)));
+      bloom.Add(HashCell(kv, r));
     }
     // Round-trip through the wire form the shard request would carry.
     std::string bytes = bloom.Serialize();

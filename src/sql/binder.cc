@@ -786,7 +786,8 @@ class SelectBinder {
         bool saw_star_all = false;
         std::function<void(const ast::ExprP&)> walk =
             [&](const ast::ExprP& e) {
-              if (!e) return;
+              // The `*` of COUNT(*) reads no column.
+              if (!e || IsBareCountStar(*e)) return;
               if (e->kind == ExprKind::kColumnRef) {
                 mark_name(e->qualifier, e->name);
               } else if (e->kind == ExprKind::kStar) {

@@ -198,8 +198,7 @@ TEST(FlatIntMapTest, MatchesMapOracleIncludingSentinels) {
   std::mt19937_64 rng(99);
   FlatIntMap idx;
   std::unordered_map<int64_t, uint32_t> oracle;
-  // Extreme values — including the executor's NULL-group sentinel — behave
-  // like any other key.
+  // Extreme values behave like any other key.
   std::vector<int64_t> specials = {0, -1, INT64_MIN, INT64_MAX,
                                    INT64_MIN + 1};
   for (size_t i = 0; i < 40000; ++i) {
@@ -218,6 +217,28 @@ TEST(FlatIntMapTest, MatchesMapOracleIncludingSentinels) {
     EXPECT_EQ(idx.KeyOf(id), k);
   }
   EXPECT_EQ(idx.size(), oracle.size());
+}
+
+TEST(FlatIntMapTest, NullKeyLivesOutsideTheIntDomain) {
+  FlatIntMap idx;
+  bool inserted = false;
+  const uint32_t a = idx.FindOrInsert(INT64_MIN + 1, &inserted);
+  EXPECT_TRUE(inserted);
+  const uint32_t null_id = idx.FindOrInsertNull(&inserted);
+  EXPECT_TRUE(inserted);
+  EXPECT_NE(null_id, a);
+  EXPECT_TRUE(idx.IsNull(null_id));
+  EXPECT_FALSE(idx.IsNull(a));
+  // Every int64, the old sentinel and 0 (the NULL id's placeholder key)
+  // included, stays distinct from the NULL key.
+  for (int64_t k : {INT64_MIN, INT64_MIN + 1, int64_t{0}, INT64_MAX}) {
+    const uint32_t id = idx.FindOrInsert(k, &inserted);
+    EXPECT_FALSE(idx.IsNull(id)) << k;
+    EXPECT_EQ(idx.KeyOf(id), k);
+  }
+  EXPECT_EQ(idx.FindOrInsertNull(&inserted), null_id);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(idx.size(), 5u);  // 4 distinct ints + NULL
 }
 
 // --------------------------------------------- COUNT(*) fast path (SQL) --

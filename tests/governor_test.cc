@@ -23,6 +23,7 @@
 #include "common/threadpool.h"
 #include "exec/admission.h"
 #include "exec/operator.h"
+#include "exec/sort.h"
 #include "fluid/nickname.h"
 #include "fluid/remote_store.h"
 #include "mpp/mpp.h"
@@ -511,6 +512,134 @@ TEST_F(GovernorTest, JoinProbeBudgetTripsMidProbeAtDop4) {
   auto ok = DrainOperator(drill.join.get());
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->num_rows(), kDrillProbeBatches * kDrillBatchRows);
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation and Top-N windows at DOP 4: the same drills, landing while a
+// window's morsels run on the pool.
+
+/// GROUP BY GRP with SUM(V), or ORDER BY V DESC, ID LIMIT 10, over the
+/// 16 x 1024-row drill source: each 8-batch window fans out over 4 lanes.
+struct BreakerDrill {
+  BreakerDrill(ThreadPool* pool, bool topn,
+               std::function<void(size_t)> on_emit = nullptr) {
+    ctx.pool = pool;
+    ctx.dop = 4;
+    auto src = std::make_unique<DrillSourceOp>(
+        kDrillProbeBatches, kDrillBatchRows, std::move(on_emit));
+    source = src.get();
+    auto col = [](int i) {
+      return std::make_shared<ColumnRefExpr>(i, TypeId::kInt64);
+    };
+    if (topn) {
+      std::vector<SortKey> keys = {{col(2), true}, {col(0), false}};
+      op = std::make_unique<TopNOp>(std::move(src), std::move(keys), 10, 0,
+                                    &ctx);
+    } else {
+      std::vector<AggSpec> aggs(1);
+      aggs[0].kind = AggKind::kSum;
+      aggs[0].arg = col(2);
+      op = std::make_unique<HashAggOp>(
+          std::move(src), std::vector<ExprPtr>{col(1)},
+          std::vector<std::string>{"GRP"}, std::move(aggs),
+          std::vector<std::string>{"S"}, &ctx);
+    }
+  }
+  ExecContext ctx;
+  DrillSourceOp* source = nullptr;
+  OperatorPtr op;
+};
+
+TEST_F(GovernorTest, AggAndTopNCancelAtEveryCheckAtDop4) {
+  ThreadPool pool(4);
+  for (bool topn : {false, true}) {
+    std::string want;
+    uint64_t total = 0, before_fanout = 0;
+    {
+      QueryContext qc;
+      BreakerDrill drill(&pool, topn, [&](size_t i) {
+        if (i == 7) before_fanout = qc.checks();
+      });
+      AttachQueryContext(drill.op.get(), &qc);
+      ASSERT_TRUE(DrainRows(drill.op.get(), &want).ok());
+      ASSERT_FALSE(want.empty());
+      total = qc.checks();
+    }
+    ASSERT_GT(before_fanout, 0u);
+    uint64_t cancelled = 0;
+    for (uint64_t n = 1; n <= total + 4; ++n) {
+      QueryContext qc;
+      qc.CancelAfterChecks(n);
+      BreakerDrill drill(&pool, topn);
+      AttachQueryContext(drill.op.get(), &qc);
+      std::string got;
+      Status st = DrainRows(drill.op.get(), &got);
+      // The first window's 4 lane claims and the re-probe after them.
+      const bool in_fanout = n > before_fanout && n <= before_fanout + 5;
+      if (st.ok()) {
+        EXPECT_FALSE(in_fanout) << "topn=" << topn << " n=" << n;
+        EXPECT_EQ(got, want) << "topn=" << topn << " n=" << n;
+        continue;
+      }
+      EXPECT_TRUE(st.IsCancelled())
+          << "topn=" << topn << " n=" << n << ": " << st.ToString();
+      ++cancelled;
+      // Pipeline breakers emit nothing before their input is consumed, and
+      // then everything (a trip on the trailing pull follows it).
+      EXPECT_TRUE(got.empty() || got == want) << "topn=" << topn << " n=" << n;
+      if (in_fanout) EXPECT_EQ(drill.source->emitted(), 8u) << "n=" << n;
+    }
+    EXPECT_GT(cancelled, 0u) << "topn=" << topn;
+  }
+}
+
+TEST_F(GovernorTest, AggAndTopNDeadlineMidFanOutAtDop4) {
+  ThreadPool pool(4);
+  for (bool topn : {false, true}) {
+    QueryContext qc;
+    // Armed as the window's last batch leaves: the next check is a lane
+    // claim inside the first window's fan-out.
+    BreakerDrill drill(&pool, topn, [&qc](size_t i) {
+      if (i == 7) qc.SetTimeout(1e-9);
+    });
+    AttachQueryContext(drill.op.get(), &qc);
+    auto r = DrainOperator(drill.op.get());
+    ASSERT_FALSE(r.ok()) << "topn=" << topn;
+    EXPECT_TRUE(r.status().IsTimeout()) << r.status().ToString();
+    EXPECT_EQ(drill.source->emitted(), 8u) << "topn=" << topn;
+    EXPECT_EQ(drill.op->metrics().batches_out, 0u) << "topn=" << topn;
+  }
+}
+
+TEST_F(GovernorTest, AggAndTopNBudgetTripsOnTheInputWindowAtDop4) {
+  ThreadPool pool(4);
+  for (bool topn : {false, true}) {
+    // 8 batches x 1024 rows x 3 BIGINT columns do not fit in 64 KiB.
+    QueryContext qc;
+    qc.SetMemBudget(64 << 10);
+    {
+      BreakerDrill drill(&pool, topn);
+      AttachQueryContext(drill.op.get(), &qc);
+      auto r = DrainOperator(drill.op.get());
+      ASSERT_FALSE(r.ok()) << "topn=" << topn;
+      EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+      EXPECT_NE(r.status().message().find("input window"), std::string::npos)
+          << r.status().ToString();
+      EXPECT_EQ(drill.source->emitted(), 8u) << "topn=" << topn;
+      EXPECT_LE(qc.mem_peak(), 64 << 10);
+    }
+    EXPECT_EQ(qc.mem_used(), 0);
+    // Room for one window (192 KiB) and the tables, but not for the whole
+    // stream (384 KiB), runs to completion: windows release their input
+    // once consumed.
+    QueryContext roomy;
+    roomy.SetMemBudget(350 << 10);
+    BreakerDrill drill(&pool, topn);
+    AttachQueryContext(drill.op.get(), &roomy);
+    auto ok = DrainOperator(drill.op.get());
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(ok->num_rows(), topn ? 10u : 97u);
+  }
 }
 
 // ---------------------------------------------------------------------------

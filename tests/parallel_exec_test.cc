@@ -1,8 +1,9 @@
 // Morsel-driven parallelism end-to-end: parallel execution must return the
 // same rows as serial execution at every degree, over both the TPC-DS mini
 // star schema and the customer workload's statement stream, and EXPLAIN
-// must report the effective degree. The hash-join probe is also driven
-// directly, batch by batch, and must be byte-identical at DOP 1 and 4.
+// must report the effective degree. The hash-join probe, hash aggregation
+// and Top-N consume bounded input windows; each is driven at DOP 1 and 4
+// and must be byte-identical, including when the input is one huge batch.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -14,6 +15,7 @@
 
 #include "common/threadpool.h"
 #include "exec/operator.h"
+#include "exec/sort.h"
 #include "sql/engine.h"
 #include "workloads/customer_workload.h"
 #include "workloads/tpcds_mini.h"
@@ -436,6 +438,250 @@ TEST(ParallelExecTest, HashJoinProbeIdenticalAtDop1AndDop4) {
       const bool fanned = analyze4.find("probe-fanouts=0/") ==
                           std::string::npos;
       EXPECT_EQ(fanned, size.fans_out) << label << ": " << analyze4;
+    }
+  }
+}
+
+TEST(ParallelExecTest, HashJoinProbeFansOutOverOneMaterializedBatch) {
+  // The adaptive join assembler hands probe sides over as one big batch;
+  // the window slices it into morsels so it still probes in parallel.
+  ThreadPool pool(4);
+  const JoinCase jc{"int left over one batch", {0}, JoinType::kLeft, false,
+                    false};
+  const auto build = BuildBatches(false);
+  RowBatch all = EmptyJoinBatch();
+  for (const RowBatch& b : ProbeBatches(5, 4000)) {
+    for (size_t c = 0; c < all.columns.size(); ++c) {
+      all.columns[c].Append(b.columns[c]);
+    }
+  }
+  std::string bytes[2], analyze[2];
+  const int dops[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    ExecContext ctx;
+    ctx.pool = &pool;
+    ctx.dop = dops[i];
+    auto probe = std::make_unique<MaterializedOp>(
+        std::make_unique<BatchSourceOp>(std::vector<RowBatch>{}, kJoinCols),
+        all);
+    std::vector<ExprPtr> keys = {
+        std::make_shared<ColumnRefExpr>(0, TypeId::kInt64)};
+    HashJoinOp join(std::move(probe),
+                    std::make_unique<BatchSourceOp>(build, kJoinCols), keys,
+                    keys, jc.type, &ctx);
+    auto r = DrainOperator(&join);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->num_rows(), ExpectedJoinRows(jc, {all}, build));
+    bytes[i] = BatchBytes(*r);
+    analyze[i] = join.AnalyzeString();
+  }
+  EXPECT_TRUE(bytes[0] == bytes[1]);
+  EXPECT_NE(analyze[1].find("probe-fanouts=1/1"), std::string::npos)
+      << analyze[1];
+}
+
+/// G: K BIGINT (NULL every 13th row), J BIGINT, S VARCHAR (NULL every
+/// 17th row), D DOUBLE (inexact decimals), V BIGINT — 50000 rows, so a
+/// DOP 4 window holds enough morsels to fan out.
+void LoadGroupTable(Engine* engine) {
+  TableSchema schema("PUBLIC", "G",
+                     {{"K", TypeId::kInt64, true, 0, false},
+                      {"J", TypeId::kInt64, false, 0, false},
+                      {"S", TypeId::kVarchar, true, 0, false},
+                      {"D", TypeId::kDouble, true, 0, false},
+                      {"V", TypeId::kInt64, false, 0, false}});
+  auto t = engine->CreateColumnTable(schema);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  RowBatch rows;
+  for (const auto& c : schema.columns()) rows.columns.emplace_back(c.type);
+  for (int64_t i = 0; i < 50000; ++i) {
+    const int64_t k = (i * 7919) % 1009;
+    if (i % 13 == 0) {
+      rows.columns[0].AppendNull();
+    } else {
+      rows.columns[0].AppendInt(k);
+    }
+    rows.columns[1].AppendInt(i % 7);
+    if (i % 17 == 0) {
+      rows.columns[2].AppendNull();
+    } else {
+      rows.columns[2].AppendString("s" + std::to_string(k % 211));
+    }
+    rows.columns[3].AppendDouble(static_cast<double>(i % 1000) * 0.1);
+    rows.columns[4].AppendInt(i * 31 % 101);
+  }
+  ASSERT_TRUE(t.value()->Append(rows).ok());
+}
+
+/// A result's cells, in result order, doubles bit-exact.
+std::string ResultBytes(const QueryResult& r) { return BatchBytes(r.rows); }
+
+TEST(ParallelExecTest, GroupByWithoutOrderByIdenticalAtDop1AndDop4) {
+  Engine engine(ParallelConfig(4));
+  auto session = engine.CreateSession();
+  LoadGroupTable(&engine);
+  const std::string queries[] = {
+      // Single integer key with a NULL group.
+      "SELECT K, COUNT(*), SUM(V), SUM(D), MIN(S), MAX(D) FROM G GROUP BY K",
+      // Multi-column key.
+      "SELECT K, J, COUNT(*), AVG(D) FROM G GROUP BY K, J",
+      // VARCHAR key with a NULL group.
+      "SELECT S, COUNT(*), SUM(V), MIN(K) FROM G GROUP BY S",
+      // Expression key and expression arguments.
+      "SELECT J * 3 + 1, SUM(V * 2), AVG(D + 1) FROM G GROUP BY J * 3 + 1",
+      // DISTINCT aggregates.
+      "SELECT J, COUNT(DISTINCT K), SUM(DISTINCT V) FROM G GROUP BY J",
+      // Global aggregate.
+      "SELECT COUNT(*), SUM(D), AVG(V), MIN(S) FROM G",
+  };
+  for (const std::string& sql : queries) {
+    std::string got[2];
+    const int dops[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(engine
+                      .Execute(session.get(),
+                               "SET DOP = " + std::to_string(dops[i]))
+                      .ok());
+      auto r = engine.Execute(session.get(), sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      ASSERT_GT(r->rows.num_rows(), 0u) << sql;
+      got[i] = ResultBytes(*r);
+    }
+    EXPECT_TRUE(got[0] == got[1]) << sql;
+  }
+  // The int-key query aggregates on the pool at DOP 4.
+  auto analyzed = engine.Execute(session.get(),
+                                 "EXPLAIN ANALYZE SELECT K, SUM(V) FROM G "
+                                 "GROUP BY K");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_NE(analyzed->message.find("HashAggregate(groups=1, aggs=1, dop=4)"),
+            std::string::npos)
+      << analyzed->message;
+  EXPECT_EQ(analyzed->message.find(" fanouts=0/"), std::string::npos)
+      << analyzed->message;
+}
+
+TEST(ParallelExecTest, NullGroupNeverCollidesWithAnIntegerKey) {
+  // -9223372036854775807 is INT64_MIN + 1, a value a sentinel-based NULL
+  // group would absorb.
+  Engine engine(ParallelConfig(4));
+  auto session = engine.CreateSession();
+  ASSERT_TRUE(
+      engine.Execute(session.get(), "CREATE TABLE N (K BIGINT, V INT)").ok());
+  ASSERT_TRUE(engine
+                  .Execute(session.get(),
+                           "INSERT INTO N VALUES (NULL, 1), "
+                           "(-9223372036854775807, 2), (5, 4)")
+                  .ok());
+  for (int dop : {1, 4}) {
+    ASSERT_TRUE(engine
+                    .Execute(session.get(),
+                             "SET DOP = " + std::to_string(dop))
+                    .ok());
+    auto r = engine.Execute(session.get(),
+                            "SELECT K, SUM(V) FROM N GROUP BY K");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.num_rows(), 3u) << "dop=" << dop;
+    EXPECT_TRUE(r->rows.columns[0].IsNull(0));
+    EXPECT_EQ(r->rows.columns[1].GetInt(0), 1);
+    EXPECT_EQ(r->rows.columns[0].GetInt(1), INT64_MIN + 1);
+    EXPECT_EQ(r->rows.columns[1].GetInt(1), 2);
+    EXPECT_EQ(r->rows.columns[0].GetInt(2), 5);
+    EXPECT_EQ(r->rows.columns[1].GetInt(2), 4);
+  }
+  // The same keys over windows that fan out: four partials and a merge.
+  ThreadPool pool(4);
+  std::vector<RowBatch> batches;
+  for (int b = 0; b < 12; ++b) {
+    RowBatch batch;
+    batch.columns.emplace_back(TypeId::kInt64);
+    batch.columns.emplace_back(TypeId::kInt64);
+    for (int i = 0; i < 4096; ++i) {
+      const int which = (b * 4096 + i) % 3;
+      if (which == 0) {
+        batch.columns[0].AppendNull();
+      } else {
+        batch.columns[0].AppendInt(which == 1 ? INT64_MIN + 1 : 5);
+      }
+      batch.columns[1].AppendInt(1);
+    }
+    batches.push_back(std::move(batch));
+  }
+  for (int dop : {1, 4}) {
+    ExecContext ctx;
+    ctx.pool = &pool;
+    ctx.dop = dop;
+    std::vector<AggSpec> aggs(1);
+    aggs[0].kind = AggKind::kSum;
+    aggs[0].arg = std::make_shared<ColumnRefExpr>(1, TypeId::kInt64);
+    HashAggOp agg(std::make_unique<BatchSourceOp>(
+                      batches, std::vector<OutputCol>{{"K", TypeId::kInt64},
+                                                      {"V", TypeId::kInt64}}),
+                  {std::make_shared<ColumnRefExpr>(0, TypeId::kInt64)}, {"K"},
+                  std::move(aggs), {"N"}, &ctx);
+    auto r = DrainOperator(&agg);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->num_rows(), 3u) << "dop=" << dop;
+    EXPECT_TRUE(r->columns[0].IsNull(0));
+    EXPECT_EQ(r->columns[0].GetInt(1), INT64_MIN + 1);
+    EXPECT_EQ(r->columns[0].GetInt(2), 5);
+    for (size_t g = 0; g < 3; ++g) {
+      EXPECT_EQ(r->columns[1].GetInt(g), 12 * 4096 / 3) << "group " << g;
+    }
+    if (dop == 4) {
+      EXPECT_EQ(agg.AnalyzeString().find(" fanouts=0/"), std::string::npos)
+          << agg.AnalyzeString();
+    }
+  }
+}
+
+/// Top-N over `batches` at `dop`; returns its rows and fills *analyze.
+std::string RunTopN(const std::vector<RowBatch>& batches, ThreadPool* pool,
+                    int dop, std::string* analyze) {
+  ExecContext ctx;
+  ctx.pool = pool;
+  ctx.dop = dop;
+  std::vector<SortKey> keys = {
+      {std::make_shared<ColumnRefExpr>(3, TypeId::kDouble), true},
+      {std::make_shared<ColumnRefExpr>(1, TypeId::kVarchar), false}};
+  TopNOp topn(std::make_unique<BatchSourceOp>(batches, kJoinCols),
+              std::move(keys), 40, 7, &ctx);
+  auto r = DrainOperator(&topn);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  *analyze = topn.AnalyzeString();
+  return r.ok() ? BatchBytes(*r) : std::string();
+}
+
+TEST(ParallelExecTest, TopNFansOutOverPageBatchesAndOneHugeBatch) {
+  ThreadPool pool(4);
+  const auto pages = ProbeBatches(12, 4096);
+  RowBatch huge = EmptyJoinBatch();
+  for (const RowBatch& b : pages) {
+    for (size_t c = 0; c < huge.columns.size(); ++c) {
+      huge.columns[c].Append(b.columns[c]);
+    }
+  }
+  // The oracle: stable full sort, then rows [7, 47).
+  ExecContext serial_ctx;
+  std::vector<SortKey> keys = {
+      {std::make_shared<ColumnRefExpr>(3, TypeId::kDouble), true},
+      {std::make_shared<ColumnRefExpr>(1, TypeId::kVarchar), false}};
+  auto sort = std::make_unique<SortOp>(
+      std::make_unique<BatchSourceOp>(std::vector<RowBatch>{huge}, kJoinCols),
+      std::move(keys), &serial_ctx, /*serial=*/true);
+  LimitOp limit(std::move(sort), 40, 7);
+  auto want = DrainOperator(&limit);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  const std::string expected = BatchBytes(*want);
+  for (const auto& input : {pages, std::vector<RowBatch>{huge}}) {
+    for (int dop : {1, 4}) {
+      std::string analyze;
+      EXPECT_TRUE(RunTopN(input, &pool, dop, &analyze) == expected)
+          << input.size() << " batches, dop=" << dop;
+      if (dop == 4) {
+        EXPECT_NE(analyze.find("heaps=4"), std::string::npos) << analyze;
+        EXPECT_EQ(analyze.find(" fanouts=0/"), std::string::npos) << analyze;
+      }
     }
   }
 }

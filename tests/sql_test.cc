@@ -269,6 +269,38 @@ TEST_F(SqlTest, Explain) {
   EXPECT_NE(r.message.find("HashAggregate"), std::string::npos);
 }
 
+TEST_F(SqlTest, CountStarJoinScansOnlyReferencedColumns) {
+  Seed();
+  // emp has 5 columns and dept 2; the query reads emp.dept, emp.salary
+  // and dept.dept_id. The `*` of COUNT(*) must not widen either scan.
+  const std::string sql =
+      "SELECT COUNT(*), SUM(e.salary) FROM emp e JOIN dept d "
+      "ON e.dept = d.dept_id";
+  QueryResult plan = Exec("EXPLAIN " + sql);
+  EXPECT_NE(plan.message.find("ColumnScan(PUBLIC.EMP preds=0 cols=2)"),
+            std::string::npos)
+      << plan.message;
+  EXPECT_NE(plan.message.find("ColumnScan(PUBLIC.DEPT preds=0 cols=1)"),
+            std::string::npos)
+      << plan.message;
+  EXPECT_EQ(plan.message.find("cols=5"), std::string::npos) << plan.message;
+  // Same rows as spelling every column out: alice, bob, carol and dan
+  // match a department; eve (dept 30) does not.
+  QueryResult r = Exec(sql);
+  ASSERT_EQ(r.rows.num_rows(), 1u);
+  EXPECT_EQ(r.rows.columns[0].GetInt(0), 4);
+  EXPECT_DOUBLE_EQ(r.rows.columns[1].GetDouble(0), 390.0);
+  QueryResult wide = Exec(
+      "SELECT COUNT(*), SUM(e.salary) FROM (SELECT * FROM emp) e JOIN "
+      "(SELECT * FROM dept) d ON e.dept = d.dept_id");
+  ASSERT_EQ(wide.rows.num_rows(), 1u);
+  EXPECT_EQ(wide.rows.columns[0].GetInt(0), 4);
+  EXPECT_DOUBLE_EQ(wide.rows.columns[1].GetDouble(0), 390.0);
+  // A bare COUNT(*) still scans a single column.
+  QueryResult count = Exec("EXPLAIN SELECT COUNT(*) FROM emp e, dept d");
+  EXPECT_EQ(count.message.find("cols=5"), std::string::npos) << count.message;
+}
+
 TEST_F(SqlTest, CaseExpressions) {
   Seed();
   QueryResult r = Exec(
