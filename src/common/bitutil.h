@@ -206,9 +206,33 @@ class BitPackedArray {
     return (words_[wi] >> (slot * bit_width_)) & mask;
   }
 
-  /// Decodes codes [begin, begin+count) into out[0..count).
+  /// Decodes codes [begin, begin+count) into out[0..count), a whole word at
+  /// a time: one division locates the first word, then every code costs
+  /// one shift and one mask.
   void Decode(size_t begin, size_t count, uint64_t* out) const {
-    for (size_t i = 0; i < count; ++i) out[i] = Get(begin + i);
+    assert(begin + count <= size_);
+    if (count == 0) return;
+    if (bit_width_ == 64) {
+      std::memcpy(out, words_.data() + begin, count * sizeof(uint64_t));
+      return;
+    }
+    const int w = bit_width_;
+    const size_t per = static_cast<size_t>(per_word_);
+    const uint64_t mask = (uint64_t{1} << w) - 1;
+    const uint64_t* word = words_.data() + begin / per;
+    size_t slot = begin % per;
+    const uint64_t* const end = out + count;
+    while (out < end) {
+      uint64_t bits = *word++ >> (slot * w);
+      const size_t take =
+          std::min(per - slot, static_cast<size_t>(end - out));
+      for (size_t k = 0; k < take; ++k) {
+        out[k] = bits & mask;
+        bits >>= w;
+      }
+      out += take;
+      slot = 0;
+    }
   }
 
  private:

@@ -7,11 +7,13 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bitutil.h"
+#include "common/hash.h"
 #include "common/types.h"
 #include "common/value.h"
 
@@ -150,24 +152,61 @@ class ColumnVector {
   }
 
   /// Appends rows sel[0..k) of `src` (same payload) — the selection-vector
-  /// compaction primitive. Attached dictionary codes never survive a
-  /// gather (row positions change).
+  /// compaction primitive. The payload grows once and is written by index.
+  /// Attached dictionary codes never survive a gather (row positions
+  /// change).
   void Gather(const ColumnVector& src, const uint32_t* sel, size_t k) {
     assert(SamePayload(type_, src.type_));
-    dict_codes_.reset();
-    Reserve(size_ + k);
-    if (!src.has_nulls()) {
-      if (type_ == TypeId::kDouble) {
-        for (size_t i = 0; i < k; ++i) doubles_.push_back(src.doubles_[sel[i]]);
-      } else if (type_ == TypeId::kVarchar) {
-        for (size_t i = 0; i < k; ++i) strings_.push_back(src.strings_[sel[i]]);
-      } else {
-        for (size_t i = 0; i < k; ++i) ints_.push_back(src.ints_[sel[i]]);
-      }
-      size_ += k;
-      if (null_count_ > 0) nulls_.GrowTo(size_);
+    const size_t base = size_;
+    if (type_ == TypeId::kDouble) {
+      double* d = ExtendDoubles(k);
+      for (size_t i = 0; i < k; ++i) d[i] = src.doubles_[sel[i]];
+    } else if (type_ == TypeId::kVarchar) {
+      strings_.resize(size_ + k);
+      for (size_t i = 0; i < k; ++i) strings_[size_ + i] = src.strings_[sel[i]];
+      Extend(k);
     } else {
-      for (size_t i = 0; i < k; ++i) AppendFrom(src, sel[i]);
+      int64_t* d = ExtendInts(k);
+      for (size_t i = 0; i < k; ++i) d[i] = src.ints_[sel[i]];
+    }
+    if (src.has_nulls()) {
+      for (size_t i = 0; i < k; ++i) {
+        if (src.IsNull(sel[i])) SetNull(base + i);
+      }
+    }
+  }
+
+  /// Appends k non-NULL rows and returns the first payload slot for the
+  /// caller to fill — the bulk-write primitive of the page decoders.
+  int64_t* ExtendInts(size_t k) {
+    assert(type_ != TypeId::kDouble && type_ != TypeId::kVarchar);
+    ints_.resize(size_ + k);
+    int64_t* first = ints_.data() + size_;
+    Extend(k);
+    return first;
+  }
+  double* ExtendDoubles(size_t k) {
+    assert(type_ == TypeId::kDouble);
+    doubles_.resize(size_ + k);
+    double* first = doubles_.data() + size_;
+    Extend(k);
+    return first;
+  }
+
+  /// Marks the already-appended row i NULL; its payload slot reads as
+  /// AppendNull leaves it.
+  void SetNull(size_t i) {
+    assert(i < size_);
+    nulls_.GrowTo(size_);
+    if (nulls_.Get(i)) return;
+    nulls_.Set(i);
+    ++null_count_;
+    if (type_ == TypeId::kDouble) {
+      doubles_[i] = 0;
+    } else if (type_ == TypeId::kVarchar) {
+      strings_[i].clear();
+    } else {
+      ints_[i] = 0;
     }
   }
 
@@ -261,6 +300,12 @@ class ColumnVector {
     if (dict_codes_) dict_codes_.reset();  // codes no longer row-aligned
   }
 
+  void Extend(size_t k) {
+    size_ += k;
+    if (null_count_ > 0) nulls_.GrowTo(size_);
+    dict_codes_.reset();
+  }
+
   void AdoptNulls(BitVector nulls) {
     assert(nulls.size() == 0 || nulls.size() == size_);
     null_count_ = nulls.CountSet();
@@ -276,6 +321,24 @@ class ColumnVector {
   size_t size_ = 0;
   size_t null_count_ = 0;
 };
+
+/// Hash of cell r of a column: the join-key, group-key and runtime Bloom
+/// filter hash. NULL has its own hash; a DOUBLE hashes its bit pattern.
+inline uint64_t HashCell(const ColumnVector& cv, size_t r) {
+  if (cv.IsNull(r)) return 0x9E3779B97F4A7C15ull;
+  switch (cv.type()) {
+    case TypeId::kVarchar:
+      return HashString(cv.GetString(r));
+    case TypeId::kDouble: {
+      const double d = cv.GetDouble(r);
+      uint64_t bits;
+      std::memcpy(&bits, &d, 8);
+      return HashInt64(bits);
+    }
+    default:
+      return HashInt64(static_cast<uint64_t>(cv.GetInt(r)));
+  }
+}
 
 /// A batch of rows in columnar form.
 ///

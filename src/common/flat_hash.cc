@@ -133,6 +133,13 @@ void FlatIntMap::Reserve(size_t n) {
   if (cap > cap_) Grow(cap);
 }
 
+uint32_t FlatIntMap::InsertAt(size_t i, int64_t key, uint32_t tag) {
+  const uint32_t id = static_cast<uint32_t>(keys_dense_.size());
+  keys_dense_.push_back(key);
+  slots_[i] = Slot{key, id, tag};
+  return id;
+}
+
 void FlatIntMap::Grow(size_t new_cap) {
   std::vector<Slot> old = std::move(slots_);
   cap_ = new_cap;
@@ -145,28 +152,6 @@ void FlatIntMap::Grow(size_t new_cap) {
     while (slots_[i].tag != 0) i = (i + 1) & mask;
     slots_[i] = o;
   }
-}
-
-uint32_t FlatIntMap::FindOrInsert(int64_t key, bool* inserted) {
-  if (cap_ == 0 || (keys_dense_.size() + 1) * 8 > cap_ * 7) {
-    Grow(cap_ == 0 ? 16 : cap_ * 2);
-  }
-  const uint64_t h = HashInt64(static_cast<uint64_t>(key));
-  const size_t mask = cap_ - 1;
-  const uint32_t tag = CtrlTag(h);
-  size_t i = static_cast<size_t>(h) & mask;
-  while (slots_[i].tag != 0) {
-    if (slots_[i].tag == tag && slots_[i].key == key) {
-      *inserted = false;
-      return slots_[i].id;
-    }
-    i = (i + 1) & mask;
-  }
-  const uint32_t id = static_cast<uint32_t>(keys_dense_.size());
-  keys_dense_.push_back(key);
-  slots_[i] = Slot{key, id, tag};
-  *inserted = true;
-  return id;
 }
 
 }  // namespace dashdb

@@ -287,7 +287,25 @@ class FlatIntMap {
   void Reserve(size_t n);
 
   /// Returns the id of `key`, assigning the next dense id when absent.
-  uint32_t FindOrInsert(int64_t key, bool* inserted);
+  /// Always inlined: the group-by fold calls it once per input row.
+  [[gnu::always_inline]] uint32_t FindOrInsert(int64_t key, bool* inserted) {
+    if ((keys_dense_.size() + 1) * 8 > cap_ * 7) {
+      Grow(cap_ == 0 ? 16 : cap_ * 2);
+    }
+    const uint64_t h = HashInt64(static_cast<uint64_t>(key));
+    const size_t mask = cap_ - 1;
+    const uint32_t tag = flat_internal::CtrlTag(h);
+    size_t i = static_cast<size_t>(h) & mask;
+    while (slots_[i].tag != 0) {
+      if (slots_[i].tag == tag && slots_[i].key == key) {
+        *inserted = false;
+        return slots_[i].id;
+      }
+      i = (i + 1) & mask;
+    }
+    *inserted = true;
+    return InsertAt(i, key, tag);
+  }
 
   /// Returns the id of the NULL key, assigning the next dense id when
   /// absent.
@@ -314,6 +332,9 @@ class FlatIntMap {
   };
 
   void Grow(size_t new_cap);
+  /// Fills the empty slot i with `key` under the next dense id (the cold
+  /// half of FindOrInsert, kept out of line).
+  uint32_t InsertAt(size_t i, int64_t key, uint32_t tag);
 
   std::vector<Slot> slots_;
   std::vector<int64_t> keys_dense_;

@@ -1,5 +1,7 @@
 #include "common/threadpool.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -54,15 +56,20 @@ struct ParallelForState {
   std::mutex mu;
   std::condition_variable done_cv;
   std::exception_ptr first_error;
+  /// Thread CPU the helpers spent running chunks, in nanoseconds.
+  std::atomic<int64_t> helper_cpu_ns{0};
 
   /// Claims and runs chunks until the range is exhausted. On exception,
   /// records the first error and steals the remaining range so other
-  /// threads stop early.
-  void Drain() {
+  /// threads stop early. A helper reads its thread CPU clock at its first
+  /// claim and once more when it leaves.
+  void Drain(bool helper) {
     active.fetch_add(1, std::memory_order_acq_rel);
+    double cpu0 = -1;
     for (;;) {
       size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
       if (begin >= n) break;
+      if (helper && cpu0 < 0) cpu0 = ThreadCpuSeconds();
       // Governor probe only after a successful claim: begin < n proves the
       // caller is still inside ParallelFor (it drains until the range runs
       // dry before waiting), so qctx is alive. A helper that starts after
@@ -83,6 +90,11 @@ struct ParallelForState {
         break;
       }
     }
+    if (cpu0 >= 0) {
+      helper_cpu_ns.fetch_add(
+          static_cast<int64_t>((ThreadCpuSeconds() - cpu0) * 1e9),
+          std::memory_order_relaxed);
+    }
     if (active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lk(mu);  // pair with the waiter's check
       done_cv.notify_all();
@@ -92,8 +104,15 @@ struct ParallelForState {
 
 }  // namespace
 
+double ThreadCpuSeconds() {
+  timespec ts;
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                             int max_workers, QueryContext* qctx) {
+                             int max_workers, QueryContext* qctx,
+                             double* helper_cpu_seconds) {
   if (n == 0) return;
   int workers = max_workers > 0 ? std::min(max_workers, num_threads() + 1)
                                 : num_threads() + 1;
@@ -120,10 +139,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   // that only starts once the range is exhausted returns immediately.
   for (int t = 0; t < workers - 1; ++t) {
     std::lock_guard<std::mutex> lk(mu_);
-    queue_.emplace_back([st] { st->Drain(); });
+    queue_.emplace_back([st] { st->Drain(/*helper=*/true); });
   }
   cv_.notify_all();
-  st->Drain();
+  st->Drain(/*helper=*/false);
   {
     // Wait for helpers that claimed chunks before the range ran dry; helpers
     // still queued will see next >= n on arrival and never touch fn.
@@ -131,6 +150,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
     st->done_cv.wait(lk, [&] {
       return st->active.load(std::memory_order_acquire) == 0;
     });
+    if (helper_cpu_seconds != nullptr) {
+      *helper_cpu_seconds +=
+          st->helper_cpu_ns.load(std::memory_order_relaxed) * 1e-9;
+    }
     if (st->first_error) std::rethrow_exception(st->first_error);
   }
 }

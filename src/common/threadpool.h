@@ -15,6 +15,10 @@ namespace dashdb {
 
 class QueryContext;
 
+/// CPU time the calling thread has consumed (CLOCK_THREAD_CPUTIME_ID), in
+/// seconds.
+double ThreadCpuSeconds();
+
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -60,8 +64,14 @@ class ThreadPool {
   /// returns normally with the tail abandoned — callers observe the
   /// cancellation through their own governor check, which keeps the
   /// exception path reserved for real faults.
+  ///
+  /// `helper_cpu_seconds`, when set, is incremented by the thread CPU the
+  /// pool workers spent running chunks of this call (the caller's own share
+  /// is on its thread clock already). Each helper reads its clock once when
+  /// it claims its first chunk and once when it leaves.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                   int max_workers = 0, QueryContext* qctx = nullptr);
+                   int max_workers = 0, QueryContext* qctx = nullptr,
+                   double* helper_cpu_seconds = nullptr);
 
  private:
   void WorkerLoop();

@@ -20,8 +20,9 @@ struct ForEncoded {
   BitPackedArray codes;   ///< row order preserved
 
   size_t size() const { return codes.size(); }
+  /// Wraps like two's complement: a 64-bit range stays exact.
   int64_t Get(size_t i) const {
-    return base + static_cast<int64_t>(codes.Get(i));
+    return static_cast<int64_t>(static_cast<uint64_t>(base) + codes.Get(i));
   }
   size_t ByteSize() const { return codes.ByteSize() + sizeof(int64_t) + 1; }
 };

@@ -163,6 +163,12 @@ class FrequencyDict {
     return partitions_[partition].values[code];
   }
 
+  /// Values of partition p, indexed by code: bulk decoders scatter codes
+  /// through this vector instead of calling Decode per row.
+  const std::vector<T>& partition_values(int p) const {
+    return partitions_[p].values;
+  }
+
   /// Codes in partition p whose values fall in [lo, hi] (either bound may be
   /// null = unbounded; `*_incl` selects <=/< semantics). This is how range
   /// predicates execute directly on compressed data.

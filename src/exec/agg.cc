@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 namespace dashdb {
 
@@ -104,6 +105,21 @@ void AggState::AddSum(double x, int64_t ix, bool is_int) {
   sum_ = t;
 }
 
+void AggState::AddExtremes(double x, int64_t ix, bool int_domain) {
+  if (!fast_minmax_) {
+    fast_minmax_ = true;
+    fast_int_domain_ = int_domain;
+    dmin_ = dmax_ = x;
+    imin_ = imax_ = ix;
+    return;
+  }
+  if (!int_domain) fast_int_domain_ = false;
+  dmin_ = std::min(dmin_, x);
+  dmax_ = std::max(dmax_, x);
+  imin_ = std::min(imin_, ix);
+  imax_ = std::max(imax_, ix);
+}
+
 void AggState::AddNumericFast(double x, int64_t ix, bool int_domain) {
   switch (spec_->kind) {
     case AggKind::kCountStar:
@@ -117,18 +133,7 @@ void AggState::AddNumericFast(double x, int64_t ix, bool int_domain) {
       break;
     case AggKind::kMin:
     case AggKind::kMax:
-      if (!fast_minmax_) {
-        fast_minmax_ = true;
-        fast_int_domain_ = int_domain;
-        dmin_ = dmax_ = x;
-        imin_ = imax_ = ix;
-      } else {
-        if (!int_domain) fast_int_domain_ = false;
-        dmin_ = std::min(dmin_, x);
-        dmax_ = std::max(dmax_, x);
-        imin_ = std::min(imin_, ix);
-        imax_ = std::max(imax_, ix);
-      }
+      AddExtremes(x, ix, int_domain);
       break;
     case AggKind::kVarPop:
     case AggKind::kVarSamp:
@@ -150,6 +155,60 @@ void AggState::AddNumericFast(double x, int64_t ix, bool int_domain) {
     case AggKind::kCovarSamp:
       // Two-argument aggregates stay on the boxed path.
       break;
+  }
+}
+
+void AggState::Fold(const AggSpec& spec, AggState* st, size_t stride,
+                    const uint32_t* gids, const ColumnVector& x, size_t lo,
+                    size_t n) {
+  if (x.type() == TypeId::kDouble) {
+    FoldTyped(spec, st, stride, gids, x.doubles().data() + lo, x, lo, n);
+  } else {
+    FoldTyped(spec, st, stride, gids, x.ints().data() + lo, x, lo, n);
+  }
+}
+
+template <typename T>
+void AggState::FoldTyped(const AggSpec& spec, AggState* st, size_t stride,
+                         const uint32_t* gids, const T* v,
+                         const ColumnVector& x, size_t lo, size_t n) {
+  // The arguments AddNumericFast gets: a double input feeds the integer
+  // side a zero.
+  constexpr bool kInt = std::is_same_v<T, int64_t>;
+  const bool nulls = x.has_nulls();
+  auto each = [&](auto update) {
+    auto row = [&](size_t j) {
+      update(st[gids[j] * stride], static_cast<double>(v[j]),
+             kInt ? static_cast<int64_t>(v[j]) : 0);
+    };
+    if (!nulls) {
+      for (size_t j = 0; j < n; ++j) row(j);
+      return;
+    }
+    for (size_t j = 0; j < n; ++j) {
+      if (!x.IsNull(lo + j)) row(j);
+    }
+  };
+  switch (spec.kind) {
+    case AggKind::kCount:
+      each([](AggState& s, double, int64_t) { ++s.count_; });
+      return;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      each([](AggState& s, double d, int64_t i) {
+        ++s.count_;
+        s.AddSum(d, i, kInt);
+      });
+      return;
+    case AggKind::kMin:
+    case AggKind::kMax:
+      each([](AggState& s, double d, int64_t i) { s.AddExtremes(d, i, kInt); });
+      return;
+    default:
+      each([](AggState& s, double d, int64_t i) {
+        s.AddNumericFast(d, i, kInt);
+      });
+      return;
   }
 }
 

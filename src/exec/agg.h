@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/column_vector.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "exec/expr.h"
@@ -64,6 +65,17 @@ class AggState {
   void AddCountStarFast() { ++count_; }
   void AddNumericFast(double x, int64_t ix, bool int_domain);
 
+  /// Typed column fold for one aggregate over rows [lo, lo + n) of the
+  /// integer-backed or DOUBLE column x: folds each non-NULL x[lo + j] into
+  /// states[gids[j] * stride]. Each aggregate kind runs its own loop with
+  /// the state updates inline, and the NULL test runs only when x has
+  /// NULLs; the result is bit-identical to calling AddNumericFast per
+  /// non-NULL row. Every state shares `spec`, which is neither DISTINCT
+  /// nor COVAR.
+  static void Fold(const AggSpec& spec, AggState* states, size_t stride,
+                   const uint32_t* gids, const ColumnVector& x, size_t lo,
+                   size_t n);
+
   /// Folds another partial accumulator for the same spec into this one
   /// (parallel aggregation: thread-local partials merged per group). Welford
   /// and covariance states merge via Chan's parallel update; order
@@ -77,10 +89,17 @@ class AggState {
   Value Finish() const;
 
  private:
+  template <typename T>
+  static void FoldTyped(const AggSpec& spec, AggState* states, size_t stride,
+                        const uint32_t* gids, const T* v,
+                        const ColumnVector& x, size_t lo, size_t n);
+
   const AggSpec* spec_;
   /// SUM/AVG accumulation: exact in isum_ while every input is an
   /// integer, then a compensated double sum (sum_ + sum_err_).
   void AddSum(double x, int64_t ix, bool is_int);
+  /// Typed MIN/MAX: keeps both the double and the integer extremes.
+  void AddExtremes(double x, int64_t ix, bool int_domain);
   double Sum() const {
     return int_domain_ ? static_cast<double>(isum_) : sum_ + sum_err_;
   }

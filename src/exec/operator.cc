@@ -1,12 +1,8 @@
 #include "exec/operator.h"
 
-#include <time.h>
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <limits>
 #include <mutex>
@@ -23,22 +19,6 @@
 #include "exec/window.h"
 
 namespace dashdb {
-
-uint64_t HashCell(const ColumnVector& cv, size_t r) {
-  if (cv.IsNull(r)) return 0x9E3779B97F4A7C15ull;
-  switch (cv.type()) {
-    case TypeId::kVarchar:
-      return HashString(cv.GetString(r));
-    case TypeId::kDouble: {
-      double d = cv.GetDouble(r);
-      uint64_t bits;
-      std::memcpy(&bits, &d, 8);
-      return HashInt64(bits);
-    }
-    default:
-      return HashInt64(static_cast<uint64_t>(cv.GetInt(r)));
-  }
-}
 
 void InitBatchFor(const std::vector<OutputCol>& cols, RowBatch* out) {
   out->columns.clear();
@@ -83,40 +63,6 @@ bool CellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
   return a.GetInt(i) == b.GetInt(j);
 }
 
-/// Applies pushed-down Bloom filters to a freshly scanned (dense) batch,
-/// compacting away rows whose key hash misses any filter. Returns the
-/// number of rows dropped. NULL keys hash to the null sentinel, which the
-/// build side never adds — correct for the INNER joins these filters are
-/// installed for.
-size_t ApplyScanBlooms(const std::vector<ScanRuntimeFilter>& filters,
-                       RowBatch* batch) {
-  const size_t n = batch->num_rows();
-  if (filters.empty() || n == 0) return 0;
-  std::vector<uint32_t> keep;
-  keep.reserve(n);
-  for (size_t r = 0; r < n; ++r) {
-    bool ok = true;
-    for (const auto& f : filters) {
-      const ColumnVector& cv = batch->columns[f.col];
-      if (!f.bloom->MayContain(HashCell(cv, r))) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) keep.push_back(static_cast<uint32_t>(r));
-  }
-  if (keep.size() == n) return 0;
-  RowBatch out;
-  out.columns.reserve(batch->columns.size());
-  for (const auto& c : batch->columns) {
-    out.columns.emplace_back(c.type());
-    out.columns.back().Gather(c, keep.data(), keep.size());
-  }
-  const size_t dropped = n - keep.size();
-  *batch = std::move(out);
-  return dropped;
-}
-
 std::string BloomDroppedExtra(const std::vector<ScanRuntimeFilter>& filters,
                               uint64_t dropped) {
   if (filters.empty()) return std::string();
@@ -138,11 +84,10 @@ std::string Operator::PlanString(int indent) const {
 
 namespace {
 
-double ThreadCpuSeconds() {
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
-}
+/// Pool-helper CPU that RunOnPool calls on this thread have counted so
+/// far; the Open()/Next() wrappers add its growth over a call, so a
+/// parent's cumulative CPU includes its children's helpers.
+thread_local double tls_pool_cpu = 0;
 
 /// Registry instruments for the exec layer, resolved once per process;
 /// after that every event is one relaxed atomic add.
@@ -198,14 +143,21 @@ void Operator::ReleaseMemory(int64_t bytes) {
   mem_reserved_ -= bytes;
 }
 
+void Operator::RunOnPool(ThreadPool* pool, size_t n,
+                         const std::function<void(size_t)>& fn, int dop) {
+  double helper_cpu = 0;
+  pool->ParallelFor(n, fn, dop, qctx_, &helper_cpu);
+  tls_pool_cpu += helper_cpu;
+}
+
 Status Operator::Open() {
   ++metrics_.open_calls;
   GlobalExecInstruments().operator_opens->Add(1);
   if (qctx_ != nullptr) DASHDB_RETURN_IF_ERROR(qctx_->CheckAlive());
   const auto wall0 = std::chrono::steady_clock::now();
-  const double cpu0 = ThreadCpuSeconds();
+  const double cpu0 = ThreadCpuSeconds() + tls_pool_cpu;
   Status s = OpenImpl();
-  metrics_.cpu_seconds += ThreadCpuSeconds() - cpu0;
+  metrics_.cpu_seconds += ThreadCpuSeconds() + tls_pool_cpu - cpu0;
   metrics_.wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
@@ -224,12 +176,12 @@ Result<bool> Operator::NextInternal(RowBatch* out, bool allow_selection) {
   ++metrics_.next_calls;
   if (qctx_ != nullptr) DASHDB_RETURN_IF_ERROR(qctx_->CheckAlive());
   const auto wall0 = std::chrono::steady_clock::now();
-  const double cpu0 = ThreadCpuSeconds();
+  const double cpu0 = ThreadCpuSeconds() + tls_pool_cpu;
   Result<bool> r = NextImpl(out);
   // Compaction for selection-unaware callers counts as this operator's
   // work, so it stays inside the timed window.
   if (r.ok() && *r && !allow_selection) out->Compact();
-  metrics_.cpu_seconds += ThreadCpuSeconds() - cpu0;
+  metrics_.cpu_seconds += ThreadCpuSeconds() + tls_pool_cpu - cpu0;
   metrics_.wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
@@ -362,7 +314,6 @@ ColumnScanOp::ColumnScanOp(std::shared_ptr<const ColumnTable> table,
 Status ColumnScanOp::OpenImpl() {
   next_page_ = 0;
   stats_ = ScanStats{};
-  bloom_dropped_ = 0;
   return Status::OK();
 }
 
@@ -377,20 +328,19 @@ bool ColumnScanOp::AcceptRuntimeFilter(
 }
 
 std::string ColumnScanOp::AnalyzeExtra() const {
-  return BloomDroppedExtra(runtime_filters_, bloom_dropped_);
+  return BloomDroppedExtra(runtime_filters_, stats_.bloom_dropped);
 }
 
 Result<bool> ColumnScanOp::NextImpl(RowBatch* out) {
   while (next_page_ <= table_->num_pages()) {
     InitBatchFor(output_, out);
+    const size_t dropped0 = stats_.bloom_dropped;
     DASHDB_RETURN_IF_ERROR(table_->ScanPage(next_page_, preds_, projection_,
-                                            opts_, out, nullptr, &stats_));
+                                            runtime_filters_, opts_, out,
+                                            nullptr, &stats_));
     ++next_page_;
-    if (!runtime_filters_.empty()) {
-      const size_t dropped = ApplyScanBlooms(runtime_filters_, out);
-      bloom_dropped_ += dropped;
-      GlobalExecInstruments().bloom_rows_dropped->Add(dropped);
-    }
+    GlobalExecInstruments().bloom_rows_dropped->Add(stats_.bloom_dropped -
+                                                    dropped0);
     if (out->num_rows() > 0) return true;
   }
   return false;
@@ -399,6 +349,9 @@ Result<bool> ColumnScanOp::NextImpl(RowBatch* out) {
 // ---------------------------------------------------- ParallelColumnScan --
 
 Status ParallelColumnScanOp::OpenImpl() {
+  for (size_t i = next_slot_; ran_ && i < results_.size(); ++i) {
+    ReleaseMemory(BatchMemoryBytes(results_[i]));
+  }
   ran_ = false;
   next_slot_ = 0;
   results_.clear();
@@ -422,7 +375,6 @@ Status ParallelColumnScanOp::RunMorsels() {
   std::vector<ScanStats> unit_stats(n_units);
   Status first_error;
   std::mutex err_mu;
-  std::atomic<uint64_t> dropped_total{0};
   // Cooperative shared scan: attach to the engine's circular page clock
   // for this (table, column-set) and start at its current position. Unit i
   // maps to page (start + i) % n_units, so concurrent scans of the same
@@ -455,19 +407,15 @@ Status ParallelColumnScanOp::RunMorsels() {
     out->columns.clear();
     out->columns.reserve(output_.size());
     for (const auto& c : output_) out->columns.emplace_back(c.type);
-    Status s = table_->ScanPage(p, preds_, projection_, opts_, out, nullptr,
-                                &unit_stats[p]);
-    if (s.ok() && !runtime_filters_.empty()) {
-      dropped_total.fetch_add(ApplyScanBlooms(runtime_filters_, out),
-                              std::memory_order_relaxed);
-    }
+    Status s = table_->ScanPage(p, preds_, projection_, runtime_filters_,
+                                opts_, out, nullptr, &unit_stats[p]);
     if (!s.ok()) {
       std::lock_guard<std::mutex> lk(err_mu);
       if (first_error.ok()) first_error = s;
     }
   };
   if (opts_.exec_pool != nullptr && opts_.dop > 1) {
-    opts_.exec_pool->ParallelFor(n_units, scan_unit, opts_.dop, query_ctx());
+    RunOnPool(opts_.exec_pool, n_units, scan_unit, opts_.dop);
   } else {
     for (size_t p = 0; p < n_units; ++p) {
       scan_unit(p);
@@ -480,15 +428,25 @@ Status ParallelColumnScanOp::RunMorsels() {
   // reporting the morsel set complete, or a cancelled scan would surface as
   // a clean (but truncated) end-of-stream.
   DASHDB_RETURN_IF_ERROR(CheckQueryAlive());
+  const size_t dropped0 = stats_.bloom_dropped;
   for (const auto& s : unit_stats) {
     stats_.pages_visited += s.pages_visited;
     stats_.pages_skipped += s.pages_skipped;
     stats_.strides_skipped += s.strides_skipped;
     stats_.rows_matched += s.rows_matched;
+    stats_.bloom_dropped += s.bloom_dropped;
   }
-  bloom_dropped_ += dropped_total.load(std::memory_order_relaxed);
-  GlobalExecInstruments().bloom_rows_dropped->Add(
-      dropped_total.load(std::memory_order_relaxed));
+  GlobalExecInstruments().bloom_rows_dropped->Add(stats_.bloom_dropped -
+                                                  dropped0);
+  // Every decoded page is now held at once: charge it (NextImpl releases
+  // each slot as it leaves).
+  int64_t held = 0;
+  for (const RowBatch& slot : results_) held += BatchMemoryBytes(slot);
+  Status charged = ChargeMemory(held, "parallel scan pages");
+  if (!charged.ok()) {
+    results_.clear();
+    return charged;
+  }
   ran_ = true;
   return Status::OK();
 }
@@ -498,6 +456,7 @@ Result<bool> ParallelColumnScanOp::NextImpl(RowBatch* out) {
   while (next_slot_ < results_.size()) {
     RowBatch& slot = results_[next_slot_];
     ++next_slot_;
+    ReleaseMemory(BatchMemoryBytes(slot));
     if (slot.num_rows() > 0) {
       *out = std::move(slot);
       return true;
@@ -788,7 +747,7 @@ Status HashJoinOp::BuildSide() {
   const bool parallel = ParallelBuildEligible(n);
   auto run = [&](size_t count, const std::function<void(size_t)>& f) {
     if (parallel) {
-      ctx_->pool->ParallelFor(count, f, ctx_->dop, query_ctx());
+      RunOnPool(ctx_->pool, count, f, ctx_->dop);
     } else {
       for (size_t i = 0; i < count; ++i) f(i);
     }
@@ -1172,11 +1131,15 @@ void HashAggOp::Consume(size_t m, Partial* p) {
   uint32_t* gids = p->gids.data();
   bool inserted = false;
   if (int_key_) {
+    // Keys read straight off the payload; the NULL test runs only when the
+    // key column has NULLs.
     const ColumnVector& kc = *b.cols[0];
+    const int64_t* keys = kc.ints().data() + lo;
+    const bool nulls = kc.has_nulls();
     for (size_t j = 0; j < n; ++j) {
-      gids[j] = kc.IsNull(lo + j)
+      gids[j] = nulls && kc.IsNull(lo + j)
                     ? p->ints.FindOrInsertNull(&inserted)
-                    : p->ints.FindOrInsert(kc.GetInt(lo + j), &inserted);
+                    : p->ints.FindOrInsert(keys[j], &inserted);
       if (inserted) new_group(j);
     }
   } else if (group_exprs_.empty()) {
@@ -1212,8 +1175,9 @@ void HashAggOp::Consume(size_t m, Partial* p) {
       }
     }
   }
-  // Phase 2: each aggregate folds its argument column into the states,
-  // on raw payloads where the state allows it.
+  // Phase 2: each aggregate folds its argument column into the states: a
+  // typed loop per aggregate kind over a numeric payload, boxed Values
+  // otherwise.
   for (size_t a = 0; a < A; ++a) {
     AggState* st = p->states.data() + a;
     const AggSpec& spec = aggs_[a];
@@ -1228,18 +1192,13 @@ void HashAggOp::Consume(size_t m, Partial* p) {
                        spec.kind != AggKind::kCovarSamp &&
                        x->type() != TypeId::kVarchar;
     if (typed) {
-      const bool is_int = x->type() != TypeId::kDouble;
-      for (size_t j = 0; j < n; ++j) {
-        if (x->IsNull(lo + j)) continue;
-        st[gids[j] * A].AddNumericFast(x->GetDouble(lo + j),
-                                       is_int ? x->GetInt(lo + j) : 0, is_int);
-      }
-    } else {
-      const Value none = Value::Null(TypeId::kInt64);
-      for (size_t j = 0; j < n; ++j) {
-        st[gids[j] * A].Add(x ? x->GetValue(lo + j) : none,
-                            y ? y->GetValue(lo + j) : none);
-      }
+      AggState::Fold(spec, st, A, gids, *x, lo, n);
+      continue;
+    }
+    const Value none = Value::Null(TypeId::kInt64);
+    for (size_t j = 0; j < n; ++j) {
+      st[gids[j] * A].Add(x ? x->GetValue(lo + j) : none,
+                          y ? y->GetValue(lo + j) : none);
     }
   }
 }
@@ -1312,12 +1271,12 @@ Status HashAggOp::Merge(std::vector<RowBatch>* outs,
     merge_shard(0);
     return Status::OK();
   }
-  ctx_->pool->ParallelFor(M, merge_shard, ctx_->dop, query_ctx());
+  RunOnPool(ctx_->pool, M, merge_shard, ctx_->dop);
   // The partials are large exactly when the merge fans out; free them on
   // the pool too.
-  ctx_->pool->ParallelFor(
-      partials_.size(), [this](size_t w) { partials_[w] = Partial(); },
-      ctx_->dop, query_ctx());
+  RunOnPool(
+      ctx_->pool, partials_.size(),
+      [this](size_t w) { partials_[w] = Partial(); }, ctx_->dop);
   return CheckQueryAlive();
 }
 

@@ -3,6 +3,7 @@
 // hash aggregation, sort, limit, values, union.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -30,10 +31,10 @@ struct OutputCol {
 /// Wall/CPU time is cumulative over the operator's subtree (a parent's
 /// Next() nests its children's), so "self" time is wall minus the sum of
 /// the children's wall; EXPLAIN ANALYZE renders both. CPU time is the
-/// calling thread's (CLOCK_THREAD_CPUTIME_ID) only: work a parallel
-/// operator hands to pool helpers (scan morsels, join build partitions and
-/// probe batches, aggregation partials) is in wall_seconds but not in
-/// cpu_seconds.
+/// calling thread's (CLOCK_THREAD_CPUTIME_ID) plus the thread CPU of every
+/// pool helper that ran the operator's tasks (scan morsels, join build
+/// partitions, input-window tasks, merges) through RunOnPool; each helper
+/// reads its clock once per task, not per morsel.
 struct OperatorMetrics {
   uint64_t open_calls = 0;
   uint64_t next_calls = 0;
@@ -137,6 +138,13 @@ class Operator {
   /// join's probe window); same threading rule as ChargeMemory.
   void ReleaseMemory(int64_t bytes);
 
+  /// Runs pool->ParallelFor(n, fn, dop) under this operator's query
+  /// context, and counts the helpers' thread CPU into cpu_seconds (of this
+  /// operator and, through the wrappers, of its ancestors). Call from the
+  /// operator's own execution thread.
+  void RunOnPool(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn, int dop);
+
   /// The governor probe available to operator internals that loop without
   /// pulling a child (morsel workers, build loops).
   Status CheckQueryAlive() {
@@ -175,18 +183,6 @@ class ScannableStorage : public StorageObject {
       const std::vector<int>& projection) const = 0;
 };
 
-/// Hash of cell r of a join key column (NULL has its own hash).
-uint64_t HashCell(const ColumnVector& cv, size_t r);
-
-/// A Bloom filter pushed sideways into a scan (semi-join reduction): rows
-/// whose `col` cell hash misses the filter are dropped at emit time. The
-/// cell hash is HashCell, so any filter built over join-build keys
-/// (locally or on another MPP node) composes with any scan.
-struct ScanRuntimeFilter {
-  int col = 0;  ///< scan output-column index
-  std::shared_ptr<const BloomPrefilter> bloom;
-};
-
 /// Walks a drained plan and, for every node carrying a planner estimate,
 /// records log2(actual / estimated) into the `exec.card_est_error`
 /// histogram (0 = perfect, ±1 = off by 2x, ...).
@@ -221,7 +217,6 @@ class ColumnScanOp : public Operator {
   size_t next_page_ = 0;
   ScanStats stats_;
   std::vector<ScanRuntimeFilter> runtime_filters_;
-  uint64_t bloom_dropped_ = 0;
 };
 
 /// Morsel-driven parallel scan over a column-organized table (paper II.B.6:
@@ -230,7 +225,9 @@ class ColumnScanOp : public Operator {
 /// degree `opts.dop`; each worker evaluates predicates and decodes the
 /// projection into a per-page slot, so emitted batches keep exact page
 /// order and results are identical to the serial ColumnScanOp. Per-worker
-/// ScanStats are merged when the fan-out completes.
+/// ScanStats are merged when the fan-out completes. The filled slots are
+/// charged to the statement's memory budget at that point, and each slot's
+/// charge is released as it is emitted.
 class ParallelColumnScanOp : public ColumnScanOp {
  public:
   using ColumnScanOp::ColumnScanOp;

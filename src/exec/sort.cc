@@ -140,7 +140,7 @@ Status SortOp::ParallelOrder(const RowBatch& all,
   if (R == 1) {
     sort_run(0);
   } else {
-    ctx_->pool->ParallelFor(R, sort_run, ctx_->dop, query_ctx());
+    RunOnPool(ctx_->pool, R, sort_run, ctx_->dop);
   }
   DASHDB_RETURN_IF_ERROR(CheckQueryAlive());
   int64_t key_bytes = 0;
@@ -248,7 +248,7 @@ Status SortOp::ParallelOrder(const RowBatch& all,
       }
     }
   };
-  ctx_->pool->ParallelFor(S, merge_segment, ctx_->dop, qctx);
+  RunOnPool(ctx_->pool, S, merge_segment, ctx_->dop);
   DASHDB_RETURN_IF_ERROR(CheckQueryAlive());
   return first_err;
 }

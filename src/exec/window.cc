@@ -85,9 +85,8 @@ Status InputWindow::Run(size_t tasks,
   if (ctx_->parallel() && tasks >= 2 && morsels_.size() >= 2 &&
       rows_ >= kParallelMinRows) {
     ++fanouts_;
-    ctx_->pool->ParallelFor(
-        tasks, task, static_cast<int>(std::min<size_t>(ctx_->dop, tasks)),
-        owner_->query_ctx());
+    owner_->RunOnPool(ctx_->pool, tasks, task,
+                      static_cast<int>(std::min<size_t>(ctx_->dop, tasks)));
     // A governed ParallelFor abandons its tail on cancel/timeout without an
     // error: re-probe, or a cancelled operator would go on with a window
     // that was only partly consumed.

@@ -1,7 +1,9 @@
 #include "storage/column_page.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 
 #include "simd/swar.h"
 
@@ -468,63 +470,156 @@ void EvalDoubleRange(const ColumnPage& page, double lo, bool has_lo,
   }
 }
 
+namespace {
+
+/// Where a decoded page row lands in the output: its rank among the
+/// selected rows, from per-word prefix counts of the selection (identity
+/// when every row is selected).
+class RowSlots {
+ public:
+  RowSlots(const BitVector* sel, size_t n) {
+    full_ = sel == nullptr || sel->CountSet() == n;
+    if (full_) {
+      count_ = n;
+      return;
+    }
+    words_ = sel->words();
+    prefix_.resize(sel->word_count() + 1, 0);
+    for (size_t w = 0; w < sel->word_count(); ++w) {
+      prefix_[w + 1] = prefix_[w] + std::popcount(words_[w]);
+    }
+    count_ = prefix_.back();
+  }
+
+  bool full() const { return full_; }
+  size_t count() const { return count_; }
+  bool selected(size_t i) const {
+    return full_ || ((words_[i >> 6] >> (i & 63)) & 1);
+  }
+  /// Output slot of selected row i.
+  size_t slot(size_t i) const {
+    if (full_) return i;
+    const uint64_t below = words_[i >> 6] & ((uint64_t{1} << (i & 63)) - 1);
+    return prefix_[i >> 6] + std::popcount(below);
+  }
+
+ private:
+  bool full_ = true;
+  size_t count_ = 0;
+  const uint64_t* words_ = nullptr;
+  std::vector<uint32_t> prefix_;
+};
+
+/// Writes the selected rows of a row-order code array to dst, mapping each
+/// code through `value_of`. A full selection decodes straight into dst; a
+/// partial one decodes only the 64-row blocks holding selected rows.
+template <typename ValueOf>
+void DecodeRowOrder(const BitPackedArray& codes, size_t n, const BitVector* sel,
+                    const RowSlots& slots, int64_t* dst, ValueOf value_of) {
+  if (slots.full()) {
+    uint64_t* raw = reinterpret_cast<uint64_t*>(dst);
+    codes.Decode(0, n, raw);
+    for (size_t i = 0; i < n; ++i) dst[i] = value_of(raw[i]);
+    return;
+  }
+  uint64_t block[64];
+  size_t loaded = SIZE_MAX;
+  size_t j = 0;
+  sel->ForEachSet([&](size_t i) {
+    if ((i >> 6) != loaded) {
+      loaded = i >> 6;
+      const size_t b = loaded * 64;
+      codes.Decode(b, std::min<size_t>(64, n - b), block);
+    }
+    dst[j++] = value_of(block[i & 63]);
+  });
+}
+
+/// Copies the selected rows of a raw row-order payload to dst.
+template <typename T>
+void CopySelected(const std::vector<T>& src, size_t n, const BitVector* sel,
+                  const RowSlots& slots, T* dst) {
+  if (slots.full()) {
+    std::copy(src.begin(), src.begin() + n, dst);
+    return;
+  }
+  size_t j = 0;
+  sel->ForEachSet([&](size_t i) { dst[j++] = src[i]; });
+}
+
+/// Marks the page's selected NULL rows in `out`, whose slot 0 is `first`.
+void MarkNulls(const ColumnPage& page, const RowSlots& slots, size_t first,
+               ColumnVector* out) {
+  if (!page.has_nulls) return;
+  page.nulls.ForEachSet([&](size_t i) {
+    if (slots.selected(i)) out->SetNull(first + slots.slot(i));
+  });
+}
+
+/// Rows decoded per cell chunk (stack buffers, no page temporaries).
+constexpr size_t kCellChunk = 256;
+
+}  // namespace
+
 void DecodeIntPage(const ColumnPage& page, const IntFrequencyDict* dict,
                    const BitVector* sel, ColumnVector* out) {
   const size_t n = page.num_rows;
-  auto emit = [&](auto value_at) {
-    for (size_t i = 0; i < n; ++i) {
-      if (sel && !sel->Get(i)) continue;
-      if (page.has_nulls && page.nulls.Get(i)) {
-        out->AppendNull();
-      } else {
-        out->AppendInt(value_at(i));
-      }
-    }
-  };
+  const RowSlots slots(sel, n);
+  if (slots.count() == 0) return;
+  const size_t first = out->size();
+  int64_t* dst = out->ExtendInts(slots.count());
   switch (page.encoding) {
     case PageEncoding::kFrequencyInt: {
-      std::vector<int64_t> vals(n, 0);
+      // Cells scatter through their tuple maps; NULL rows belong to no
+      // cell and keep the zero the payload was grown with.
+      uint64_t codes[kCellChunk], offs[kCellChunk];
       for (const auto& cell : page.cells) {
+        const std::vector<int64_t>& vals =
+            dict->partition_values(cell.partition);
         const size_t cn = cell.codes.size();
-        for (size_t i = 0; i < cn; ++i) {
-          vals[cell.offsets.Get(i)] =
-              dict->Decode(cell.partition,
-                           static_cast<uint32_t>(cell.codes.Get(i)));
+        for (size_t b = 0; b < cn; b += kCellChunk) {
+          const size_t m = std::min(kCellChunk, cn - b);
+          cell.codes.Decode(b, m, codes);
+          cell.offsets.Decode(b, m, offs);
+          if (slots.full()) {
+            for (size_t k = 0; k < m; ++k) dst[offs[k]] = vals[codes[k]];
+          } else {
+            for (size_t k = 0; k < m; ++k) {
+              if (slots.selected(offs[k])) {
+                dst[slots.slot(offs[k])] = vals[codes[k]];
+              }
+            }
+          }
         }
       }
-      for (size_t i = 0; i < page.exc_ints.size(); ++i) {
-        vals[page.exc_offsets[i]] = page.exc_ints[i];
-      }
-      emit([&](size_t i) { return vals[i]; });
       break;
     }
     case PageEncoding::kDictInt: {
-      // Exception overrides first (rows with code 0 that are not NULL).
-      std::vector<std::pair<uint32_t, int64_t>> exc;
-      exc.reserve(page.exc_ints.size());
-      for (size_t i = 0; i < page.exc_ints.size(); ++i) {
-        exc.emplace_back(page.exc_offsets[i], page.exc_ints[i]);
-      }
-      size_t next_exc = 0;
-      emit([&](size_t i) {
-        while (next_exc < exc.size() && exc[next_exc].first < i) ++next_exc;
-        if (next_exc < exc.size() && exc[next_exc].first == i) {
-          return exc[next_exc].second;
-        }
-        return dict->Decode(
-            0, static_cast<uint32_t>(page.ordered_codes.Get(i)));
+      // NULL and exception rows hold code 0; they are overwritten below.
+      const std::vector<int64_t>& vals = dict->partition_values(0);
+      if (vals.empty()) break;  // every row is NULL or an exception
+      DecodeRowOrder(page.ordered_codes, n, sel, slots, dst,
+                     [&vals](uint64_t c) { return vals[c]; });
+      break;
+    }
+    case PageEncoding::kFor: {
+      const uint64_t base = static_cast<uint64_t>(page.fo.base);
+      DecodeRowOrder(page.fo.codes, n, sel, slots, dst, [base](uint64_t c) {
+        return static_cast<int64_t>(base + c);
       });
       break;
     }
-    case PageEncoding::kFor:
-      emit([&](size_t i) { return page.fo.Get(i); });
-      break;
     case PageEncoding::kRawInt:
-      emit([&](size_t i) { return page.raw_ints[i]; });
+      CopySelected(page.raw_ints, n, sel, slots, dst);
       break;
     default:
       assert(false && "DecodeIntPage on non-integer page");
   }
+  for (size_t e = 0; e < page.exc_ints.size(); ++e) {
+    const uint32_t off = page.exc_offsets[e];
+    if (slots.selected(off)) dst[slots.slot(off)] = page.exc_ints[e];
+  }
+  MarkNulls(page, slots, first, out);
 }
 
 void DecodeStringPage(const ColumnPage& page, const StringFrequencyDict* dict,
@@ -592,14 +687,13 @@ void DecodeStringPage(const ColumnPage& page, const StringFrequencyDict* dict,
 void DecodeDoublePage(const ColumnPage& page, const BitVector* sel,
                       ColumnVector* out) {
   assert(page.encoding == PageEncoding::kRawDouble);
-  for (size_t i = 0; i < page.num_rows; ++i) {
-    if (sel && !sel->Get(i)) continue;
-    if (page.has_nulls && page.nulls.Get(i)) {
-      out->AppendNull();
-    } else {
-      out->AppendDouble(page.raw_doubles[i]);
-    }
-  }
+  const size_t n = page.num_rows;
+  const RowSlots slots(sel, n);
+  if (slots.count() == 0) return;
+  const size_t first = out->size();
+  CopySelected(page.raw_doubles, n, sel, slots,
+               out->ExtendDoubles(slots.count()));
+  MarkNulls(page, slots, first, out);
 }
 
 }  // namespace dashdb

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 
 #include "compression/dict_codes.h"
@@ -376,13 +377,7 @@ Value ColumnTable::GetCellLocked(uint64_t row_id, int col) const {
   BitVector sel(page.num_rows);
   sel.Set(off);
   ColumnVector out(t);
-  if (t == TypeId::kDouble) {
-    DecodeDoublePage(page, &sel, &out);
-  } else if (t == TypeId::kVarchar) {
-    DecodeStringPage(page, cd.str_dict.get(), &sel, &out);
-  } else {
-    DecodeIntPage(page, cd.int_dict.get(), &sel, &out);
-  }
+  DecodeColumn(col, p, sel, &out);
   return out.GetValue(0);
 }
 
@@ -481,6 +476,57 @@ void ColumnTable::EvalPredsOnPage(const std::vector<ColumnPredicate>& preds,
   }
 }
 
+void ColumnTable::DecodeColumn(int col, size_t page_no, const BitVector& sel,
+                               ColumnVector* out) const {
+  const ColumnData& cd = columns_[col];
+  const ColumnPage& page = *cd.pages[page_no];
+  const TypeId t = schema_.column(col).type;
+  if (t == TypeId::kDouble) {
+    DecodeDoublePage(page, &sel, out);
+  } else if (t == TypeId::kVarchar) {
+    DecodeStringPage(page, cd.str_dict.get(), &sel, out);
+  } else {
+    DecodeIntPage(page, cd.int_dict.get(), &sel, out);
+  }
+}
+
+size_t ColumnTable::ApplyRuntimeFilters(
+    const std::vector<ScanRuntimeFilter>& filters,
+    const std::vector<int>& projection, size_t page_no,
+    BitVector* match) const {
+  size_t dropped = 0;
+  uint64_t* words = match->mutable_words();
+  for (const ScanRuntimeFilter& f : filters) {
+    // The key column is decoded for the rows still matching, in row order,
+    // so key j belongs to the j-th set bit. Misses clear their bits without
+    // a branch, one bitmap word at a time.
+    const int c = projection[f.col];
+    ColumnVector keys(schema_.column(c).type);
+    DecodeColumn(c, page_no, *match, &keys);
+    const BloomPrefilter& bloom = *f.bloom;
+    auto drop_misses = [&](auto hash_of) {
+      size_t j = 0;
+      for (size_t wi = 0; wi < match->word_count(); ++wi) {
+        uint64_t keep = words[wi];
+        for (uint64_t w = keep; w != 0; w &= w - 1) {
+          const uint64_t miss = !bloom.MayContain(hash_of(j++));
+          keep &= ~(miss << std::countr_zero(w));
+        }
+        dropped += std::popcount(words[wi] ^ keep);
+        words[wi] = keep;
+      }
+    };
+    if (IsIntegerBacked(keys.type()) && !keys.has_nulls()) {
+      const int64_t* v = keys.ints().data();
+      drop_misses(
+          [v](size_t j) { return HashInt64(static_cast<uint64_t>(v[j])); });
+    } else {
+      drop_misses([&keys](size_t j) { return HashCell(keys, j); });
+    }
+  }
+  return dropped;
+}
+
 void ColumnTable::DecodeProjection(const std::vector<int>& projection,
                                    size_t page_no, const BitVector& sel,
                                    bool attach_codes, RowBatch* out) const {
@@ -488,16 +534,9 @@ void ColumnTable::DecodeProjection(const std::vector<int>& projection,
     int c = projection[k];
     const ColumnData& cd = columns_[c];
     const ColumnPage& page = *cd.pages[page_no];
-    TypeId t = schema_.column(c).type;
     ColumnVector* cv = &out->columns[k];
     const bool was_empty = cv->size() == 0;
-    if (t == TypeId::kDouble) {
-      DecodeDoublePage(page, &sel, cv);
-    } else if (t == TypeId::kVarchar) {
-      DecodeStringPage(page, cd.str_dict.get(), &sel, cv);
-    } else {
-      DecodeIntPage(page, cd.int_dict.get(), &sel, cv);
-    }
+    DecodeColumn(c, page_no, sel, cv);
     // Keep the dictionary codes alongside the decoded values when they stay
     // row-aligned: every page row selected, single-partition row-order
     // codes, no exception rows. Appends reset the sidecar, so set it last.
@@ -551,6 +590,7 @@ bool RowMatches(const ColumnPredicate& pred, TypeId t, const ColumnVector& cv,
 Status ColumnTable::ScanPage(size_t page_no,
                              const std::vector<ColumnPredicate>& preds,
                              const std::vector<int>& projection,
+                             const std::vector<ScanRuntimeFilter>& filters,
                              const ScanOptions& opts, RowBatch* out,
                              std::vector<uint64_t>* ids,
                              ScanStats* stats) const {
@@ -564,6 +604,12 @@ Status ColumnTable::ScanPage(size_t page_no,
       return Status::InvalidArgument("projection column out of range");
     }
   }
+  for (const auto& f : filters) {
+    if (f.col < 0 || static_cast<size_t>(f.col) >= projection.size() ||
+        !f.bloom) {
+      return Status::InvalidArgument("runtime filter column out of range");
+    }
+  }
   if (page_no > num_pages_) return Status::OutOfRange("page out of range");
   if (page_no == num_pages_) {
     // Tail region (uncompressed, value-domain predicates).
@@ -574,7 +620,7 @@ Status ColumnTable::ScanPage(size_t page_no,
           tail_n * 8 * (preds.size() + projection.size() + 1)));
     }
     const size_t tail_start = row_count_ - tail_n;
-    size_t matched = 0;
+    size_t matched = 0, dropped = 0;
     for (size_t i = 0; i < tail_n; ++i) {
       if (deleted_.Get(tail_start + i)) continue;
       bool ok = true;
@@ -586,13 +632,27 @@ Status ColumnTable::ScanPage(size_t page_no,
         }
       }
       if (!ok) continue;
+      ++matched;
+      for (const auto& f : filters) {
+        if (!f.bloom->MayContain(
+                HashCell(tail_.columns[projection[f.col]], i))) {
+          ok = false;
+          break;
+        }
+      }
+      if (!ok) {
+        ++dropped;
+        continue;
+      }
       for (size_t k = 0; k < projection.size(); ++k) {
         out->columns[k].AppendFrom(tail_.columns[projection[k]], i);
       }
       if (ids) ids->push_back(tail_start + i);
-      ++matched;
     }
-    if (stats) stats->rows_matched += matched;
+    if (stats) {
+      stats->rows_matched += matched;
+      stats->bloom_dropped += dropped;
+    }
     return Status::OK();
   }
   const size_t p = page_no;
@@ -616,6 +676,12 @@ Status ColumnTable::ScanPage(size_t page_no,
   if (hits == 0) return Status::OK();
   if (stats) stats->rows_matched += hits;
   for (int c : projection) ChargePool(opts.pool, c, p);
+  if (!filters.empty()) {
+    const size_t dropped = ApplyRuntimeFilters(filters, projection, p, &match);
+    if (stats) stats->bloom_dropped += dropped;
+    hits -= dropped;
+    if (hits == 0) return Status::OK();
+  }
   DecodeProjection(projection, p, match,
                    opts.operate_on_compressed && hits == n_rows, out);
   if (ids) {
@@ -636,7 +702,7 @@ Status ColumnTable::Scan(
     for (int c : projection) out.columns.emplace_back(schema_.column(c).type);
     std::vector<uint64_t> ids;
     DASHDB_RETURN_IF_ERROR(
-        ScanPage(p, preds, projection, opts, &out, &ids, stats));
+        ScanPage(p, preds, projection, {}, opts, &out, &ids, stats));
     if (!ids.empty() || out.num_rows() > 0) emit(out, ids);
   }
   return Status::OK();
@@ -664,7 +730,7 @@ Result<size_t> ColumnTable::CountRows(const std::vector<ColumnPredicate>& preds,
     RowBatch scratch;
     ScanStats ps;
     DASHDB_RETURN_IF_ERROR(
-        ScanPage(p, preds, {}, opts, &scratch, nullptr, &ps));
+        ScanPage(p, preds, {}, {}, opts, &scratch, nullptr, &ps));
     count += ps.rows_matched;
     if (stats) {
       stats->pages_visited += ps.pages_visited;

@@ -21,6 +21,7 @@
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
 #include "common/column_vector.h"
+#include "common/flat_hash.h"
 #include "common/status.h"
 #include "storage/column_page.h"
 #include "synopsis/synopsis.h"
@@ -65,12 +66,24 @@ struct ScanOptions {
   bool shared_scan = false;
 };
 
+/// A Bloom filter pushed sideways into a scan (semi-join reduction): rows
+/// whose `col` cell hash misses the filter are cleared from the page's match
+/// bitmap before the rest of the projection is decoded. The cell hash is
+/// HashCell, so any filter built over join-build keys (locally or on
+/// another MPP node) composes with any scan. NULL keys hash to the NULL
+/// sentinel, which join builds never add.
+struct ScanRuntimeFilter {
+  int col = 0;  ///< index into the scan's projection
+  std::shared_ptr<const BloomPrefilter> bloom;
+};
+
 /// Per-scan observability counters.
 struct ScanStats {
   size_t pages_visited = 0;
   size_t pages_skipped = 0;     ///< all strides of the page were skippable
   size_t strides_skipped = 0;
-  size_t rows_matched = 0;
+  size_t rows_matched = 0;      ///< rows passing the predicates
+  size_t bloom_dropped = 0;     ///< matched rows a runtime filter dropped
 };
 
 /// Optimizer-facing statistics for one column, derived from data the
@@ -130,13 +143,16 @@ class ColumnTable : public StorageObject {
               ScanStats* stats = nullptr) const;
 
   /// Page-at-a-time scan step for pull-based executors: evaluates `preds`
-  /// on page `page_no` (pass num_pages() for the tail region) and appends
-  /// matching rows to *out / *ids. *out must carry one ColumnVector per
-  /// projected column.
+  /// on page `page_no` (pass num_pages() for the tail region), then the
+  /// runtime `filters` on the matched rows' key columns, and appends the
+  /// surviving rows to *out / *ids. Only the key columns are decoded for
+  /// rows a filter drops. *out must carry one ColumnVector per projected
+  /// column.
   Status ScanPage(size_t page_no, const std::vector<ColumnPredicate>& preds,
-                  const std::vector<int>& projection, const ScanOptions& opts,
-                  RowBatch* out, std::vector<uint64_t>* ids,
-                  ScanStats* stats = nullptr) const;
+                  const std::vector<int>& projection,
+                  const std::vector<ScanRuntimeFilter>& filters,
+                  const ScanOptions& opts, RowBatch* out,
+                  std::vector<uint64_t>* ids, ScanStats* stats = nullptr) const;
 
   /// Fast COUNT(*) with predicates: zero predicates count from page-row
   /// metadata; a single predicate on an integer-backed column counts
@@ -202,6 +218,16 @@ class ColumnTable : public StorageObject {
   /// page is skippable.
   bool ApplySynopsis(const std::vector<ColumnPredicate>& preds, size_t page_no,
                      BitVector* match, ScanStats* stats) const;
+
+  /// Appends the `sel` rows of column `col` on page `page_no` to *out.
+  void DecodeColumn(int col, size_t page_no, const BitVector& sel,
+                    ColumnVector* out) const;
+
+  /// Clears the `match` bits whose filter key misses a runtime filter
+  /// (page_no < num_pages()); returns the number of bits cleared.
+  size_t ApplyRuntimeFilters(const std::vector<ScanRuntimeFilter>& filters,
+                             const std::vector<int>& projection,
+                             size_t page_no, BitVector* match) const;
 
   /// `attach_codes` keeps the dictionary-code sidecar on fully-selected
   /// kDict* pages so downstream filters can operate on compressed.

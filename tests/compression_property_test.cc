@@ -6,7 +6,10 @@
 // generator is seeded through common/rng.h so a failure replays exactly.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitutil.h"
@@ -228,6 +231,290 @@ TEST(CompressionPropertyTest, StringDictAndPageRoundTrip) {
   for (size_t i = 0; i < values.size(); ++i) {
     ASSERT_EQ(out.IsNull(i), static_cast<bool>(nulls.Get(i))) << "row " << i;
     if (!nulls.Get(i)) EXPECT_EQ(out.GetString(i), values[i]) << "row " << i;
+  }
+}
+
+// ------------------------------------------------ page decode kernel --
+//
+// DecodeIntPage / DecodeDoublePage decode whole words into the output
+// payload. The oracle below is the per-row, Get-based decoder they
+// replaced; it lives only here.
+
+/// Reference decoder: one BitPackedArray::Get (a divide and a modulo) and
+/// one append per row.
+void ReferenceDecodeIntPage(const ColumnPage& page,
+                            const IntFrequencyDict* dict, const BitVector* sel,
+                            ColumnVector* out) {
+  const size_t n = page.num_rows;
+  std::vector<int64_t> vals(n, 0);
+  switch (page.encoding) {
+    case PageEncoding::kFrequencyInt:
+      for (const auto& cell : page.cells) {
+        for (size_t i = 0; i < cell.codes.size(); ++i) {
+          vals[cell.offsets.Get(i)] = dict->Decode(
+              cell.partition, static_cast<uint32_t>(cell.codes.Get(i)));
+        }
+      }
+      break;
+    case PageEncoding::kDictInt:
+      for (size_t i = 0; i < n; ++i) {
+        if (page.has_nulls && page.nulls.Get(i)) continue;
+        vals[i] =
+            dict->Decode(0, static_cast<uint32_t>(page.ordered_codes.Get(i)));
+      }
+      break;
+    case PageEncoding::kFor:
+      for (size_t i = 0; i < n; ++i) vals[i] = page.fo.Get(i);
+      break;
+    case PageEncoding::kRawInt:
+      for (size_t i = 0; i < n; ++i) vals[i] = page.raw_ints[i];
+      break;
+    default:
+      FAIL() << "not an integer page";
+  }
+  for (size_t e = 0; e < page.exc_ints.size(); ++e) {
+    vals[page.exc_offsets[e]] = page.exc_ints[e];
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (sel && !sel->Get(i)) continue;
+    if (page.has_nulls && page.nulls.Get(i)) {
+      out->AppendNull();
+    } else {
+      out->AppendInt(vals[i]);
+    }
+  }
+}
+
+/// Expects byte-identical columns: size, null bitmap and payload (a NULL
+/// row's payload included).
+void ExpectSameColumn(const ColumnVector& got, const ColumnVector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.null_count(), want.null_count());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.IsNull(i), want.IsNull(i)) << "row " << i;
+    if (want.type() == TypeId::kDouble) {
+      ASSERT_EQ(got.doubles()[i], want.doubles()[i]) << "row " << i;
+    } else {
+      ASSERT_EQ(got.ints()[i], want.ints()[i]) << "row " << i;
+    }
+  }
+}
+
+/// Code of `width` bits below `limit` (0 = no limit beyond the width).
+uint64_t RandomCode(Rng* rng, int width, uint64_t limit) {
+  uint64_t c = rng->Next();
+  if (width < 64) c &= (uint64_t{1} << width) - 1;
+  return limit != 0 ? c % limit : c;
+}
+
+/// The four selections every page is decoded under: none, a sparse and a
+/// dense random subset, and all rows (as a bitmap and as nullptr).
+std::vector<std::pair<std::string, std::optional<BitVector>>> Selections(
+    size_t n, Rng* rng) {
+  std::vector<std::pair<std::string, std::optional<BitVector>>> out;
+  out.emplace_back("empty", BitVector(n));
+  for (double density : {0.02, 0.6}) {
+    BitVector sel(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng->Bernoulli(density)) sel.Set(i);
+    }
+    out.emplace_back("partial_" + std::to_string(density), std::move(sel));
+  }
+  out.emplace_back("full_bitmap", BitVector(n, true));
+  out.emplace_back("full_nullptr", std::nullopt);
+  return out;
+}
+
+/// Page lengths around the codes-per-word boundaries of every width.
+const size_t kPageLengths[] = {0, 1, 63, 65, 1001, kPageRows};
+
+/// Builds a page of `encoding` whose code arrays are `width` bits wide,
+/// with NULL and (for the dictionary encodings) exception rows. `dict` is
+/// a multi-partition dictionary for kFrequencyInt, single-partition for
+/// kDictInt.
+std::unique_ptr<ColumnPage> MakeWidthPage(PageEncoding encoding, int width,
+                                          size_t n, bool nulls,
+                                          bool exceptions,
+                                          const IntFrequencyDict& dict,
+                                          Rng* rng) {
+  auto page = std::make_unique<ColumnPage>();
+  page->encoding = encoding;
+  page->num_rows = static_cast<uint32_t>(n);
+  page->nulls.Resize(n);
+  for (size_t i = 0; nulls && i < n; ++i) {
+    if (rng->Bernoulli(0.1)) page->nulls.Set(i);
+  }
+  page->has_nulls = page->nulls.AnySet();
+  // Exception rows: non-NULL rows whose value is outside the dictionary.
+  std::vector<bool> exc(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    if (exceptions && !page->nulls.Get(i) && rng->Bernoulli(0.05)) {
+      exc[i] = true;
+      page->exc_ints.push_back(-1000000 - static_cast<int64_t>(i));
+      page->exc_offsets.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  switch (encoding) {
+    case PageEncoding::kFrequencyInt: {
+      // Rows spread over the partitions whose codes fit the width.
+      std::vector<int> parts;
+      for (int p = 0; p < dict.num_partitions(); ++p) {
+        if (BitWidthFor(dict.partition_size(p) - 1) <= width) {
+          parts.push_back(p);
+        }
+      }
+      std::vector<ColumnPage::Cell> cells(parts.size());
+      const int off_w = BitWidthFor(n > 1 ? n - 1 : 1);
+      for (size_t k = 0; k < parts.size(); ++k) {
+        cells[k].partition = static_cast<uint8_t>(parts[k]);
+        cells[k].codes.ResetWidth(width);
+        cells[k].offsets.ResetWidth(off_w);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (page->nulls.Get(i) || exc[i]) continue;
+        ColumnPage::Cell& cell = cells[rng->Uniform(parts.size())];
+        cell.codes.Append(
+            RandomCode(rng, width, dict.partition_size(cell.partition)));
+        cell.offsets.Append(i);
+      }
+      for (auto& cell : cells) {
+        if (cell.codes.size() > 0) page->cells.push_back(std::move(cell));
+      }
+      break;
+    }
+    case PageEncoding::kDictInt:
+      page->ordered_codes.ResetWidth(width);
+      for (size_t i = 0; i < n; ++i) {
+        const bool coded = !page->nulls.Get(i) && !exc[i];
+        page->ordered_codes.Append(
+            coded ? RandomCode(rng, width, dict.partition_size(0)) : 0);
+      }
+      break;
+    case PageEncoding::kFor:
+      page->fo.base = static_cast<int64_t>(rng->Next());
+      page->fo.bit_width = width;
+      page->fo.codes.ResetWidth(width);
+      for (size_t i = 0; i < n; ++i) {
+        page->fo.codes.Append(page->nulls.Get(i) ? 0
+                                                 : RandomCode(rng, width, 0));
+      }
+      break;
+    case PageEncoding::kRawInt:
+      for (size_t i = 0; i < n; ++i) {
+        page->raw_ints.push_back(page->nulls.Get(i)
+                                     ? 0
+                                     : static_cast<int64_t>(rng->Next()));
+      }
+      break;
+    default:
+      break;
+  }
+  return page;
+}
+
+TEST(DecodeKernelPropertyTest, BitPackedDecodeMatchesGetAtAnyOffset) {
+  Rng rng(0xDEC0DE01);
+  for (int width = 1; width <= 64; ++width) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    BitPackedArray arr(width);
+    const size_t len = 7 * static_cast<size_t>(arr.codes_per_word()) + 5;
+    for (size_t i = 0; i < len; ++i) arr.Append(RandomCode(&rng, width, 0));
+    const size_t per = static_cast<size_t>(arr.codes_per_word());
+    // Begins at a word start, one past it, mid-word and on the last slot.
+    for (size_t begin : {size_t{0}, size_t{1}, per / 2, per - 1, per + per / 2,
+                         len - 1}) {
+      for (size_t count : {size_t{0}, size_t{1}, per, len - begin}) {
+        if (begin + count > len) continue;
+        std::vector<uint64_t> out(count + 1, 0xAAAAAAAAAAAAAAAAull);
+        arr.Decode(begin, count, out.data());
+        for (size_t k = 0; k < count; ++k) {
+          ASSERT_EQ(out[k], arr.Get(begin + k))
+              << "begin " << begin << " k " << k;
+        }
+        EXPECT_EQ(out[count], 0xAAAAAAAAAAAAAAAAull) << "wrote past count";
+      }
+    }
+  }
+}
+
+TEST(DecodeKernelPropertyTest, IntPageDecodeMatchesPerRowReference) {
+  Rng rng(0xDEC0DE02);
+  // 400 values: partitions of 2, 4, 16, 256 and 122 values.
+  std::vector<std::pair<int64_t, size_t>> freq;
+  for (int64_t v = 0; v < 400; ++v) {
+    freq.emplace_back(v * 37 - 5000, static_cast<size_t>(1000 - v));
+  }
+  const IntFrequencyDict multi = IntFrequencyDict::Build(freq);
+  const IntFrequencyDict single = IntFrequencyDict::BuildSinglePartition(freq);
+  ASSERT_GE(multi.num_partitions(), 5);
+  for (PageEncoding enc :
+       {PageEncoding::kFrequencyInt, PageEncoding::kDictInt,
+        PageEncoding::kFor, PageEncoding::kRawInt}) {
+    const IntFrequencyDict* dict =
+        enc == PageEncoding::kFrequencyInt ? &multi
+        : enc == PageEncoding::kDictInt    ? &single
+                                           : nullptr;
+    const bool dict_enc = dict != nullptr;
+    for (int width = 1; width <= 64; ++width) {
+      for (size_t n : kPageLengths) {
+        for (int shape = 0; shape < 4; ++shape) {
+          const bool nulls = shape & 1;
+          const bool exceptions = dict_enc && (shape & 2);
+          if (!dict_enc && (shape & 2)) continue;
+          auto page = MakeWidthPage(enc, width, n, nulls, exceptions,
+                                    dict ? *dict : multi, &rng);
+          for (const auto& [label, sel] : Selections(n, &rng)) {
+            SCOPED_TRACE("encoding " + std::to_string(static_cast<int>(enc)) +
+                         " width " + std::to_string(width) + " rows " +
+                         std::to_string(n) + " nulls " +
+                         std::to_string(nulls) + " exceptions " +
+                         std::to_string(exceptions) + " sel " + label);
+            const BitVector* s = sel ? &*sel : nullptr;
+            // Both decoders append after rows already in the column.
+            ColumnVector got(TypeId::kInt64), want(TypeId::kInt64);
+            for (ColumnVector* c : {&got, &want}) {
+              c->AppendInt(7);
+              c->AppendNull();
+            }
+            DecodeIntPage(*page, dict, s, &got);
+            ReferenceDecodeIntPage(*page, dict, s, &want);
+            ExpectSameColumn(got, want);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DecodeKernelPropertyTest, DoublePageDecodeMatchesPerRowReference) {
+  Rng rng(0xDEC0DE03);
+  for (size_t n : kPageLengths) {
+    for (bool nulls : {false, true}) {
+      std::vector<double> values(n);
+      BitVector null_bits(n);
+      for (size_t i = 0; i < n; ++i) {
+        values[i] = rng.NextDouble() * 1e6 - 5e5;
+        if (nulls && rng.Bernoulli(0.1)) null_bits.Set(i);
+      }
+      auto page = BuildDoublePage(values.data(), n, nulls ? &null_bits : nullptr,
+                                  0);
+      for (const auto& [label, sel] : Selections(n, &rng)) {
+        SCOPED_TRACE("rows " + std::to_string(n) + " nulls " +
+                     std::to_string(nulls) + " sel " + label);
+        ColumnVector got(TypeId::kDouble), want(TypeId::kDouble);
+        DecodeDoublePage(*page, sel ? &*sel : nullptr, &got);
+        for (size_t i = 0; i < n; ++i) {
+          if (sel && !sel->Get(i)) continue;
+          if (page->has_nulls && page->nulls.Get(i)) {
+            want.AppendNull();
+          } else {
+            want.AppendDouble(page->raw_doubles[i]);
+          }
+        }
+        ExpectSameColumn(got, want);
+      }
+    }
   }
 }
 

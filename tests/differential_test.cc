@@ -116,6 +116,37 @@ TEST_F(DifferentialTest, CrossShardBloomPushdownShipsFilters) {
   EXPECT_GT(bytes->value(), b0);
 }
 
+TEST_F(DifferentialTest, ShippedBloomDropsSameShardRowsAtDop1AndDop4) {
+  // The coordinator ships the build side's filter to every shard scan,
+  // which drops probe rows in the page bitmap before decoding them.
+  const char* q =
+      "SELECT t.ID, t.V, h.W FROM T t, H h WHERE t.ID = h.ID AND h.W <= 40";
+  Counter* shipped = MetricRegistry::Global().GetCounter("mpp.bloom_filters");
+  Counter* dropped =
+      MetricRegistry::Global().GetCounter("exec.bloom_rows_dropped");
+  std::string keys[2];
+  uint64_t drops[2];
+  const int dops[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    auto db = MakeLoadedDb(dops[i]);
+    const uint64_t s0 = shipped->value(), d0 = dropped->value();
+    auto r = db->Execute(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(shipped->value(), s0) << "dop " << dops[i];
+    keys[i] = ResultKey(r->result);
+    drops[i] = dropped->value() - d0;
+  }
+  EXPECT_EQ(keys[0], keys[1]);
+  EXPECT_GT(drops[0], 0u);
+  EXPECT_EQ(drops[0], drops[1]);
+  // Filters never change the answer.
+  auto db = MakeLoadedDb(4);
+  ASSERT_TRUE(db->Execute("SET OPTIMIZER HEURISTIC").ok());
+  auto unfiltered = db->Execute(q);
+  ASSERT_TRUE(unfiltered.ok()) << unfiltered.status().ToString();
+  EXPECT_EQ(ResultKey(unfiltered->result), keys[0]);
+}
+
 TEST_F(DifferentialTest, ExplainAnalyzeCardinalitiesMatchPlainRun) {
   for (int dop : {1, 4}) {
     auto db = MakeLoadedDb(dop);

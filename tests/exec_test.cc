@@ -2,6 +2,10 @@
 // the polyglot scalar function library, aggregates, and operators.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <type_traits>
+#include <vector>
+
 #include "common/datetime.h"
 #include "common/rng.h"
 #include "exec/functions.h"
@@ -361,6 +365,84 @@ TEST(AggTest, NullsIgnored) {
   EXPECT_TRUE(s.Finish().is_null()) << "SUM of no rows is NULL";
   s.Add(Value::Int64(5), Value::Int64(5));
   EXPECT_EQ(s.Finish().AsInt(), 5);
+}
+
+/// Same value, compared bit for bit (a double's sign of zero included).
+void ExpectSameValue(const Value& got, const Value& want) {
+  ASSERT_EQ(got.is_null(), want.is_null());
+  if (want.is_null()) return;
+  ASSERT_EQ(got.type(), want.type());
+  if (want.type() == TypeId::kDouble) {
+    const double g = got.AsDouble(), w = want.AsDouble();
+    EXPECT_EQ(std::memcmp(&g, &w, sizeof g), 0) << g << " vs " << w;
+  } else {
+    EXPECT_EQ(got.AsInt(), want.AsInt());
+  }
+}
+
+template <typename T>
+void CheckTypedFold(const std::vector<T>& x, TypeId type, bool with_nulls) {
+  Rng rng(11);
+  constexpr size_t kGroups = 7;
+  std::vector<uint32_t> gids(x.size());
+  for (auto& g : gids) g = static_cast<uint32_t>(rng.Uniform(kGroups));
+  constexpr bool kInt = std::is_same_v<T, int64_t>;
+  ColumnVector col(type);
+  for (size_t j = 0; j < x.size(); ++j) {
+    if (with_nulls && j % 5 == 2) {
+      col.AppendNull();
+    } else if constexpr (kInt) {
+      col.AppendInt(x[j]);
+    } else {
+      col.AppendDouble(x[j]);
+    }
+  }
+  for (AggKind kind :
+       {AggKind::kCount, AggKind::kSum, AggKind::kAvg, AggKind::kMin,
+        AggKind::kMax, AggKind::kVarPop, AggKind::kStddevSamp,
+        AggKind::kMedian}) {
+    SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
+    const AggSpec spec{kind, nullptr, nullptr, 0.5, false,
+                       AggResultType(kind, type)};
+    std::vector<AggState> folded, per_row;
+    for (size_t g = 0; g < kGroups; ++g) {
+      folded.emplace_back(&spec);
+      per_row.emplace_back(&spec);
+    }
+    // Two morsels, so the second folds into states the first started.
+    const size_t half = x.size() / 2;
+    AggState::Fold(spec, folded.data(), 1, gids.data(), col, 0, half);
+    AggState::Fold(spec, folded.data(), 1, gids.data() + half, col, half,
+                   x.size() - half);
+    for (size_t j = 0; j < x.size(); ++j) {
+      if (col.IsNull(j)) continue;
+      per_row[gids[j]].AddNumericFast(static_cast<double>(x[j]),
+                                      kInt ? static_cast<int64_t>(x[j]) : 0,
+                                      kInt);
+    }
+    for (size_t g = 0; g < kGroups; ++g) {
+      ExpectSameValue(folded[g].Finish(), per_row[g].Finish());
+    }
+  }
+}
+
+TEST(AggTest, TypedFoldMatchesPerRowTypedPath) {
+  Rng rng(5);
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  for (int i = 0; i < 1000; ++i) {
+    ints.push_back(static_cast<int64_t>(rng.Uniform(2000000)) - 1000000 +
+                   (i % 97 == 0 ? int64_t{1} << 50 : 0));
+    // Mixed magnitudes exercise the compensated sum; -0.0 the extremes.
+    doubles.push_back(i % 13 == 0   ? 1e16
+                      : i % 17 == 0 ? -0.0
+                                    : rng.NextDouble() * 100 - 50);
+  }
+  for (bool with_nulls : {false, true}) {
+    SCOPED_TRACE(with_nulls ? "with NULLs" : "without NULLs");
+    CheckTypedFold(ints, TypeId::kInt64, with_nulls);
+    CheckTypedFold(doubles, TypeId::kDouble, with_nulls);
+  }
 }
 
 TEST(AggTest, NameMapping) {

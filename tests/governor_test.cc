@@ -643,6 +643,63 @@ TEST_F(GovernorTest, AggAndTopNBudgetTripsOnTheInputWindowAtDop4) {
 }
 
 // ---------------------------------------------------------------------------
+// Morsel-parallel column scan: every decoded page is held until emitted, so
+// the held pages count against the budget.
+
+TEST_F(GovernorTest, ParallelScanPagesChargeTheBudgetAtDop4) {
+  ThreadPool pool(4);
+  TableSchema schema("PUBLIC", "PAGES",
+                     {{"ID", TypeId::kInt64, false, 0, false},
+                      {"GRP", TypeId::kInt64, true, 0, false},
+                      {"V", TypeId::kInt64, true, 0, false}});
+  auto table = std::make_shared<ColumnTable>(schema, 950);
+  RowBatch rows;
+  for (int c = 0; c < 3; ++c) rows.columns.emplace_back(TypeId::kInt64);
+  for (int64_t i = 0; i < 40000; ++i) {
+    rows.columns[0].AppendInt(i);
+    rows.columns[1].AppendInt(i % 97);
+    rows.columns[2].AppendInt(i * 31 % 101);
+  }
+  ASSERT_TRUE(table->Load(rows).ok());
+  ScanOptions opts;
+  opts.exec_pool = &pool;
+  opts.dop = 4;
+  {
+    // 40000 rows x 3 BIGINT columns (~940 KiB) do not fit in 256 KiB.
+    QueryContext qc;
+    qc.SetMemBudget(256 << 10);
+    {
+      ParallelColumnScanOp op(table, {}, {0, 1, 2}, opts);
+      AttachQueryContext(&op, &qc);
+      auto r = DrainOperator(&op);
+      ASSERT_FALSE(r.ok());
+      EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+      EXPECT_NE(r.status().message().find("parallel scan"), std::string::npos)
+          << r.status().ToString();
+    }
+    EXPECT_EQ(qc.mem_used(), 0);
+  }
+  // With room for every page the scan completes, and each page's charge is
+  // returned as it is emitted.
+  QueryContext roomy;
+  roomy.SetMemBudget(4 << 20);
+  ParallelColumnScanOp op(table, {}, {0, 1, 2}, opts);
+  AttachQueryContext(&op, &roomy);
+  ASSERT_TRUE(op.Open().ok());
+  RowBatch batch;
+  size_t emitted = 0;
+  for (;;) {
+    auto more = op.Next(&batch);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    emitted += batch.num_rows();
+  }
+  EXPECT_EQ(emitted, 40000u);
+  EXPECT_GE(roomy.mem_peak(), 40000 * 3 * 8);
+  EXPECT_EQ(roomy.mem_used(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Admission control
 
 TEST_F(GovernorTest, AdmissionShedsOnTimeoutAndQueueFull) {

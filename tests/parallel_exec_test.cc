@@ -5,14 +5,17 @@
 // and Top-N consume bounded input windows; each is driven at DOP 1 and 4
 // and must be byte-identical, including when the input is one huge batch.
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/threadpool.h"
 #include "exec/operator.h"
 #include "exec/sort.h"
@@ -684,6 +687,185 @@ TEST(ParallelExecTest, TopNFansOutOverPageBatchesAndOneHugeBatch) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Column scans: runtime Bloom filters before decode, helper CPU
+
+/// D DOUBLE (NULL every 29th row), A BIGINT (i % 50), K BIGINT (NULL every
+/// 13th row; every row of page 2 holds `miss_key`), S VARCHAR ("s" + i %
+/// 300): five loaded pages plus `tail` rows in the uncompressed tail.
+std::shared_ptr<ColumnTable> MakeScanTable(int64_t miss_key, int64_t tail) {
+  TableSchema schema("PUBLIC", "SCANNED",
+                     {{"D", TypeId::kDouble, true, 0, false},
+                      {"A", TypeId::kInt64, true, 0, false},
+                      {"K", TypeId::kInt64, true, 0, false},
+                      {"S", TypeId::kVarchar, true, 0, false}});
+  auto table = std::make_shared<ColumnTable>(schema, 900);
+  auto rows = [&](int64_t begin, int64_t end) {
+    RowBatch b;
+    for (const auto& c : schema.columns()) b.columns.emplace_back(c.type);
+    for (int64_t i = begin; i < end; ++i) {
+      if (i % 29 == 0) {
+        b.columns[0].AppendNull();
+      } else {
+        b.columns[0].AppendDouble(static_cast<double>(i) * 0.5);
+      }
+      b.columns[1].AppendInt(i % 50);
+      const bool page2 = i / static_cast<int64_t>(kPageRows) == 2;
+      if (page2) {
+        b.columns[2].AppendInt(miss_key);
+      } else if (i % 13 == 0) {
+        b.columns[2].AppendNull();
+      } else {
+        b.columns[2].AppendInt(i % 2000);
+      }
+      b.columns[3].AppendString("s" + std::to_string(i % 300));
+    }
+    return b;
+  };
+  const int64_t loaded = 5 * static_cast<int64_t>(kPageRows);
+  EXPECT_TRUE(table->Load(rows(0, loaded)).ok());
+  EXPECT_TRUE(table->Append(rows(loaded, loaded + tail)).ok());
+  return table;
+}
+
+/// Drains a column scan (serial at dop 1, morsel-parallel otherwise) with
+/// the given runtime filters installed.
+std::string RunFilteredScan(
+    std::shared_ptr<const ColumnTable> table,
+    const std::vector<ColumnPredicate>& preds,
+    const std::vector<std::pair<int, std::shared_ptr<BloomPrefilter>>>&
+        filters,
+    ThreadPool* pool, int dop, std::string* analyze) {
+  const std::vector<int> projection = {0, 1, 2, 3};
+  ScanOptions opts;
+  std::unique_ptr<ColumnScanOp> op;
+  if (dop > 1) {
+    opts.exec_pool = pool;
+    opts.dop = dop;
+    op = std::make_unique<ParallelColumnScanOp>(table, preds, projection,
+                                                opts);
+  } else {
+    op = std::make_unique<ColumnScanOp>(table, preds, projection, opts);
+  }
+  for (const auto& [col, bloom] : filters) {
+    EXPECT_TRUE(op->AcceptRuntimeFilter(col, bloom));
+  }
+  auto r = DrainOperator(op.get());
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (analyze != nullptr) *analyze = op->AnalyzeString();
+  return r.ok() ? BatchBytes(*r) : std::string();
+}
+
+TEST(ParallelExecTest, RuntimeFilteredScanIdenticalAtDop1AndDop4) {
+  ThreadPool pool(4);
+  // K filter: even keys below 1000. S filter: "s0".."s199". Both filter
+  // keys sit behind other projected columns.
+  auto k_bloom = std::make_shared<BloomPrefilter>();
+  k_bloom->Init(500);
+  for (int64_t k = 0; k < 1000; k += 2) {
+    k_bloom->Add(HashInt64(static_cast<uint64_t>(k)));
+  }
+  auto s_bloom = std::make_shared<BloomPrefilter>();
+  s_bloom->Init(200);
+  for (int i = 0; i < 200; ++i) s_bloom->Add(HashString("s" + std::to_string(i)));
+  int64_t miss_key = 1000001;
+  while (k_bloom->MayContain(HashInt64(static_cast<uint64_t>(miss_key)))) {
+    ++miss_key;
+  }
+  auto table = MakeScanTable(miss_key, 700);
+  ColumnPredicate a_le_40;
+  a_le_40.column = 1;
+  a_le_40.int_range.hi = 40;
+  const std::vector<ColumnPredicate> preds = {a_le_40};
+
+  // The oracle: the unfiltered scan, then every row's cell hashes checked
+  // against the filters, as the scan did before filters moved into pages.
+  ColumnScanOp plain(table, preds, {0, 1, 2, 3}, ScanOptions{});
+  auto all = DrainOperator(&plain);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  std::vector<uint32_t> keep;
+  size_t page2_kept = 0, null_keys = 0;
+  for (size_t r = 0; r < all->num_rows(); ++r) {
+    null_keys += all->columns[2].IsNull(r);
+    if (k_bloom->MayContain(HashCell(all->columns[2], r)) &&
+        s_bloom->MayContain(HashCell(all->columns[3], r))) {
+      keep.push_back(static_cast<uint32_t>(r));
+      page2_kept += all->columns[2].GetInt(r) == miss_key;
+    }
+  }
+  ASSERT_GT(null_keys, 0u);
+  ASSERT_EQ(page2_kept, 0u) << "page 2 must be dropped entirely";
+  RowBatch want;
+  for (const ColumnVector& c : all->columns) {
+    want.columns.emplace_back(c.type());
+    want.columns.back().Gather(c, keep.data(), keep.size());
+  }
+  const size_t dropped = all->num_rows() - keep.size();
+  ASSERT_GT(dropped, 0u);
+
+  Counter* dropped_counter =
+      MetricRegistry::Global().GetCounter("exec.bloom_rows_dropped");
+  for (int dop : {1, 4}) {
+    const uint64_t c0 = dropped_counter->value();
+    std::string analyze;
+    const std::string got = RunFilteredScan(
+        table, preds, {{2, k_bloom}, {3, s_bloom}}, &pool, dop, &analyze);
+    EXPECT_TRUE(got == BatchBytes(want)) << "dop " << dop;
+    EXPECT_NE(analyze.find("blooms=2 bloom-dropped=" + std::to_string(dropped)),
+              std::string::npos)
+        << analyze;
+    EXPECT_EQ(dropped_counter->value() - c0, dropped) << "dop " << dop;
+  }
+}
+
+/// Runs `tasks` pool tasks at DOP `tasks` from OpenImpl, through the same
+/// RunOnPool that scan morsels, join build partitions and input-window
+/// tasks use. Each task waits until every task is held by its own thread,
+/// then burns `burn` seconds of its thread's CPU. Emits no rows.
+class PoolBurnOp : public Operator {
+ public:
+  PoolBurnOp(ThreadPool* pool, int tasks, double burn)
+      : pool_(pool), tasks_(tasks), burn_(burn) {}
+  Status OpenImpl() override {
+    std::atomic<int> arrived{0};
+    RunOnPool(
+        pool_, static_cast<size_t>(tasks_),
+        [&](size_t) {
+          arrived.fetch_add(1);
+          while (arrived.load() < tasks_) std::this_thread::yield();
+          const double start = ThreadCpuSeconds();
+          while (ThreadCpuSeconds() - start < burn_) {
+          }
+        },
+        tasks_);
+    return Status::OK();
+  }
+  Result<bool> NextImpl(RowBatch*) override { return false; }
+  std::string label() const override { return "PoolBurn"; }
+
+ private:
+  ThreadPool* pool_;
+  int tasks_;
+  double burn_;
+};
+
+TEST(ParallelExecTest, PoolTaskCpuCountsTowardTheOwningOperator) {
+  ThreadPool pool(3);
+  constexpr double kBurn = 0.02;
+  PoolBurnOp op(&pool, 4, kBurn);
+  const double own0 = ThreadCpuSeconds();
+  ASSERT_TRUE(op.Open().ok());
+  const double own = ThreadCpuSeconds() - own0;
+  // The barrier puts three of the four tasks on pool helpers, off this
+  // thread's clock; the operator's CPU must carry their burn on top of
+  // everything this thread spent (less a millisecond for the wrapper's
+  // own bookkeeping outside its clock reads).
+  EXPECT_GE(own, kBurn);
+  EXPECT_GE(op.metrics().cpu_seconds - own, 3 * kBurn - 0.001)
+      << "operator " << op.metrics().cpu_seconds << " s, calling thread "
+      << own << " s";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -96,6 +97,30 @@ TEST(ThreadPoolTest, ZeroAndTinyRanges) {
   std::atomic<int> one{0};
   pool.ParallelFor(1, [&](size_t) { one.fetch_add(1); });
   EXPECT_EQ(one.load(), 1);
+}
+
+TEST(ThreadPoolTest, HelperCpuCountsWorkOffTheCallingThread) {
+  ThreadPool pool(3);
+  // Four items, four threads: every item waits until all four threads
+  // hold one, so three of them run on helpers; each then burns 20 ms of
+  // thread CPU.
+  std::atomic<int> arrived{0};
+  double helper_cpu = 0;
+  pool.ParallelFor(
+      4,
+      [&](size_t) {
+        arrived.fetch_add(1);
+        while (arrived.load() < 4) std::this_thread::yield();
+        const double start = ThreadCpuSeconds();
+        while (ThreadCpuSeconds() - start < 0.02) {
+        }
+      },
+      4, nullptr, &helper_cpu);
+  EXPECT_GE(helper_cpu, 3 * 0.02);
+  // An inline (degenerate) loop has no helpers.
+  double inline_cpu = 0;
+  pool.ParallelFor(1, [](size_t) {}, 4, nullptr, &inline_cpu);
+  EXPECT_EQ(inline_cpu, 0);
 }
 
 }  // namespace
