@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Full verification sweep: Release build + complete ctest, then ASan and
-# TSan builds running the concurrency/fault/differential/trace/hash/
-# optimizer/governor/serving/sort/MPP/executor/SQL/storage suites (ctest
-# labels: parallel, fault, diff, trace, hash, expr, opt, govern, serve,
-# share, sort, mpp, exec, sql, storage). This is the recipe the
+# Full verification sweep: Release build + complete ctest, the release
+# bench_sort_topn byte-identity gate, then ASan and TSan builds running the
+# concurrency/fault/differential/trace/hash/optimizer/governor/serving/
+# sort/MPP/executor/SQL/storage suites (ctest labels: parallel, fault,
+# diff, trace, hash, expr, opt, govern, serve, share, sort, mpp, exec,
+# sql, storage). This is the recipe the
 # observability and parallelism PRs are gated on; run it from the repo root.
 # Set JOBS to bound parallelism (defaults to nproc).
 set -euo pipefail
@@ -16,6 +17,15 @@ echo "== Release build + full test suite =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== Sort byte-identity gate: bench_sort_topn (1M rows) =="
+# Its exit code says every arm's ordered checksum matched its baseline (the
+# tests/sort_oracle.h stable_sort for full sorts). It writes BENCH_sort.json
+# into its working directory, so it runs in a temporary one.
+repo="$PWD"
+bench_dir="$(mktemp -d)"
+trap 'rm -rf "$bench_dir"' EXIT
+(cd "$bench_dir" && "$repo/build/bench/bench_sort_topn")
 
 echo "== ASan build: labels $LABELS =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -21,7 +21,7 @@ int CompareBytes(const uint8_t* a, size_t la, const uint8_t* b, size_t lb) {
 
 struct SortInstruments {
   Counter* sort_rows;   ///< rows materialized through SortOp
-  Counter* sort_runs;   ///< sorted runs produced (1 per serial sort)
+  Counter* sort_runs;   ///< sorted runs produced
   Counter* topn_fused;  ///< ORDER BY+LIMIT plans served by TopNOp
 };
 
@@ -50,11 +50,8 @@ constexpr size_t kMergeProbeInterval = 2048;
 // ------------------------------------------------------------------ Sort --
 
 SortOp::SortOp(OperatorPtr child, std::vector<SortKey> keys,
-               const ExecContext* ctx, bool serial)
-    : child_(std::move(child)),
-      keys_(std::move(keys)),
-      ctx_(ctx),
-      serial_(serial) {
+               const ExecContext* ctx)
+    : child_(std::move(child)), keys_(std::move(keys)), ctx_(ctx) {
   output_ = child_->output();
 }
 
@@ -64,37 +61,6 @@ Status SortOp::OpenImpl() {
   runs_used_ = 0;
   merge_fanin_ = 0;
   return child_->Open();
-}
-
-void SortOp::SerialOrder(const std::vector<ColumnVector>& key_cols,
-                         std::vector<uint32_t>* order) const {
-  // Typed cell comparison straight off the key columns' primitive
-  // payloads — no per-comparison Value boxing. Mirrors Value::Compare:
-  // NULLs sort high, doubles via <, everything else via the int64
-  // payload (a key column has one type, so no cross-family cases).
-  auto compare_cell = [](const ColumnVector& cv, uint32_t a,
-                         uint32_t b) -> int {
-    const bool an = cv.IsNull(a), bn = cv.IsNull(b);
-    if (an || bn) return an ? (bn ? 0 : 1) : -1;
-    if (cv.type() == TypeId::kVarchar) {
-      const std::string& x = cv.GetString(a);
-      const std::string& y = cv.GetString(b);
-      return x < y ? -1 : (x == y ? 0 : 1);
-    }
-    if (cv.type() == TypeId::kDouble) {
-      const double x = cv.GetDouble(a), y = cv.GetDouble(b);
-      return x < y ? -1 : (x == y ? 0 : 1);
-    }
-    const int64_t x = cv.GetInt(a), y = cv.GetInt(b);
-    return x < y ? -1 : (x == y ? 0 : 1);
-  };
-  std::stable_sort(order->begin(), order->end(), [&](uint32_t a, uint32_t b) {
-    for (size_t k = 0; k < keys_.size(); ++k) {
-      int c = compare_cell(key_cols[k], a, b);
-      if (c != 0) return keys_[k].desc ? c > 0 : c < 0;
-    }
-    return false;
-  });
 }
 
 Status SortOp::ParallelOrder(const RowBatch& all,
@@ -265,14 +231,8 @@ Status SortOp::Materialize() {
     DASHDB_ASSIGN_OR_RETURN(ColumnVector cv, k.expr->Evaluate(all, *ctx_));
     key_cols.push_back(std::move(cv));
   }
-  std::vector<uint32_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
-  if (serial_) {
-    runs_used_ = 1;
-    SerialOrder(key_cols, &order);
-  } else {
-    DASHDB_RETURN_IF_ERROR(ParallelOrder(all, key_cols, &order));
-  }
+  std::vector<uint32_t> order;
+  DASHDB_RETURN_IF_ERROR(ParallelOrder(all, key_cols, &order));
   auto& in = GlobalSortInstruments();
   in.sort_rows->Add(static_cast<int64_t>(n));
   in.sort_runs->Add(static_cast<int64_t>(runs_used_));
@@ -295,7 +255,6 @@ Result<bool> SortOp::NextImpl(RowBatch* out) {
 
 std::string SortOp::AnalyzeExtra() const {
   if (!materialized_) return std::string();
-  if (serial_) return " strategy=serial";
   char buf[64];
   std::snprintf(buf, sizeof(buf), " strategy=full runs=%zu fanin=%zu",
                 runs_used_, merge_fanin_);
@@ -459,6 +418,21 @@ std::string TopNOp::AnalyzeExtra() const {
   std::snprintf(buf, sizeof(buf), " strategy=topn capacity=%zu heaps=%zu",
                 capacity_, heaps_used_);
   return buf + window_->FanoutExtra("fanouts");
+}
+
+// ------------------------------------------------------------- planning --
+
+OperatorPtr PlanOrderBy(OperatorPtr child, std::vector<SortKey> keys,
+                        int64_t limit, int64_t offset, const ExecContext* ctx) {
+  if (!keys.empty()) {
+    if (limit >= 0 && limit + offset <= kTopNMaxCapacity) {
+      return std::make_unique<TopNOp>(std::move(child), std::move(keys),
+                                      limit, offset, ctx);
+    }
+    child = std::make_unique<SortOp>(std::move(child), std::move(keys), ctx);
+  }
+  if (limit < 0 && offset <= 0) return child;
+  return std::make_unique<LimitOp>(std::move(child), limit, offset);
 }
 
 }  // namespace dashdb

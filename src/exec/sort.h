@@ -6,14 +6,19 @@
 // ThreadPool::ParallelFor, then merges the runs — splitter-partitioned so
 // merge segments also run in parallel, each segment driven by a
 // tournament tree — and gathers the output column-wise by order vector.
-// Ties always break on the global row index, so the result is
-// byte-identical to the retained serial stable_sort oracle at any DOP.
+// Ties always break on the global row index, so the result equals a
+// stable sort of the input at any DOP; DOP 1 is the one-run case. The
+// reference stable_sort this is checked against lives in
+// tests/sort_oracle.h, not here.
 //
-// TopNOp is the ORDER BY + LIMIT/OFFSET fusion the binder emits when the
-// requested prefix is small: bounded (limit+offset)-entry max-heaps — one
-// per lane of an InputWindow — admit a row only when it beats the current
-// boundary, with a global sequence number as tie-break so the kept prefix
-// matches the stable full sort exactly.
+// TopNOp is the ORDER BY + LIMIT/OFFSET fusion for a small requested
+// prefix: bounded (limit+offset)-entry max-heaps — one per lane of an
+// InputWindow — admit a row only when it beats the current boundary, with
+// a global sequence number as tie-break so the kept prefix matches the
+// stable full sort exactly.
+//
+// PlanOrderBy picks between the two. The binder and the MPP coordinator
+// both call it, so ORDER BY has one implementation everywhere.
 #pragma once
 
 #include <cstdint>
@@ -32,13 +37,10 @@ struct SortKey {
   bool desc = false;
 };
 
-/// Full sort (materializing). `serial` forces the pre-existing
-/// row-comparison stable_sort path (`SET SORT SERIAL`) — kept as the
-/// byte-identity oracle and bench baseline.
+/// Full sort (materializing).
 class SortOp : public Operator {
  public:
-  SortOp(OperatorPtr child, std::vector<SortKey> keys, const ExecContext* ctx,
-         bool serial = false);
+  SortOp(OperatorPtr child, std::vector<SortKey> keys, const ExecContext* ctx);
   Status OpenImpl() override;
   Result<bool> NextImpl(RowBatch* out) override;
 
@@ -54,9 +56,6 @@ class SortOp : public Operator {
 
  private:
   Status Materialize();
-  /// The pre-PR single-threaded stable_sort over typed cell comparisons.
-  void SerialOrder(const std::vector<ColumnVector>& key_cols,
-                   std::vector<uint32_t>* order) const;
   /// Normalized-key run sort + (parallel) tournament-tree merge.
   Status ParallelOrder(const RowBatch& all,
                        const std::vector<ColumnVector>& key_cols,
@@ -65,7 +64,6 @@ class SortOp : public Operator {
   OperatorPtr child_;
   std::vector<SortKey> keys_;
   const ExecContext* ctx_;
-  bool serial_;
   RowBatch result_;
   bool done_ = false;
   bool materialized_ = false;
@@ -132,8 +130,16 @@ class TopNOp : public Operator {
   size_t heaps_used_ = 0;
 };
 
-/// Upper bound on limit+offset for binder Top-N fusion; above it the full
-/// sort's O(n log n) beats maintaining giant heaps.
+/// Upper bound on limit+offset for Top-N fusion; above it the full sort's
+/// O(n log n) beats maintaining giant heaps.
 inline constexpr int64_t kTopNMaxCapacity = 65536;
+
+/// ORDER BY `keys` + LIMIT `limit` (< 0: none) OFFSET `offset` over
+/// `child`: a TopNOp when a limit is given and limit+offset <=
+/// kTopNMaxCapacity, else a SortOp under a LimitOp (the LimitOp only when
+/// a limit or offset is given). With no keys it is the LimitOp alone, or
+/// `child` itself when there is nothing to cap.
+OperatorPtr PlanOrderBy(OperatorPtr child, std::vector<SortKey> keys,
+                        int64_t limit, int64_t offset, const ExecContext* ctx);
 
 }  // namespace dashdb

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "common/sort_key.h"
 #include "common/stopwatch.h"
+#include "exec/sort.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
@@ -111,6 +112,29 @@ int ResolveOrderKeyIdx(const ast::OrderItem& oi, const ast::SelectStmt& sel) {
     }
   }
   return -1;
+}
+
+/// Resolves a star query's ORDER BY key against the shard output columns
+/// (the star expansion) the way the binder does: ordinal, output name, or a
+/// qualified column's bare name, first match. Returns -1 when none match.
+int ResolveExpandedOrderKey(const ast::OrderItem& oi,
+                            const std::vector<OutputCol>& cols) {
+  if (oi.ordinal > 0) {
+    return oi.ordinal <= static_cast<int>(cols.size()) ? oi.ordinal - 1 : -1;
+  }
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const bool match = oi.output_name.empty()
+                           ? NormalizeIdent(cols[c].name) == oi.expr->name
+                           : cols[c].name == oi.output_name;
+    if (match) return static_cast<int>(c);
+  }
+  return -1;
+}
+
+Status OrderKeyUnimplemented() {
+  return Status::Unimplemented(
+      "MPP ORDER BY supports output columns, ordinals, and select-list "
+      "expressions");
 }
 
 void CollectRefs(const ast::ExprP& e, std::vector<const ast::Expr*>* out) {
@@ -972,192 +996,94 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     for (const auto& item : sel.items) {
       if (item.expr && item.expr->kind == ExprKind::kStar) has_star = true;
     }
-    // Pre-execution ORDER BY resolution against the select list. When every
-    // key resolves (star expansion hides the output indices, so star
-    // queries keep the legacy gather+re-sort), the ORDER BY — plus a LIMIT
+    // ORDER BY keys resolve to output columns before execution. A star
+    // hides the output indices until the shards expand it, so a star
+    // query's keys must be ordinals or column names, resolved against the
+    // shard output columns once they are known. The ORDER BY — plus a LIMIT
     // inflated by the offset — ships into the shard-local plans, and the
-    // coordinator k-way merges the pre-sorted shard streams instead of
-    // re-sorting the whole union.
-    std::vector<std::pair<int, bool>> ord_keys;  // select-item idx, desc
-    bool push_sort = false;
-    if (!sel.order_by.empty() && !has_star) {
-      for (const auto& oi : sel.order_by) {
-        int idx = ResolveOrderKeyIdx(oi, sel);
-        if (idx < 0) {
-          return Status::Unimplemented(
-              "MPP ORDER BY supports output columns, ordinals, and "
-              "select-list expressions");
-        }
-        ord_keys.emplace_back(idx, oi.desc);
-      }
-      push_sort = true;
+    // coordinator k-way merges the pre-sorted shard streams.
+    std::vector<int> key_cols;
+    for (const auto& oi : sel.order_by) {
+      // A star key's column is filled in after the shards run (0 holds
+      // its place); only an ordinal or a column name can resolve there.
+      const bool by_name =
+          oi.ordinal > 0 || (oi.expr && oi.expr->kind == ExprKind::kColumnRef);
+      const int idx = !has_star ? ResolveOrderKeyIdx(oi, sel) : by_name ? 0 : -1;
+      if (idx < 0) return OrderKeyUnimplemented();
+      key_cols.push_back(idx);
     }
     auto shard_sel = std::make_shared<ast::SelectStmt>(sel);
     shard_sel->offset = 0;
-    if (!push_sort) shard_sel->order_by.clear();
     // A shard truncated to its first limit+offset rows still contains every
-    // row a global prefix of limit+offset can draw from it, so LIMIT pushes
-    // down whenever the shard stream order is the one the prefix is taken
-    // in — sorted (push_sort) or plain concatenation order.
-    if ((push_sort || sel.order_by.empty()) && sel.limit >= 0) {
-      shard_sel->limit = sel.limit + sel.offset;
-    } else {
-      shard_sel->limit = -1;
-    }
+    // row a global prefix of limit+offset can draw from it: the prefix is
+    // taken in the shard stream's own order, sorted or (with no ORDER BY)
+    // plain shard order.
+    shard_sel->limit = sel.limit < 0 ? -1 : sel.limit + sel.offset;
     ShardFn fn = MakeShardSelectFn(shard_sel, analyze, bloom_filters);
     DASHDB_ASSIGN_OR_RETURN(std::vector<ShardRun> runs,
                             RunShards(/*idempotent=*/true, fn, qctx));
-    std::vector<OutputCol> cols = runs.front().out.cols;
-    RowBatch merged;                      // legacy concatenation
-    for (const auto& c : cols) merged.columns.emplace_back(c.type);
-    // push_sort: one stream per shard, still charged through runs[s].
-    std::vector<RowBatch> shard_batches;
-    MemCharge mem(qctx);
-    for (size_t s = 0; s < runs.size(); ++s) {
-      ShardRun& r = runs[s];
-      record_shard(s, r);
-      if (push_sort) {
-        shard_batches.push_back(std::move(r.out.batch));
-        continue;
+    const std::vector<OutputCol> cols = runs.front().out.cols;
+    for (size_t s = 0; s < runs.size(); ++s) record_shard(s, runs[s]);
+    if (has_star) {
+      for (size_t k = 0; k < key_cols.size(); ++k) {
+        key_cols[k] = ResolveExpandedOrderKey(sel.order_by[k], cols);
+        if (key_cols[k] < 0) return OrderKeyUnimplemented();
       }
-      // The copy takes over the shard batch's charge, which is freed.
-      const RowBatch& batch = r.out.batch;
-      DASHDB_RETURN_IF_ERROR(
-          mem.Add(r.out.charge.bytes(), "MPP result assembly"));
-      for (size_t i = 0; i < batch.num_rows(); ++i) {
-        for (size_t c = 0; c < batch.columns.size(); ++c) {
-          merged.columns[c].AppendFrom(batch.columns[c], i);
-        }
-      }
-      r.out.batch = RowBatch{};
-      r.out.charge.Reset();
     }
     out.result.columns = cols;
-    if (push_sort) {
-      // Streaming k-way merge over the pre-sorted shard streams. Shard
-      // sorts are stable, and key ties break on the shard index, so the
-      // output is byte-identical to concatenating the unsorted streams in
-      // shard order and stable-sorting globally.
-      const size_t S = shard_batches.size();
-      std::vector<bool> desc;
-      for (const auto& [idx, d] : ord_keys) desc.push_back(d);
-      std::vector<NormalizedKeyColumn> keys(S);
-      int64_t key_bytes = 0;
-      for (size_t s = 0; s < S; ++s) {
-        std::vector<const ColumnVector*> kc;
-        for (const auto& [idx, d] : ord_keys) {
-          kc.push_back(&shard_batches[s].columns[idx]);
-        }
-        keys[s].Build(kc, desc, 0, shard_batches[s].num_rows());
-        key_bytes += static_cast<int64_t>(keys[s].byte_size());
-      }
-      DASHDB_RETURN_IF_ERROR(mem.Add(key_bytes, "MPP merge keys"));
+    // Streaming k-way merge over the shard streams, each still charged
+    // through its run. Shard sorts are stable, and key ties break on the
+    // shard index, so the output is byte-identical to concatenating the
+    // unsorted streams in shard order and stable-sorting globally. With no
+    // ORDER BY every key ties, and the merge is that concatenation.
+    const size_t S = runs.size();
+    std::vector<bool> desc;
+    for (const auto& oi : sel.order_by) desc.push_back(oi.desc);
+    std::vector<NormalizedKeyColumn> keys(S);
+    int64_t key_bytes = 0;
+    for (size_t s = 0; s < S; ++s) {
+      std::vector<const ColumnVector*> kc;
+      for (int idx : key_cols) kc.push_back(&runs[s].out.batch.columns[idx]);
+      keys[s].Build(kc, desc, 0, runs[s].out.batch.num_rows());
+      key_bytes += static_cast<int64_t>(keys[s].byte_size());
+    }
+    MemCharge mem(qctx);
+    DASHDB_RETURN_IF_ERROR(mem.Add(key_bytes, "MPP merge keys"));
+    if (!key_cols.empty()) {
       GlobalMppInstruments().merge_streams->Add(static_cast<int64_t>(S));
-      std::vector<size_t> pos(S, 0);
-      auto alive = [&](size_t s) {
-        return pos[s] < shard_batches[s].num_rows();
-      };
-      auto wins = [&](size_t a, size_t b) {
-        int c = keys[a].Compare(pos[a], keys[b], pos[b]);
-        return c != 0 ? c < 0 : a < b;
-      };
-      TournamentTree tree;
-      tree.Init(S, wins, alive);
-      RowBatch sorted;
-      for (const auto& c : cols) sorted.columns.emplace_back(c.type);
-      const int64_t want =
-          sel.limit < 0 ? -1 : sel.limit + static_cast<int64_t>(sel.offset);
-      int64_t popped = 0;
-      size_t since_probe = 0;
-      for (;;) {
-        if (want >= 0 && popped >= want) break;  // prefix satisfied: stop
-        const int w = tree.winner();
-        if (w < 0) break;
-        if (popped >= static_cast<int64_t>(sel.offset)) {
-          for (size_t c = 0; c < cols.size(); ++c) {
-            sorted.columns[c].AppendFrom(shard_batches[w].columns[c],
-                                         pos[w]);
-          }
-        }
-        ++pos[w];
-        ++popped;
-        tree.Replay(static_cast<size_t>(w), wins, alive);
-        if (++since_probe >= 2048) {
-          since_probe = 0;
-          DASHDB_RETURN_IF_ERROR(qctx->CheckAlive());
-        }
+    }
+    std::vector<size_t> pos(S, 0);
+    auto alive = [&](size_t s) {
+      return pos[s] < runs[s].out.batch.num_rows();
+    };
+    auto wins = [&](size_t a, size_t b) {
+      int c = keys[a].Compare(pos[a], keys[b], pos[b]);
+      return c != 0 ? c < 0 : a < b;
+    };
+    TournamentTree tree;
+    tree.Init(S, wins, alive);
+    RowBatch merged;
+    InitBatchFor(cols, &merged);
+    const int64_t want =
+        sel.limit < 0 ? -1 : sel.limit + static_cast<int64_t>(sel.offset);
+    int64_t popped = 0;
+    size_t since_probe = 0;
+    for (;;) {
+      if (want >= 0 && popped >= want) break;  // prefix satisfied: stop
+      const int w = tree.winner();
+      if (w < 0) break;
+      if (popped >= static_cast<int64_t>(sel.offset)) {
+        AppendRowFrom(runs[w].out.batch, pos[w], &merged);
       }
-      out.result.rows = std::move(sorted);
-      out.result.affected_rows =
-          static_cast<int64_t>(out.result.rows.num_rows());
-      finish_analyze();
-      return out;
+      ++pos[w];
+      ++popped;
+      tree.Replay(static_cast<size_t>(w), wins, alive);
+      if (++since_probe >= 2048) {
+        since_probe = 0;
+        DASHDB_RETURN_IF_ERROR(qctx->CheckAlive());
+      }
     }
     out.result.rows = std::move(merged);
-    if (!sel.order_by.empty()) {
-      // Star-expansion fallback: gather everything, resolve against the
-      // shard output columns, re-sort globally (the pre-PR path).
-      std::vector<uint32_t> order(out.result.rows.num_rows());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::vector<std::pair<int, bool>> keys;  // col idx, desc
-      for (const auto& oi : sel.order_by) {
-        int idx = -1;
-        if (oi.ordinal > 0) {
-          idx = oi.ordinal - 1;
-        } else if (oi.expr && oi.expr->kind == ExprKind::kColumnRef) {
-          for (size_t c = 0; c < cols.size(); ++c) {
-            if (NormalizeIdent(cols[c].name) == oi.expr->name) {
-              idx = static_cast<int>(c);
-            }
-          }
-        }
-        if (idx < 0) {
-          return Status::Unimplemented(
-              "MPP ORDER BY supports output columns, ordinals, and "
-              "select-list expressions");
-        }
-        keys.emplace_back(idx, oi.desc);
-      }
-      const RowBatch& rb = out.result.rows;
-      std::stable_sort(order.begin(), order.end(),
-                       [&](uint32_t a, uint32_t b) {
-                         for (auto [c, desc] : keys) {
-                           int cmp = rb.columns[c].GetValue(a).Compare(
-                               rb.columns[c].GetValue(b));
-                           if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
-                         }
-                         return false;
-                       });
-      RowBatch sorted;
-      for (const auto& c : cols) sorted.columns.emplace_back(c.type);
-      int64_t limit = sel.limit < 0
-                          ? static_cast<int64_t>(order.size())
-                          : sel.limit;
-      for (size_t i = sel.offset;
-           i < order.size() &&
-           static_cast<int64_t>(sorted.num_rows()) < limit;
-           ++i) {
-        for (size_t c = 0; c < cols.size(); ++c) {
-          sorted.columns[c].AppendFrom(out.result.rows.columns[c], order[i]);
-        }
-      }
-      out.result.rows = std::move(sorted);
-    } else if (sel.limit >= 0 || sel.offset > 0) {
-      RowBatch limited;
-      for (const auto& c : cols) limited.columns.emplace_back(c.type);
-      int64_t limit = sel.limit < 0
-                          ? static_cast<int64_t>(out.result.rows.num_rows())
-                          : sel.limit;
-      for (size_t i = sel.offset;
-           i < out.result.rows.num_rows() &&
-           static_cast<int64_t>(limited.num_rows()) < limit;
-           ++i) {
-        for (size_t c = 0; c < cols.size(); ++c) {
-          limited.columns[c].AppendFrom(out.result.rows.columns[c], i);
-        }
-      }
-      out.result.rows = std::move(limited);
-    }
     out.result.affected_rows =
         static_cast<int64_t>(out.result.rows.num_rows());
     finish_analyze();
@@ -1168,6 +1094,15 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
   // Build the partial (shard) statement: group exprs + decomposed partials.
   if (sel.having) {
     return Status::Unimplemented("MPP HAVING not supported");
+  }
+  // final_cols below run parallel to sel.items, so select-list resolution
+  // (names, ordinals, and whole select-list expressions — e.g. ORDER BY
+  // COUNT(*)) indexes the merged result directly.
+  std::vector<int> key_cols;
+  for (const auto& oi : sel.order_by) {
+    const int idx = ResolveOrderKeyIdx(oi, sel);
+    if (idx < 0) return OrderKeyUnimplemented();
+    key_cols.push_back(idx);
   }
   auto partial_p = std::make_shared<ast::SelectStmt>(sel);
   ast::SelectStmt& partial = *partial_p;
@@ -1354,45 +1289,21 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
       out.result.rows.columns[i].AppendValue(v);
     }
   }
-  // Coordinator ORDER BY / LIMIT over the merged result.
-  if (!sel.order_by.empty() || sel.limit >= 0) {
-    std::vector<uint32_t> order(out.result.rows.num_rows());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::vector<std::pair<int, bool>> keys;
-    for (const auto& oi : sel.order_by) {
-      // final_cols run parallel to sel.items, so select-list resolution
-      // (names, ordinals, and whole select-list expressions — e.g.
-      // ORDER BY COUNT(*)) indexes the merged result directly.
-      int idx = ResolveOrderKeyIdx(oi, sel);
-      if (idx < 0) {
-        return Status::Unimplemented(
-            "MPP ORDER BY supports output columns, ordinals, and "
-            "select-list expressions");
-      }
-      keys.emplace_back(idx, oi.desc);
-    }
-    const RowBatch& rb = out.result.rows;
-    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      for (auto [c, desc] : keys) {
-        int cmp =
-            rb.columns[c].GetValue(a).Compare(rb.columns[c].GetValue(b));
-        if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
-      }
-      return false;
-    });
-    RowBatch sorted;
-    for (const auto& c : final_cols) sorted.columns.emplace_back(c.type);
-    int64_t limit =
-        sel.limit < 0 ? static_cast<int64_t>(order.size()) : sel.limit;
-    for (size_t i = sel.offset;
-         i < order.size() && static_cast<int64_t>(sorted.num_rows()) < limit;
-         ++i) {
-      for (size_t c = 0; c < final_cols.size(); ++c) {
-        sorted.columns[c].AppendFrom(out.result.rows.columns[c], order[i]);
-      }
-    }
-    out.result.rows = std::move(sorted);
+  // Coordinator ORDER BY / LIMIT / OFFSET over the merged groups, through
+  // the same plan the binder builds.
+  std::vector<SortKey> sort_keys;
+  for (size_t k = 0; k < key_cols.size(); ++k) {
+    const OutputCol& c = final_cols[key_cols[k]];
+    sort_keys.push_back({std::make_shared<ColumnRefExpr>(key_cols[k], c.type,
+                                                         c.name),
+                         sel.order_by[k].desc});
   }
+  ExecContext ctx;
+  OperatorPtr plan = PlanOrderBy(
+      std::make_unique<ValuesOp>(std::move(out.result.rows), final_cols),
+      std::move(sort_keys), sel.limit, sel.offset, &ctx);
+  AttachQueryContext(plan.get(), qctx);
+  DASHDB_ASSIGN_OR_RETURN(out.result.rows, DrainOperator(plan.get()));
   out.result.affected_rows = static_cast<int64_t>(out.result.rows.num_rows());
   finish_analyze();
   return out;

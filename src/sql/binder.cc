@@ -1222,80 +1222,62 @@ class SelectBinder {
           std::vector<std::string>{}, &b_->session()->exec_ctx());
     }
 
-    // ---- ORDER BY ----
-    // Effective row cap (LIMIT merged with an Oracle ROWNUM cap), known
-    // before planning the sort so ORDER BY + LIMIT can fuse into TopNOp.
+    // ---- ORDER BY / LIMIT / OFFSET / ROWNUM ----
+    // Effective row cap: LIMIT merged with an Oracle ROWNUM cap.
     int64_t eff_limit = stmt.limit;
     if (rownum_limit >= 0) {
       eff_limit = eff_limit < 0 ? rownum_limit
                                 : std::min(eff_limit, rownum_limit);
     }
-    bool topn_fused = false;
-    if (!stmt.order_by.empty()) {
-      std::vector<SortKey> keys;
-      for (const auto& oi : stmt.order_by) {
-        SortKey k;
-        k.desc = oi.desc;
-        int idx = -1;
-        if (oi.ordinal > 0) {
-          if (oi.ordinal > static_cast<int>(root->output().size())) {
-            return Status::SemanticError("ORDER BY ordinal out of range");
-          }
-          idx = oi.ordinal - 1;
-        } else if (!oi.output_name.empty()) {
-          for (size_t i = 0; i < root->output().size(); ++i) {
-            if (root->output()[i].name == oi.output_name) {
-              idx = static_cast<int>(i);
-              break;
-            }
-          }
-        } else if (oi.expr->kind == ExprKind::kColumnRef) {
-          // Qualified ref (e.name): match the bare column name against the
-          // projected outputs.
-          for (size_t i = 0; i < root->output().size(); ++i) {
-            if (NormalizeIdent(root->output()[i].name) == oi.expr->name) {
-              idx = static_cast<int>(i);
-              break;
-            }
+    std::vector<SortKey> keys;
+    for (const auto& oi : stmt.order_by) {
+      SortKey k;
+      k.desc = oi.desc;
+      int idx = -1;
+      if (oi.ordinal > 0) {
+        if (oi.ordinal > static_cast<int>(root->output().size())) {
+          return Status::SemanticError("ORDER BY ordinal out of range");
+        }
+        idx = oi.ordinal - 1;
+      } else if (!oi.output_name.empty()) {
+        for (size_t i = 0; i < root->output().size(); ++i) {
+          if (root->output()[i].name == oi.output_name) {
+            idx = static_cast<int>(i);
+            break;
           }
         }
-        if (idx < 0 && hidden_order_cols_ > 0 && used_hidden_ < hidden_order_cols_) {
-          // Consume the next hidden ORDER BY column.
-          size_t visible = root->output().size() - hidden_order_cols_;
-          idx = static_cast<int>(visible + used_hidden_);
-          ++used_hidden_;
-        }
-        if (idx >= 0) {
-          k.expr = std::make_shared<ColumnRefExpr>(
-              idx, root->output()[idx].type, root->output()[idx].name);
-        } else {
-          // Bind against the output scope.
-          Scope out_scope;
-          for (const auto& c : root->output()) {
-            out_scope.items.push_back({"", c.name, c.type});
+      } else if (oi.expr->kind == ExprKind::kColumnRef) {
+        // Qualified ref (e.name): match the bare column name against the
+        // projected outputs.
+        for (size_t i = 0; i < root->output().size(); ++i) {
+          if (NormalizeIdent(root->output()[i].name) == oi.expr->name) {
+            idx = static_cast<int>(i);
+            break;
           }
-          ExprBinder eb(&out_scope, b_->session());
-          DASHDB_ASSIGN_OR_RETURN(k.expr, eb.Bind(oi.expr));
         }
-        keys.push_back(std::move(k));
       }
-      // Fuse into a bounded-heap TopN when a small prefix is requested:
-      // only limit+offset rows are ever retained, instead of sorting the
-      // whole input. The heap applies offset+limit itself, so the LimitOp
-      // below is skipped. Huge prefixes keep the full sort (heap updates
-      // would dominate).
-      if (eff_limit >= 0 && b_->session()->topn_enabled() &&
-          eff_limit + stmt.offset <= kTopNMaxCapacity) {
-        root = std::make_unique<TopNOp>(std::move(root), std::move(keys),
-                                        eff_limit, stmt.offset,
-                                        &b_->session()->exec_ctx());
-        topn_fused = true;
+      if (idx < 0 && hidden_order_cols_ > 0 && used_hidden_ < hidden_order_cols_) {
+        // Consume the next hidden ORDER BY column.
+        size_t visible = root->output().size() - hidden_order_cols_;
+        idx = static_cast<int>(visible + used_hidden_);
+        ++used_hidden_;
+      }
+      if (idx >= 0) {
+        k.expr = std::make_shared<ColumnRefExpr>(
+            idx, root->output()[idx].type, root->output()[idx].name);
       } else {
-        root = std::make_unique<SortOp>(std::move(root), std::move(keys),
-                                        &b_->session()->exec_ctx(),
-                                        b_->session()->serial_sort());
+        // Bind against the output scope.
+        Scope out_scope;
+        for (const auto& c : root->output()) {
+          out_scope.items.push_back({"", c.name, c.type});
+        }
+        ExprBinder eb(&out_scope, b_->session());
+        DASHDB_ASSIGN_OR_RETURN(k.expr, eb.Bind(oi.expr));
       }
+      keys.push_back(std::move(k));
     }
+    root = PlanOrderBy(std::move(root), std::move(keys), eff_limit,
+                       stmt.offset, &b_->session()->exec_ctx());
     if (hidden_order_cols_ > 0) {
       // Strip the hidden ORDER BY columns.
       size_t visible = root->output().size() - hidden_order_cols_;
@@ -1311,12 +1293,6 @@ class SelectBinder {
                                          keep_names,
                                          &b_->session()->exec_ctx());
       hidden_order_cols_ = 0;
-    }
-
-    // ---- LIMIT / OFFSET / ROWNUM ---- (already applied when TopN fused)
-    if (!topn_fused && (eff_limit >= 0 || stmt.offset > 0)) {
-      root = std::make_unique<LimitOp>(std::move(root), eff_limit,
-                                       stmt.offset);
     }
     return root;
   }

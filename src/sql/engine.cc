@@ -956,32 +956,6 @@ Result<QueryResult> Engine::ExecSet(Session* session,
                 (session->result_cache_enabled() ? "ON" : "OFF");
     return r;
   }
-  if (name == "SORT") {
-    std::string v = NormalizeIdent(st.set_value);
-    if (v == "SERIAL") {
-      session->set_serial_sort(true);
-    } else if (v == "PARALLEL" || v == "DEFAULT") {
-      session->set_serial_sort(false);
-    } else {
-      return Status::InvalidArgument("SORT must be SERIAL or PARALLEL");
-    }
-    r.message = std::string("SORT ") +
-                (session->serial_sort() ? "SERIAL" : "PARALLEL");
-    return r;
-  }
-  if (name == "TOPN") {
-    std::string v = NormalizeIdent(st.set_value);
-    if (v == "ON" || v == "TRUE" || v == "1") {
-      session->set_topn_enabled(true);
-    } else if (v == "OFF" || v == "FALSE" || v == "0") {
-      session->set_topn_enabled(false);
-    } else {
-      return Status::InvalidArgument("TOPN must be ON or OFF");
-    }
-    r.message =
-        std::string("TOPN ") + (session->topn_enabled() ? "ON" : "OFF");
-    return r;
-  }
   if (name == "STATEMENT_TIMEOUT" || name == "QUERY_TIMEOUT") {
     // Seconds (fractional allowed); 0 / NONE / DEFAULT disarms.
     std::string v = NormalizeIdent(st.set_value);

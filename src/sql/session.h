@@ -52,8 +52,6 @@ class Session {
     bool adaptive_enabled = true;
     bool shared_scan_enabled = false;
     bool result_cache_enabled = false;
-    bool serial_sort = false;
-    bool topn_enabled = true;
     double statement_timeout_s = 0;
     int64_t mem_budget_bytes = 0;
     bool admission_enabled = true;
@@ -149,17 +147,6 @@ class Session {
   void set_result_cache_enabled(bool on) {
     settings_.result_cache_enabled = on;
   }
-
-  /// SET SORT SERIAL|PARALLEL: force the single-threaded stable_sort
-  /// oracle instead of the normalized-key run sort + merge (PARALLEL by
-  /// default; SERIAL is the byte-identity baseline and bench A arm).
-  bool serial_sort() const { return settings_.serial_sort; }
-  void set_serial_sort(bool on) { settings_.serial_sort = on; }
-
-  /// SET TOPN ON|OFF: allow the binder to fuse ORDER BY + LIMIT/OFFSET
-  /// into the bounded-heap TopNOp (ON by default).
-  bool topn_enabled() const { return settings_.topn_enabled; }
-  void set_topn_enabled(bool on) { settings_.topn_enabled = on; }
 
   // --- query governance (DESIGN.md "Query governance") -------------------
 

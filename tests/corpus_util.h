@@ -31,6 +31,31 @@ inline std::string ResultKey(const QueryResult& r) {
   return os.str();
 }
 
+/// Fact table T: ID, GRP (ID % 7), CAT (ID % 5), V (ID * 31 % 101), S.
+inline TableSchema FactSchema() {
+  return TableSchema("PUBLIC", "T",
+                     {{"ID", TypeId::kInt64, false, 0, false},
+                      {"GRP", TypeId::kInt64, true, 0, false},
+                      {"CAT", TypeId::kInt64, true, 0, false},
+                      {"V", TypeId::kInt64, true, 0, false},
+                      {"S", TypeId::kVarchar, true, 0, false}});
+}
+
+/// T's 400 rows.
+inline RowBatch FactRows() {
+  RowBatch t;
+  for (int i = 0; i < 4; ++i) t.columns.emplace_back(TypeId::kInt64);
+  t.columns.emplace_back(TypeId::kVarchar);
+  for (int i = 0; i < 400; ++i) {
+    t.columns[0].AppendInt(i);
+    t.columns[1].AppendInt(i % 7);
+    t.columns[2].AppendInt(i % 5);
+    t.columns[3].AppendInt(i * 31 % 101);
+    t.columns[4].AppendString("s" + std::to_string(i % 13));
+  }
+  return t;
+}
+
 /// 4-node cluster, 2 shards/node; every shard engine runs at `dop`.
 /// Fact table T hash-distributes on ID; dims D and C are replicated so
 /// joins stay shard-local (collocated star join). H is a high-cardinality
@@ -40,12 +65,7 @@ inline std::unique_ptr<MppDatabase> MakeLoadedDb(int dop) {
   cfg.query_parallelism = dop;
   auto db = std::make_unique<MppDatabase>(4, 2, 8, size_t{8} << 30, cfg);
 
-  TableSchema fact("PUBLIC", "T",
-                   {{"ID", TypeId::kInt64, false, 0, false},
-                    {"GRP", TypeId::kInt64, true, 0, false},
-                    {"CAT", TypeId::kInt64, true, 0, false},
-                    {"V", TypeId::kInt64, true, 0, false},
-                    {"S", TypeId::kVarchar, true, 0, false}});
+  TableSchema fact = FactSchema();
   fact.set_distribution_key(0);
   EXPECT_TRUE(db->CreateTable(fact).ok());
 
@@ -68,17 +88,7 @@ inline std::unique_ptr<MppDatabase> MakeLoadedDb(int dop) {
                      {"Z", TypeId::kInt64, true, 0, false}});
   EXPECT_TRUE(db->CreateTable(dim_e, /*replicated=*/true).ok());
 
-  RowBatch t;
-  for (int i = 0; i < 4; ++i) t.columns.emplace_back(TypeId::kInt64);
-  t.columns.emplace_back(TypeId::kVarchar);
-  for (int i = 0; i < 400; ++i) {
-    t.columns[0].AppendInt(i);
-    t.columns[1].AppendInt(i % 7);
-    t.columns[2].AppendInt(i % 5);
-    t.columns[3].AppendInt(i * 31 % 101);
-    t.columns[4].AppendString("s" + std::to_string(i % 13));
-  }
-  EXPECT_TRUE(db->Load("PUBLIC", "T", t).ok());
+  EXPECT_TRUE(db->Load("PUBLIC", "T", FactRows()).ok());
 
   RowBatch d;
   d.columns.emplace_back(TypeId::kInt64);

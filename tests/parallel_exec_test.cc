@@ -20,6 +20,7 @@
 #include "exec/operator.h"
 #include "exec/sort.h"
 #include "sql/engine.h"
+#include "sort_oracle.h"
 #include "workloads/customer_workload.h"
 #include "workloads/tpcds_mini.h"
 
@@ -638,17 +639,21 @@ TEST(ParallelExecTest, NullGroupNeverCollidesWithAnIntegerKey) {
   }
 }
 
+/// K2 DESC, S: about 20 rows share each key, and their P payloads differ,
+/// so any unstable tie order shows in the bytes.
+std::vector<SortKey> TopNKeys() {
+  return {{std::make_shared<ColumnRefExpr>(2, TypeId::kInt64), true},
+          {std::make_shared<ColumnRefExpr>(1, TypeId::kVarchar), false}};
+}
+
 /// Top-N over `batches` at `dop`; returns its rows and fills *analyze.
 std::string RunTopN(const std::vector<RowBatch>& batches, ThreadPool* pool,
                     int dop, std::string* analyze) {
   ExecContext ctx;
   ctx.pool = pool;
   ctx.dop = dop;
-  std::vector<SortKey> keys = {
-      {std::make_shared<ColumnRefExpr>(3, TypeId::kDouble), true},
-      {std::make_shared<ColumnRefExpr>(1, TypeId::kVarchar), false}};
-  TopNOp topn(std::make_unique<BatchSourceOp>(batches, kJoinCols),
-              std::move(keys), 40, 7, &ctx);
+  TopNOp topn(std::make_unique<BatchSourceOp>(batches, kJoinCols), TopNKeys(),
+              40, 7, &ctx);
   auto r = DrainOperator(&topn);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   *analyze = topn.AnalyzeString();
@@ -665,19 +670,23 @@ TEST(ParallelExecTest, TopNFansOutOverPageBatchesAndOneHugeBatch) {
     }
   }
   // The oracle: stable full sort, then rows [7, 47).
-  ExecContext serial_ctx;
-  std::vector<SortKey> keys = {
-      {std::make_shared<ColumnRefExpr>(3, TypeId::kDouble), true},
-      {std::make_shared<ColumnRefExpr>(1, TypeId::kVarchar), false}};
-  auto sort = std::make_unique<SortOp>(
-      std::make_unique<BatchSourceOp>(std::vector<RowBatch>{huge}, kJoinCols),
-      std::move(keys), &serial_ctx, /*serial=*/true);
-  LimitOp limit(std::move(sort), 40, 7);
-  auto want = DrainOperator(&limit);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  const std::string expected = BatchBytes(*want);
+  const std::string expected =
+      BatchBytes(sort_oracle::Sort(huge, TopNKeys(), 40, 7));
   for (const auto& input : {pages, std::vector<RowBatch>{huge}}) {
     for (int dop : {1, 4}) {
+      // The plan above kTopNMaxCapacity over the same input: full sort,
+      // then LimitOp.
+      ExecContext ctx;
+      ctx.pool = &pool;
+      ctx.dop = dop;
+      LimitOp limit(std::make_unique<SortOp>(
+                        std::make_unique<BatchSourceOp>(input, kJoinCols),
+                        TopNKeys(), &ctx),
+                    40, 7);
+      auto full = DrainOperator(&limit);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      EXPECT_TRUE(BatchBytes(*full) == expected)
+          << "sort+limit " << input.size() << " batches, dop=" << dop;
       std::string analyze;
       EXPECT_TRUE(RunTopN(input, &pool, dop, &analyze) == expected)
           << input.size() << " batches, dop=" << dop;

@@ -1,10 +1,11 @@
 // Parallel sort & Top-N subsystem (ctest -L sort). Covers the normalized
 // memcmp-able key encoding against the Value::Compare oracle (NULLs,
 // -0.0/NaN canonicalization, empty and embedded-NUL strings, DESC
-// complements), byte-identity of the morsel run-sort + k-way merge against
-// the serial stable_sort oracle, bounded-heap Top-N equivalence, LIMIT
-// early termination, cancellation storms through a governed sort, and the
-// MPP ORDER BY/LIMIT pushdown with the coordinator stream merge.
+// complements), byte-identity of the morsel run-sort + k-way merge and of
+// the bounded-heap Top-N against the reference stable_sort in
+// sort_oracle.h, LIMIT early termination, cancellation storms through a
+// governed sort, and the MPP ORDER BY/LIMIT pushdown with the coordinator
+// stream merge (SELECT * keys, aggregate ORDER BY against a single node).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "mpp/mpp.h"
 #include "sql/engine.h"
 #include "corpus_util.h"
+#include "sort_oracle.h"
 
 namespace dashdb {
 namespace {
@@ -200,7 +202,8 @@ TEST(SortKeyTest, DescComplementReversesOrderAndNullsGoFirst) {
     }
   }
   // NULL sorts high ascending, therefore first descending — matching the
-  // serial comparator, which flips the whole three-way result under DESC.
+  // comparator in sort_oracle.h, which flips the whole three-way result
+  // under DESC.
   EXPECT_GT(CompareEnc(Enc(cv, 3), Enc(cv, 2)), 0);
   EXPECT_LT(CompareEnc(Enc(cv, 3, true), Enc(cv, 2, true)), 0);
 }
@@ -236,7 +239,7 @@ TEST(SortKeyTest, CompositeKeysKeepColumnBoundaries) {
 TEST(SortKeyTest, MixedKeyColumnMatchesSerialComparator) {
   // Random three-key rows (int DESC, varchar ASC, double ASC) with NULLs:
   // the composite encoding must agree with the lexicographic typed
-  // comparator the serial oracle uses.
+  // comparator sort_oracle.h uses.
   ColumnVector ki(TypeId::kInt64), ks(TypeId::kVarchar), kd(TypeId::kDouble);
   Rng rng(15);
   const size_t n = 250;
@@ -321,27 +324,25 @@ TEST(SortOpTest, ParallelSortMatchesSerialStableOracle) {
   for (size_t n : {size_t{0}, size_t{1}, size_t{1000}, size_t{20000}}) {
     RowBatch data = MakeMixedBatch(n, 21 + n);
     for (int variant = 0; variant < 3; ++variant) {
-      ExecContext serial_ctx;
-      auto serial = std::make_unique<SortOp>(
-          std::make_unique<ValuesOp>(data, MixedCols()), MixedKeys(variant),
-          &serial_ctx, /*serial=*/true);
-      auto want = DrainOperator(serial.get());
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-
-      ExecContext par_ctx;
-      par_ctx.pool = &pool;
-      par_ctx.dop = 4;
-      const uint64_t runs_before = CounterValue("exec.sort_runs");
-      auto par = std::make_unique<SortOp>(
-          std::make_unique<ValuesOp>(data, MixedCols()), MixedKeys(variant),
-          &par_ctx);
-      auto got = DrainOperator(par.get());
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(BatchKey(*got), BatchKey(*want))
-          << "n=" << n << " variant=" << variant;
-      if (n >= 20000) {
-        // Large inputs must take the multi-run path, not degrade to one run.
-        EXPECT_GT(CounterValue("exec.sort_runs"), runs_before + 1);
+      const std::string want =
+          BatchKey(sort_oracle::Sort(data, MixedKeys(variant)));
+      for (int dop : {1, 4}) {
+        ExecContext ctx;
+        ctx.pool = &pool;
+        ctx.dop = dop;
+        const uint64_t runs_before = CounterValue("exec.sort_runs");
+        auto sort = std::make_unique<SortOp>(
+            std::make_unique<ValuesOp>(data, MixedCols()), MixedKeys(variant),
+            &ctx);
+        auto got = DrainOperator(sort.get());
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(BatchKey(*got), want)
+            << "n=" << n << " variant=" << variant << " dop=" << dop;
+        if (n >= 20000 && dop == 4) {
+          // Large inputs must take the multi-run path, not degrade to one
+          // run.
+          EXPECT_GT(CounterValue("exec.sort_runs"), runs_before + 1);
+        }
       }
     }
   }
@@ -354,14 +355,8 @@ TEST(TopNOpTest, MatchesSortPlusLimitOracle) {
     for (int variant = 0; variant < 3; ++variant) {
       for (int64_t limit : {int64_t{0}, int64_t{1}, int64_t{17}, int64_t{1000}}) {
         for (int64_t offset : {int64_t{0}, int64_t{3}, int64_t{50}}) {
-          ExecContext serial_ctx;
-          auto sort = std::make_unique<SortOp>(
-              std::make_unique<ValuesOp>(data, MixedCols()),
-              MixedKeys(variant), &serial_ctx, /*serial=*/true);
-          auto lim = std::make_unique<LimitOp>(std::move(sort), limit, offset);
-          auto want = DrainOperator(lim.get());
-          ASSERT_TRUE(want.ok()) << want.status().ToString();
-
+          const std::string want = BatchKey(
+              sort_oracle::Sort(data, MixedKeys(variant), limit, offset));
           ExecContext par_ctx;
           par_ctx.pool = &pool;
           par_ctx.dop = 4;
@@ -370,13 +365,48 @@ TEST(TopNOpTest, MatchesSortPlusLimitOracle) {
               MixedKeys(variant), limit, offset, &par_ctx);
           auto got = DrainOperator(topn.get());
           ASSERT_TRUE(got.ok()) << got.status().ToString();
-          EXPECT_EQ(BatchKey(*got), BatchKey(*want))
+          EXPECT_EQ(BatchKey(*got), want)
               << "n=" << n << " variant=" << variant << " limit=" << limit
               << " offset=" << offset;
+          // The plan above kTopNMaxCapacity: full sort, then LimitOp.
+          LimitOp sort_limit(
+              std::make_unique<SortOp>(
+                  std::make_unique<ValuesOp>(data, MixedCols()),
+                  MixedKeys(variant), &par_ctx),
+              limit, offset);
+          auto full = DrainOperator(&sort_limit);
+          ASSERT_TRUE(full.ok()) << full.status().ToString();
+          EXPECT_EQ(BatchKey(*full), want)
+              << "sort+limit n=" << n << " variant=" << variant
+              << " limit=" << limit << " offset=" << offset;
         }
       }
     }
   }
+}
+
+TEST(SortPlanTest, PlanOrderByPicksTopNOnlyUnderCapacity) {
+  ExecContext ctx;
+  auto plan = [&](int n_keys, int64_t limit, int64_t offset) {
+    std::vector<SortKey> keys;
+    for (int k = 0; k < n_keys; ++k) keys.push_back({Col(0, TypeId::kInt64)});
+    OperatorPtr root =
+        PlanOrderBy(std::make_unique<ValuesOp>(RowBatch{}, MixedCols()),
+                    std::move(keys), limit, offset, &ctx);
+    std::string labels;
+    for (const Operator* op = root.get(); op != nullptr;
+         op = op->children().empty() ? nullptr : op->children().front()) {
+      labels += op->label().substr(0, op->label().find('(')) + " ";
+    }
+    return labels;
+  };
+  EXPECT_EQ(plan(1, 10, 5), "TopN Values ");
+  EXPECT_EQ(plan(1, kTopNMaxCapacity, 0), "TopN Values ");
+  EXPECT_EQ(plan(1, kTopNMaxCapacity, 1), "Limit Sort Values ");
+  EXPECT_EQ(plan(1, -1, 0), "Sort Values ");
+  EXPECT_EQ(plan(1, -1, 3), "Limit Sort Values ");
+  EXPECT_EQ(plan(0, 10, 0), "Limit Values ");
+  EXPECT_EQ(plan(0, -1, 0), "Values ");
 }
 
 /// Emits `batches` batches of `rows` sequential rows and counts pulls, so
@@ -507,42 +537,76 @@ void Set(Engine& e, Session* s, const std::string& stmt) {
   ASSERT_TRUE(r.ok()) << stmt << ": " << r.status().ToString();
 }
 
+/// One ORDER BY query and how to check it: the oracle drains `unsorted`
+/// (the visible columns, then any key the query does not return) at DOP 1
+/// and sorts it with tests/sort_oracle.h.
+struct OrderCase {
+  const char* head;      ///< the query up to its ORDER BY
+  const char* unsorted;  ///< the oracle's input
+  size_t visible;        ///< leading `unsorted` columns the query returns
+  const char* order_by;
+  std::vector<sort_oracle::Key> keys;  ///< over `unsorted`'s columns
+  int64_t limit;                       ///< < 0: none
+  int64_t offset;
+};
+
+std::string WithLimit(const OrderCase& c, int64_t limit) {
+  std::string sql = std::string(c.head) + " " + c.order_by;
+  if (limit >= 0) sql += " LIMIT " + std::to_string(limit);
+  if (c.offset > 0) sql += " OFFSET " + std::to_string(c.offset);
+  return sql;
+}
+
+/// The oracle's answer to `c` with `limit`, as RowsKey renders it.
+std::string OracleKey(const QueryResult& unsorted, const OrderCase& c,
+                      int64_t limit) {
+  QueryResult want = unsorted;
+  want.rows = sort_oracle::Sort(unsorted.rows, c.keys, limit, c.offset);
+  want.rows.columns.resize(c.visible);
+  want.columns.resize(c.visible);
+  return RowsKey(want);
+}
+
 TEST(SortEngineTest, AllStrategiesByteIdentical) {
   Engine engine(ParallelConfig());
   auto session = engine.CreateSession();
   LoadRows(&engine, "S", 20000);
-  const std::string queries[] = {
-      "SELECT ID, V FROM S ORDER BY V DESC, ID",
-      "SELECT S, GRP, ID FROM S ORDER BY S, GRP DESC, ID",
-      "SELECT ID, GRP, V FROM S ORDER BY GRP, V DESC LIMIT 37 OFFSET 11",
-      "SELECT ID FROM S ORDER BY V, ID LIMIT 100",
-      "SELECT ID, V FROM S WHERE GRP < 40 ORDER BY V LIMIT 60",
+  const std::vector<OrderCase> cases = {
+      {"SELECT ID, V FROM S", "SELECT ID, V FROM S", 2, "ORDER BY V DESC, ID",
+       {{1, true}, {0, false}}, -1, 0},
+      {"SELECT S, GRP, ID FROM S", "SELECT S, GRP, ID FROM S", 3,
+       "ORDER BY S, GRP DESC, ID", {{0, false}, {1, true}, {2, false}}, -1, 0},
+      {"SELECT ID, GRP, V FROM S", "SELECT ID, GRP, V FROM S", 3,
+       "ORDER BY GRP, V DESC", {{1, false}, {2, true}}, 37, 11},
+      {"SELECT ID FROM S", "SELECT ID, V FROM S", 1, "ORDER BY V, ID",
+       {{1, false}, {0, false}}, 100, 0},
+      {"SELECT ID, V FROM S WHERE GRP < 40", "SELECT ID, V FROM S WHERE GRP < 40",
+       2, "ORDER BY V", {{1, false}}, 60, 0},
   };
-  for (const std::string& sql : queries) {
-    // Baseline: the serial stable_sort oracle with Top-N fusion disabled.
-    Set(engine, session.get(), "SET SORT SERIAL");
-    Set(engine, session.get(), "SET TOPN OFF");
+  // A LIMIT above kTopNMaxCapacity takes the full sort + LimitOp plan.
+  const int64_t big = kTopNMaxCapacity + 1;
+  for (const OrderCase& c : cases) {
     Set(engine, session.get(), "SET DOP = 1");
-    auto baseline = engine.Execute(session.get(), sql);
-    ASSERT_TRUE(baseline.ok()) << sql << ": " << baseline.status().ToString();
-    const std::string want = RowsKey(*baseline);
-    for (const char* sort_mode : {"SET SORT PARALLEL"}) {
-      for (const char* topn_mode : {"SET TOPN OFF", "SET TOPN ON"}) {
-        for (int dop : {1, 4}) {
-          Set(engine, session.get(), sort_mode);
-          Set(engine, session.get(), topn_mode);
-          Set(engine, session.get(), "SET DOP = " + std::to_string(dop));
-          auto r = engine.Execute(session.get(), sql);
-          ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
-          EXPECT_EQ(RowsKey(*r), want)
-              << sql << " under " << topn_mode << " dop=" << dop;
-        }
+    auto unsorted = engine.Execute(session.get(), c.unsorted);
+    ASSERT_TRUE(unsorted.ok()) << unsorted.status().ToString();
+    for (int64_t limit : {c.limit, big}) {
+      const std::string sql = WithLimit(c, limit);
+      const std::string want = OracleKey(*unsorted, c, limit);
+      for (int dop : {1, 4}) {
+        Set(engine, session.get(), "SET DOP = " + std::to_string(dop));
+        auto r = engine.Execute(session.get(), sql);
+        ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+        EXPECT_EQ(RowsKey(*r), want) << sql << " dop=" << dop;
+        auto plan = engine.Execute(session.get(), "EXPLAIN " + sql);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        const bool topn = limit >= 0 && limit + c.offset <= kTopNMaxCapacity;
+        EXPECT_EQ(plan->message.find("TopN(") != std::string::npos, topn)
+            << plan->message;
+        EXPECT_EQ(plan->message.find("Sort(") != std::string::npos, !topn)
+            << plan->message;
       }
     }
   }
-  // Restore defaults for any follow-on statements on this session.
-  Set(engine, session.get(), "SET SORT PARALLEL");
-  Set(engine, session.get(), "SET TOPN ON");
 }
 
 TEST(SortEngineTest, ExplainShowsStrategyAndMetricsAccumulate) {
@@ -571,22 +635,24 @@ TEST(SortEngineTest, ExplainShowsStrategyAndMetricsAccumulate) {
   EXPECT_NE(full->message.find("runs="), std::string::npos) << full->message;
   EXPECT_GE(CounterValue("exec.sort_rows"), rows_before + 20000);
 
-  // SET SORT SERIAL pins the oracle path and says so in the plan.
-  Set(engine, session.get(), "SET SORT SERIAL");
-  auto serial = engine.Execute(
+  // Unknown SET names (retired knobs among them) are accepted and change
+  // no plan.
+  Set(engine, session.get(), "SET RETIRED_SORT_KNOB = SERIAL");
+  auto still = engine.Execute(
       session.get(), "EXPLAIN ANALYZE SELECT ID, V FROM S ORDER BY V, ID");
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  EXPECT_NE(serial->message.find("strategy=serial"), std::string::npos)
-      << serial->message;
-  Set(engine, session.get(), "SET SORT PARALLEL");
+  ASSERT_TRUE(still.ok()) << still.status().ToString();
+  EXPECT_NE(still->message.find("strategy=full"), std::string::npos)
+      << still->message;
 
-  // With fusion disabled the standalone LimitOp reports its child pulls.
-  Set(engine, session.get(), "SET TOPN OFF");
+  // A LIMIT above kTopNMaxCapacity keeps the full sort, and the LimitOp
+  // above it reports its child pulls.
   auto lim = engine.Execute(
-      session.get(), "EXPLAIN ANALYZE SELECT ID FROM S ORDER BY V, ID LIMIT 5");
+      session.get(), "EXPLAIN ANALYZE SELECT ID FROM S ORDER BY V, ID LIMIT " +
+                         std::to_string(kTopNMaxCapacity + 1));
   ASSERT_TRUE(lim.ok()) << lim.status().ToString();
   EXPECT_NE(lim->message.find("pulls="), std::string::npos) << lim->message;
-  Set(engine, session.get(), "SET TOPN ON");
+  EXPECT_NE(lim->message.find("strategy=full"), std::string::npos)
+      << lim->message;
 }
 
 TEST(SortEngineTest, CancellationStormMidSortAndMerge) {
@@ -704,19 +770,223 @@ TEST(SortMppTest, OrderByForeignExpressionReportsTypedError) {
       << r.status().ToString();
 }
 
-TEST(SortMppTest, SortKnobsBroadcastToShards) {
+TEST(SortMppTest, ShardTopNAndFullSortMatchOracle) {
   auto db = corpus::MakeLoadedDb(1);
-  auto want = db->Execute("SELECT ID, V, S FROM T ORDER BY V DESC, ID LIMIT 31");
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  // Shard-local serial sorts + no Top-N fusion must still merge to the
-  // byte-identical answer (the oracle arms of the bench).
-  ASSERT_TRUE(db->Execute("SET SORT SERIAL").ok());
-  ASSERT_TRUE(db->Execute("SET TOPN OFF").ok());
-  auto got = db->Execute("SELECT ID, V, S FROM T ORDER BY V DESC, ID LIMIT 31");
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(corpus::ResultKey(got->result), corpus::ResultKey(want->result));
-  ASSERT_TRUE(db->Execute("SET SORT PARALLEL").ok());
-  ASSERT_TRUE(db->Execute("SET TOPN ON").ok());
+  auto unsorted = db->Execute("SELECT ID, V, S FROM T");
+  ASSERT_TRUE(unsorted.ok()) << unsorted.status().ToString();
+  const char* head = "SELECT ID, V, S FROM T";
+  const std::vector<OrderCase> cases = {
+      {head, head, 3, "ORDER BY V DESC, ID", {{1, true}, {0, false}}, 31, 0},
+      // Ties on S: the shard sorts must be stable and the merge must break
+      // ties on the shard index.
+      {head, head, 3, "ORDER BY S", {{2, false}}, 31, 5},
+  };
+  // Shard-local Top-N, and (above kTopNMaxCapacity) shard-local full sort
+  // + LimitOp, must both merge to the oracle's answer.
+  const int64_t big = kTopNMaxCapacity + 1;
+  for (const OrderCase& c : cases) {
+    for (int64_t limit : {c.limit, big}) {
+      const std::string sql = WithLimit(c, limit);
+      auto got = db->Execute(sql);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      EXPECT_EQ(RowsKey(got->result), OracleKey(unsorted->result, c, limit))
+          << sql;
+      auto analyzed = db->Execute("EXPLAIN ANALYZE " + sql);
+      ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+      const std::string& plan = analyzed->result.message;
+      if (limit == big) {
+        EXPECT_NE(plan.find("Sort("), std::string::npos) << plan;
+        EXPECT_NE(plan.find("Limit("), std::string::npos) << plan;
+        EXPECT_EQ(plan.find("TopN("), std::string::npos) << plan;
+      } else {
+        EXPECT_NE(plan.find("TopN("), std::string::npos) << plan;
+      }
+    }
+  }
+}
+
+/// A single-node engine holding one table, to byte-compare MPP results
+/// against.
+std::unique_ptr<Engine> SingleNode(const TableSchema& schema,
+                                   const RowBatch& rows) {
+  auto engine = std::make_unique<Engine>(ParallelConfig());
+  auto t = engine->CreateColumnTable(schema);
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  if (t.ok()) {
+    EXPECT_TRUE(t.value()->Append(rows).ok());
+  }
+  return engine;
+}
+
+TEST(SortMppTest, StarOrderByMergesShardStreams) {
+  auto db = corpus::MakeLoadedDb(4);
+  auto single = SingleNode(corpus::FactSchema(), corpus::FactRows());
+  auto session = single->CreateSession();
+  const char* all = "SELECT * FROM T";
+  const char* grp2 = "SELECT * FROM T WHERE GRP = 2";
+  const std::vector<OrderCase> cases = {
+      {all, all, 5, "ORDER BY S DESC, ID", {{4, true}, {0, false}}, 25, 0},
+      {all, all, 5, "ORDER BY V, ID", {{3, false}, {0, false}}, 30, 7},
+      {all, all, 5, "ORDER BY 5, 4 DESC, 1",
+       {{4, false}, {3, true}, {0, false}}, -1, 390},
+      {grp2, grp2, 5, "ORDER BY T.CAT DESC, ID", {{2, true}, {0, false}}, 10,
+       3},
+      // Ties on S: checked against the oracle over the MPP scan order only,
+      // since a single node breaks them in its own scan order.
+      {all, all, 5, "ORDER BY S", {{4, false}}, 40, 0},
+  };
+  const int64_t big = kTopNMaxCapacity + 1;
+  for (const OrderCase& c : cases) {
+    auto unsorted = db->Execute(c.unsorted);
+    ASSERT_TRUE(unsorted.ok()) << unsorted.status().ToString();
+    bool total = false;  // ID, column 0, is unique
+    for (const auto& k : c.keys) total = total || k.col == 0;
+    for (int64_t limit : {c.limit, big}) {
+      const std::string sql = WithLimit(c, limit);
+      const uint64_t streams_before = CounterValue("mpp.merge_streams");
+      auto got = db->Execute(sql);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      EXPECT_EQ(CounterValue("mpp.merge_streams"),
+                streams_before + static_cast<uint64_t>(db->num_shards()))
+          << sql;
+      EXPECT_EQ(RowsKey(got->result), OracleKey(unsorted->result, c, limit))
+          << sql;
+      if (total) {
+        auto want = single->Execute(session.get(), sql);
+        ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+        EXPECT_EQ(RowsKey(got->result), RowsKey(*want)) << sql;
+      }
+    }
+  }
+  // Keys that are not output columns keep their typed error: an expression
+  // (rejected before the shards run) and a column the star does not expand.
+  for (const char* sql :
+       {"SELECT * FROM T ORDER BY V * GRP",
+        "SELECT t.* FROM T t JOIN D d ON t.GRP = d.GRP ORDER BY A, ID"}) {
+    auto r = db->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented) << sql;
+    EXPECT_NE(r.status().ToString().find("select-list expressions"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+/// G: ID, K (NULL every 9th row, else ID % 6), S (NULL every 11th row,
+/// else "g" + ID % 5) and D, a double whose per-K values make MAX land on
+/// -0.0 (K 0 and 5) and +0.0 (K 1), every K 2 aggregate NaN, and every sum
+/// exact in any order.
+TableSchema GroupSchema() {
+  return TableSchema("PUBLIC", "G",
+                     {{"ID", TypeId::kInt64, false, 0, false},
+                      {"K", TypeId::kInt64, true, 0, false},
+                      {"S", TypeId::kVarchar, true, 0, false},
+                      {"D", TypeId::kDouble, true, 0, false}});
+}
+
+RowBatch GroupRows() {
+  RowBatch b;
+  b.columns.emplace_back(TypeId::kInt64);
+  b.columns.emplace_back(TypeId::kInt64);
+  b.columns.emplace_back(TypeId::kVarchar);
+  b.columns.emplace_back(TypeId::kDouble);
+  for (int64_t i = 0; i < 240; ++i) {
+    b.columns[0].AppendInt(i);
+    const bool null_k = i % 9 == 0;
+    if (null_k) {
+      b.columns[1].AppendNull();
+    } else {
+      b.columns[1].AppendInt(i % 6);
+    }
+    if (i % 11 == 0) {
+      b.columns[2].AppendNull();
+    } else {
+      b.columns[2].AppendString("g" + std::to_string(i % 5));
+    }
+    ColumnVector& d = b.columns[3];
+    const bool alt = (i / 6) % 2 == 1;  // alternates within each K group
+    switch (null_k ? -1 : i % 6) {
+      case -1:
+        if (alt) d.AppendDouble(0.75); else d.AppendNull();
+        break;
+      case 0:
+        d.AppendDouble(alt ? -0.0 : -0.5);
+        break;
+      case 1:
+        d.AppendDouble(alt ? 0.0 : -0.5);
+        break;
+      case 2:
+        d.AppendDouble(std::numeric_limits<double>::quiet_NaN());
+        break;
+      case 3:
+        d.AppendDouble(1.5);
+        break;
+      case 4:
+        d.AppendDouble(0.25 * static_cast<double>(i % 4));
+        break;
+      default:
+        if (alt) d.AppendNull(); else d.AppendDouble(-0.0);
+        break;
+    }
+  }
+  return b;
+}
+
+TEST(SortMppTest, AggregateOrderByMatchesSingleNode) {
+  EngineConfig cfg;
+  cfg.query_parallelism = 4;
+  MppDatabase db(4, 2, 8, size_t{8} << 30, cfg);
+  TableSchema schema = GroupSchema();
+  schema.set_distribution_key(0);
+  ASSERT_TRUE(db.CreateTable(schema).ok());
+  ASSERT_TRUE(db.Load("PUBLIC", "G", GroupRows()).ok());
+  auto single = SingleNode(GroupSchema(), GroupRows());
+  auto session = single->CreateSession();
+  const std::string big = std::to_string(kTopNMaxCapacity + 1);
+  const std::string queries[] = {
+      // -0.0 ties +0.0 (the K key breaks it), NaN sorts above every number.
+      "SELECT K, MAX(D) AS MX, COUNT(*) FROM G GROUP BY K ORDER BY MX DESC, K",
+      "SELECT K, MAX(D) AS MX, COUNT(*) FROM G GROUP BY K ORDER BY 2, K",
+      "SELECT K, SUM(D) AS SD FROM G GROUP BY K ORDER BY SD, K",
+      "SELECT K, SUM(D) AS SD FROM G GROUP BY K ORDER BY SD DESC, K LIMIT 4",
+      // NULL group keys: last ascending, first descending.
+      "SELECT K, COUNT(*) FROM G GROUP BY K ORDER BY K",
+      "SELECT K, COUNT(*) FROM G GROUP BY K ORDER BY K DESC",
+      "SELECT K, COUNT(*) FROM G GROUP BY K ORDER BY K LIMIT 3 OFFSET 2",
+      // String keys.
+      "SELECT S, COUNT(*), MIN(ID) FROM G GROUP BY S ORDER BY S DESC",
+      "SELECT S, K, COUNT(*) FROM G GROUP BY S, K ORDER BY S, K DESC "
+      "LIMIT 10 OFFSET 4",
+      // Full sort + LimitOp at the coordinator.
+      "SELECT S, COUNT(*) FROM G GROUP BY S ORDER BY 2 DESC, S LIMIT " + big,
+      "SELECT S, K, COUNT(*) FROM G GROUP BY S, K ORDER BY 3, 1, 2 LIMIT " +
+          big + " OFFSET 5",
+      // LIMIT / OFFSET without ORDER BY over one global group.
+      "SELECT COUNT(*), SUM(D), MIN(ID) FROM G LIMIT 1",
+      "SELECT COUNT(*) FROM G LIMIT 0",
+      "SELECT COUNT(*) FROM G LIMIT 5 OFFSET 1",
+  };
+  for (const std::string& sql : queries) {
+    auto got = db.Execute(sql);
+    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    auto want = single->Execute(session.get(), sql);
+    ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+    EXPECT_EQ(RowsKey(got->result), RowsKey(*want)) << sql;
+  }
+  // LIMIT without ORDER BY over many groups: which groups is unspecified,
+  // but it is that many of them.
+  auto every = db.Execute("SELECT K, COUNT(*) FROM G GROUP BY K");
+  auto some = db.Execute("SELECT K, COUNT(*) FROM G GROUP BY K LIMIT 3");
+  ASSERT_TRUE(every.ok() && some.ok());
+  ASSERT_EQ(some->result.rows.num_rows(), 3u);
+  const std::string all_rows = RowsKey(every->result);
+  for (size_t i = 0; i < 3; ++i) {
+    const RowBatch& rows = some->result.rows;
+    const std::string row = "\n" + rows.columns[0].GetValue(i).ToString() +
+                            "|" + rows.columns[1].GetValue(i).ToString() +
+                            "|\n";
+    EXPECT_NE(all_rows.find(row), std::string::npos) << row;
+  }
 }
 
 }  // namespace
