@@ -1,8 +1,11 @@
 // Design-choice ablation: each of the paper's architectural levers
 // (II.B.2 operating on compressed data, II.B.4 data skipping, II.B.6
-// software SIMD, II.B.5 cache policy, II.B.7 partitioned join) toggled
+// software SIMD, II.B.5 cache policy, II.B.7 join index layout) toggled
 // one at a time on a scan-heavy query, quantifying its contribution.
+// Exits nonzero when the join arms disagree on their rows, or an arm does
+// not build the join index it is meant to measure.
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "common/datetime.h"
@@ -17,14 +20,25 @@ namespace {
 
 constexpr size_t kRows = 3000000;
 
+/// A join key times an odd constant (wrapping): a bijection, so joins on
+/// spread keys match exactly the rows joins on the plain keys do, but the
+/// spread keys span far more than 8 values per build row and so always
+/// take the hash index.
+int64_t Spread(int64_t k) {
+  return static_cast<int64_t>(static_cast<uint64_t>(k) *
+                              0x9E3779B97F4A7C15ull);
+}
+
 std::shared_ptr<ColumnTable> MakeTable() {
   TableSchema schema("PUBLIC", "F",
                      {{"TS", TypeId::kDate, true, 0, false},
                       {"CODE", TypeId::kInt64, true, 0, false},
-                      {"V", TypeId::kInt64, true, 0, false}});
+                      {"V", TypeId::kInt64, true, 0, false},
+                      {"VX", TypeId::kInt64, true, 0, false}});
   auto t = std::make_shared<ColumnTable>(schema, 1);
   RowBatch rows;
   rows.columns.emplace_back(TypeId::kDate);
+  rows.columns.emplace_back(TypeId::kInt64);
   rows.columns.emplace_back(TypeId::kInt64);
   rows.columns.emplace_back(TypeId::kInt64);
   Rng rng(1);
@@ -33,7 +47,9 @@ std::shared_ptr<ColumnTable> MakeTable() {
   for (size_t i = 0; i < kRows; ++i) {
     rows.columns[0].AppendInt(start + static_cast<int32_t>(i * 1500 / kRows));
     rows.columns[1].AppendInt(static_cast<int64_t>(code.Next()));
-    rows.columns[2].AppendInt(rng.Range(0, 1000000));
+    const int64_t v = rng.Range(0, 1000000);
+    rows.columns[2].AppendInt(v);
+    rows.columns[3].AppendInt(Spread(v));
   }
   if (!t->Load(rows).ok()) std::exit(1);
   return t;
@@ -92,47 +108,96 @@ int main() {
                 s / base);
   }
 
-  // Partitioned vs global hash join (II.B.7).
+  // Join index layouts (II.B.7): the hash index, radix-partitioned into
+  // cache-sized tables or one global table, over spread keys; and the
+  // direct-address index over the plain keys. Every arm joins the same
+  // rows, so all must agree on the output's row count and checksum.
+  int status = 0;
   {
     ExecContext ctx;
     // A build side far larger than L2/L3 so partitioning's cache locality
-    // can matter (with a small build side both variants fit in cache).
+    // can matter (with a small build side both variants fit in cache):
+    // 2M rows over 1M keys, each key twice.
     auto dim_schema = TableSchema("PUBLIC", "D",
-                                  {{"K", TypeId::kInt64, false, 0, false}});
+                                  {{"K", TypeId::kInt64, false, 0, false},
+                                   {"KX", TypeId::kInt64, false, 0, false}});
     auto dim = std::make_shared<ColumnTable>(dim_schema, 2);
     RowBatch drows;
     drows.columns.emplace_back(TypeId::kInt64);
+    drows.columns.emplace_back(TypeId::kInt64);
     for (int i = 0; i < 2000000; ++i) {
       drows.columns[0].AppendInt(i % 1000000);
+      drows.columns[1].AppendInt(Spread(i % 1000000));
     }
     (void)dim->Load(drows);
-    auto run_join = [&](bool partitioned) {
+    struct Arm {
+      const char* name;
+      int key;  ///< 0: V = K, 1: VX = KX
+      bool partitioned;
+      const char* index;  ///< the index EXPLAIN ANALYZE must report
+      double seconds = 0;
+      size_t rows = 0;
+      uint64_t checksum = 0;
+    };
+    Arm arms[] = {
+        {"hash join, cache-partitioned (II.B.7)", 1, true, "index=hash"},
+        {"hash join, one global table", 1, false, "index=hash"},
+        {"direct-address join index", 0, true, "index=dense"},
+    };
+    for (Arm& arm : arms) {
+      // Probe V, VX; build K, KX: every arm emits the same four columns.
       auto probe = std::make_unique<ColumnScanOp>(
-          t, std::vector<ColumnPredicate>{}, std::vector<int>{2},
+          t, std::vector<ColumnPredicate>{}, std::vector<int>{2, 3},
           ScanOptions{});
       auto build = std::make_unique<ColumnScanOp>(
-          dim, std::vector<ColumnPredicate>{}, std::vector<int>{0},
+          dim, std::vector<ColumnPredicate>{}, std::vector<int>{0, 1},
           ScanOptions{});
-      auto key = std::make_shared<ColumnRefExpr>(0, TypeId::kInt64);
+      auto key = std::make_shared<ColumnRefExpr>(arm.key, TypeId::kInt64);
       HashJoinOp join(std::move(probe), std::move(build),
                       std::vector<ExprPtr>{key}, std::vector<ExprPtr>{key},
-                      JoinType::kInner, &ctx, partitioned);
-      Stopwatch sw;
-      auto r = DrainOperator(&join);
-      if (!r.ok()) std::exit(3);
-      return sw.ElapsedSeconds();
-    };
-    double part = run_join(true);
-    double global = run_join(false);
-    std::printf("  %-44s %10.2f ms\n", "hash join, cache-partitioned (II.B.7)",
-                part * 1e3);
-    std::printf("  %-44s %10.2f ms  %7.2fx\n", "hash join, one global table",
-                global * 1e3, global / part);
-    PrintNote("finding: with row-at-a-time probing the partition routing "
-              "overhead is not amortized; realizing the paper's cache win "
-              "needs batch radix probing (documented in EXPERIMENTS.md)");
+                      JoinType::kInner, &ctx, arm.partitioned);
+      // Rows stream into an order-sensitive checksum instead of being
+      // materialized (the join emits ~6M rows); only the join is timed.
+      Stopwatch open_sw;
+      if (!join.Open().ok()) std::exit(3);
+      arm.seconds = open_sw.ElapsedSeconds();
+      RowBatch b;
+      for (;;) {
+        Stopwatch sw;
+        auto more = join.Next(&b);
+        arm.seconds += sw.ElapsedSeconds();
+        if (!more.ok()) std::exit(3);
+        if (!*more) break;
+        for (size_t i = 0; i < b.num_rows(); ++i) {
+          for (const ColumnVector& c : b.columns) {
+            arm.checksum = arm.checksum * 1000003u ^
+                           static_cast<uint64_t>(c.GetInt(i));
+          }
+        }
+        arm.rows += b.num_rows();
+      }
+      if (join.AnalyzeString().find(arm.index) == std::string::npos) {
+        std::printf("  MISMATCH: %s did not build %s: %s\n", arm.name,
+                    arm.index, join.AnalyzeString().c_str());
+        status = 4;
+      }
+    }
+    for (const Arm& arm : arms) {
+      std::printf("  %-44s %10.2f ms  %7.2fx  rows=%zu checksum=%016llx\n",
+                  arm.name, arm.seconds * 1e3, arm.seconds / arms[0].seconds,
+                  arm.rows, static_cast<unsigned long long>(arm.checksum));
+      if (arm.rows != arms[0].rows || arm.checksum != arms[0].checksum) {
+        std::printf("  MISMATCH: %s disagrees with %s\n", arm.name,
+                    arms[0].name);
+        status = 4;
+      }
+    }
+    PrintNote("finding: with the batched probe, routing rows to 64 radix "
+              "partitions costs about what it saves over one global table; "
+              "the direct-address index skips hashing altogether "
+              "(EXPERIMENTS.md)");
   }
   PrintNote("each lever contributes independently; the naive configuration "
             "is the Test-4 competitor profile");
-  return 0;
+  return status;
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: Release build + complete ctest, the release
-# bench_sort_topn byte-identity gate, then ASan and TSan builds running the
+# bench_sort_topn byte-identity gate and the bench_ablation join-arm
+# agreement gate, then ASan and TSan builds running the
 # concurrency/fault/differential/trace/hash/optimizer/governor/serving/
 # sort/MPP/executor/SQL/storage suites (ctest labels: parallel, fault,
 # diff, trace, hash, expr, opt, govern, serve, share, sort, mpp, exec,
@@ -26,6 +27,12 @@ repo="$PWD"
 bench_dir="$(mktemp -d)"
 trap 'rm -rf "$bench_dir"' EXIT
 (cd "$bench_dir" && "$repo/build/bench/bench_sort_topn")
+
+echo "== Join index gate: bench_ablation (2M-row build) =="
+# Its exit code says the partitioned-hash, global-hash and direct-address
+# join arms built the index each is meant to measure and agreed on their
+# row count and checksum.
+(cd "$bench_dir" && "$repo/build/bench/bench_ablation")
 
 echo "== ASan build: labels $LABELS =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -119,6 +119,13 @@ class FlatJoinIndex {
   /// Total rows stored (inline firsts + chain entries).
   size_t rows() const { return used_ + chain_.size(); }
   size_t capacity() const { return cap_; }
+  /// Bytes held by the slot, hash, tail and chain arrays.
+  size_t ByteSize() const {
+    return slots_.capacity() * sizeof(Slot) +
+           hashes_.capacity() * sizeof(uint64_t) +
+           tail_.capacity() * sizeof(int32_t) +
+           chain_.capacity() * sizeof(Link);
+  }
 
  private:
   /// `next` sentinel marking a vacant slot (chain indices are >= 0 and
@@ -143,6 +150,69 @@ class FlatJoinIndex {
   std::vector<Link> chain_;
   size_t cap_ = 0;
   size_t used_ = 0;
+};
+
+/// Direct-address multimap from int64 build keys in a compact range
+/// [min, min + range) to build-row indices, the join index for dense
+/// surrogate keys: `first[key - min]` holds the key's first row (kNone when
+/// absent) and `next[row]` the key's following row. A probe is one
+/// subtraction, one compare and one load — no hashing and no probe
+/// sequence. Same cursor API as FlatJoinIndex; the cursor is the row.
+class DenseJoinIndex {
+ public:
+  static constexpr int32_t kNone = -1;
+
+  /// The key-slot count for build keys spanning [lo, hi] over `rows` build
+  /// rows when a direct-address index should replace FlatJoinIndex, else
+  /// 0. Qualifies when the range is at most 8 slots per row: a slot costs
+  /// 4 bytes, and FlatJoinIndex at least 32 bytes per row (28-byte slots at
+  /// a load factor of at most 7/8), so the direct index is never the larger
+  /// slot array. The width is computed in uint64 (hi - lo cannot overflow
+  /// there) and must stay below 2^31, the int32 cursor bound.
+  static uint64_t RangeFor(int64_t lo, int64_t hi, size_t rows) {
+    const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (hi < lo || span >= (uint64_t{1} << 31) - 1) return 0;
+    const uint64_t range = span + 1;
+    return range <= uint64_t{8} * rows ? range : 0;
+  }
+
+  /// Empties the index over keys [min, min + range) and rows [0, rows).
+  void Init(int64_t min, uint64_t range, size_t rows) {
+    min_ = min;
+    range_ = range;
+    first_.assign(range, kNone);
+    next_.assign(rows, kNone);
+  }
+
+  /// Adds `row` at the head of its key's chain. Rows of equal keys chain in
+  /// reverse insertion order, so inserting in descending row order makes
+  /// chains ascend — FlatJoinIndex's order.
+  void PushFront(int64_t key, uint32_t row) {
+    int32_t& head = first_[static_cast<uint64_t>(key) -
+                           static_cast<uint64_t>(min_)];
+    next_[row] = head;
+    head = static_cast<int32_t>(row);
+  }
+
+  int32_t Find(int64_t key) const {
+    const uint64_t off =
+        static_cast<uint64_t>(key) - static_cast<uint64_t>(min_);
+    return off < range_ ? first_[off] : kNone;
+  }
+  int32_t Next(int32_t cursor) const { return next_[cursor]; }
+  uint32_t Row(int32_t cursor) const { return static_cast<uint32_t>(cursor); }
+
+  /// Key slots; 0 when the index is not built.
+  uint64_t range() const { return range_; }
+  size_t ByteSize() const {
+    return (first_.capacity() + next_.capacity()) * sizeof(int32_t);
+  }
+
+ private:
+  int64_t min_ = 0;
+  uint64_t range_ = 0;
+  std::vector<int32_t> first_;
+  std::vector<int32_t> next_;
 };
 
 /// Per-partition Bloom-style prefilter for the probe side of a join:

@@ -662,6 +662,7 @@ Status HashJoinOp::OpenImpl() {
   build_data_.columns.clear();
   build_key_cols_.clear();
   partitions_.clear();
+  dense_ = DenseJoinIndex();
   fast_int_ = false;
   filter_installed_ = false;
   window_->Reset();
@@ -674,7 +675,6 @@ Status HashJoinOp::OpenImpl() {
 std::string HashJoinOp::label() const {
   std::string s = type_ == JoinType::kLeft ? "HashLeftJoin" : "HashJoin";
   s += "(keys=" + std::to_string(probe_keys_.size());
-  if (partitioned_) s += ", cache-partitioned";
   if (ctx_->parallel() && partitioned_) {
     s += ", build-dop=" + std::to_string(ctx_->dop);
   }
@@ -685,6 +685,11 @@ std::string HashJoinOp::label() const {
 
 std::string HashJoinOp::AnalyzeExtra() const {
   std::string s;
+  if (built_) {
+    s += dense_.range() > 0
+             ? " index=dense range=" + std::to_string(dense_.range())
+             : std::string(" index=hash");
+  }
   if (filter_installed_) s += " bloom-pushdown=yes";
   return s + window_->FanoutExtra("probe-fanouts");
 }
@@ -726,11 +731,15 @@ Status HashJoinOp::BuildSide() {
   built_ = true;
   if (n == 0) return Status::OK();
 
-  // Budget the materialized build side: the drained batch plus the flat
-  // table slots and Bloom bits about to be built over it (~20 bytes/row).
-  DASHDB_RETURN_IF_ERROR(ChargeMemory(
-      BatchMemoryBytes(build_data_) + static_cast<int64_t>(n) * 20,
-      "hash join build"));
+  // Budget the materialized build side; the index built over it charges
+  // its own bytes once built.
+  DASHDB_RETURN_IF_ERROR(
+      ChargeMemory(BatchMemoryBytes(build_data_), "hash join build"));
+  DASHDB_ASSIGN_OR_RETURN(bool dense, BuildDense());
+  if (dense) {
+    InstallProbeFilter();
+    return Status::OK();
+  }
 
   // Generic path: evaluate every build key column once over the drained
   // batch. The per-row std::vector<Value> materialization the old table
@@ -825,27 +834,62 @@ Status HashJoinOp::BuildSide() {
     }
   });
   DASHDB_RETURN_IF_ERROR(CheckQueryAlive());
+  int64_t index_bytes = 0;
+  for (const Partition& part : partitions_) {
+    index_bytes += static_cast<int64_t>(part.table.ByteSize() +
+                                        part.bloom.ByteSize());
+  }
+  DASHDB_RETURN_IF_ERROR(ChargeMemory(index_bytes, "hash join index"));
+  InstallProbeFilter();
+  return Status::OK();
+}
 
+Result<bool> HashJoinOp::BuildDense() {
+  if (!fast_int_) return false;
+  const ColumnVector& kc = build_data_.columns[build_key_col_];
+  const size_t n = kc.size();
+  const int64_t* keys = kc.ints().data();
+  const bool nulls = kc.has_nulls();
+  int64_t lo = INT64_MAX, hi = INT64_MIN;
+  for (size_t r = 0; r < n; ++r) {
+    if (nulls && kc.IsNull(r)) continue;
+    lo = std::min(lo, keys[r]);
+    hi = std::max(hi, keys[r]);
+  }
+  // An all-NULL build leaves hi < lo, which never qualifies.
+  const uint64_t range = DenseJoinIndex::RangeFor(lo, hi, n);
+  if (range == 0) return false;
+  dense_.Init(lo, range, n);
+  DASHDB_RETURN_IF_ERROR(
+      ChargeMemory(static_cast<int64_t>(dense_.ByteSize()), "hash join index"));
+  // Descending row order, so each key's chain ascends as in FlatJoinIndex.
+  for (size_t r = n; r-- > 0;) {
+    if (nulls && kc.IsNull(r)) continue;
+    dense_.PushFront(keys[r], static_cast<uint32_t>(r));
+  }
+  return true;
+}
+
+void HashJoinOp::InstallProbeFilter() {
   // Scan-side semi-join pushdown: the build is complete and the probe side
   // has not been pulled yet, so a Bloom filter over the (single) build key
   // column can still land on the probe-side scan before it runs. The
   // filter hashes raw key cells (HashCell semantics), independent of the
   // multi-key HashCombine chain the join tables use.
-  if (filter_target_ != nullptr && type_ == JoinType::kInner &&
-      build_keys_.size() == 1) {
-    const ColumnVector& bc = fast_int_ ? build_data_.columns[build_key_col_]
-                                       : build_key_cols_[0];
-    auto bloom = std::make_shared<BloomPrefilter>();
-    bloom->Init(n);
-    for (size_t r = 0; r < n; ++r) {
-      if (bc.IsNull(r)) continue;
-      bloom->Add(HashCell(bc, r));
-    }
-    filter_installed_ =
-        filter_target_->AcceptRuntimeFilter(filter_target_col_,
-                                            std::move(bloom));
+  if (filter_target_ == nullptr || type_ != JoinType::kInner ||
+      build_keys_.size() != 1) {
+    return;
   }
-  return Status::OK();
+  const ColumnVector& bc = fast_int_ ? build_data_.columns[build_key_col_]
+                                     : build_key_cols_[0];
+  auto bloom = std::make_shared<BloomPrefilter>();
+  bloom->Init(bc.size());
+  for (size_t r = 0; r < bc.size(); ++r) {
+    if (bc.IsNull(r)) continue;
+    bloom->Add(HashCell(bc, r));
+  }
+  filter_installed_ =
+      filter_target_->AcceptRuntimeFilter(filter_target_col_, std::move(bloom));
 }
 
 bool HashJoinOp::KeysEqual(
@@ -883,11 +927,54 @@ Result<bool> HashJoinOp::NextImpl(RowBatch* out) {
   }
 }
 
+namespace {
+
+/// The join's (probe row, build row) pairs, one per output row: the first
+/// `size` entries of the two lists. Written by index, not push_back, so the
+/// match loop carries one capacity check per pair.
+struct JoinPairs {
+  explicit JoinPairs(size_t capacity)
+      : probe_rows(capacity), build_rows(capacity) {}
+  void Add(uint32_t probe_row, uint32_t build_row) {
+    if (size == probe_rows.size()) {
+      probe_rows.resize(2 * size + 16);
+      build_rows.resize(2 * size + 16);
+    }
+    probe_rows[size] = probe_row;
+    build_rows[size] = build_row;
+    ++size;
+  }
+  std::vector<uint32_t> probe_rows, build_rows;
+  size_t size = 0;
+  bool misses = false;  ///< some build_rows entry is kNullRow
+};
+
+/// The match phase over a morsel's logical rows [lo, lo + nrows), for
+/// either join index: `for_each_match(j, emit)` calls emit(build_row) for
+/// every build row matching logical row lo + j, in chain order. Pairs come
+/// out in probe order; a LEFT-join miss pairs with kNullRow.
+template <typename ForEachMatch>
+JoinPairs MatchRows(const RowBatch& in, size_t lo, size_t nrows,
+                    JoinType type, const ForEachMatch& for_each_match) {
+  JoinPairs pairs(nrows);
+  for (size_t j = 0; j < nrows; ++j) {
+    const uint32_t r = static_cast<uint32_t>(in.row_at(lo + j));
+    const size_t matched_before = pairs.size;
+    for_each_match(j, [&](uint32_t brow) { pairs.Add(r, brow); });
+    if (type == JoinType::kLeft && pairs.size == matched_before) {
+      pairs.Add(r, ColumnVector::kNullRow);
+      pairs.misses = true;
+    }
+  }
+  return pairs;
+}
+
+}  // namespace
+
 void HashJoinOp::ProbeMorsel(size_t m, RowBatch* out) const {
   const InputWindow::Batch& batch = window_->batch(m);
   const InputWindow::Morsel& morsel = window_->morsels()[m];
   const RowBatch& in = batch.in;
-  const int nparts = partitioned_ ? (1 << kPartitionBits) : 1;
   // Selection-aware: `i` walks the morsel's logical (selected) rows, which
   // index the window's key columns directly; in.row_at(i) maps to the
   // dense row for the gather. The join output is a blow-up point, so
@@ -895,86 +982,85 @@ void HashJoinOp::ProbeMorsel(size_t m, RowBatch* out) const {
   // compacted upstream.
   const size_t lo = morsel.begin, nrows = morsel.end - morsel.begin;
 
-  // Hash every key column in one column-major pass, instead of boxing a
-  // std::vector<Value> per probe row. Arrays are indexed by i - lo.
-  std::vector<uint64_t> probe_hash(nrows, 0);
-  std::vector<uint8_t> probe_null(nrows, 0);
-  const ColumnVector* fast_kc = fast_int_ ? batch.cols[0] : nullptr;
-  if (fast_int_) {
-    for (size_t j = 0; j < nrows; ++j) {
-      if (fast_kc->IsNull(lo + j)) {
-        probe_null[j] = 1;
-      } else {
-        probe_hash[j] =
-            HashInt64(static_cast<uint64_t>(fast_kc->GetInt(lo + j)));
+  JoinPairs pairs(0);
+  if (dense_.range() > 0) {
+    // Direct address: the key's offset from the build minimum is its slot.
+    const ColumnVector* kc = batch.cols[0];
+    const int64_t* keys = kc->ints().data();
+    const bool nulls = kc->has_nulls();
+    pairs = MatchRows(in, lo, nrows, type_, [&](size_t j, auto&& emit) {
+      if (nulls && kc->IsNull(lo + j)) return;
+      for (int32_t cur = dense_.Find(keys[lo + j]);
+           cur != DenseJoinIndex::kNone; cur = dense_.Next(cur)) {
+        emit(dense_.Row(cur));
       }
-    }
+    });
   } else {
-    for (const ColumnVector* kc : batch.cols) {
+    // Hash every key column in one column-major pass, instead of boxing a
+    // std::vector<Value> per probe row. Arrays are indexed by i - lo.
+    std::vector<uint64_t> probe_hash(nrows, 0);
+    std::vector<uint8_t> probe_null(nrows, 0);
+    const ColumnVector* fast_kc = fast_int_ ? batch.cols[0] : nullptr;
+    if (fast_int_) {
       for (size_t j = 0; j < nrows; ++j) {
-        probe_null[j] |= kc->IsNull(lo + j) ? 1 : 0;
-        probe_hash[j] = HashCombine(probe_hash[j], HashCell(*kc, lo + j));
+        if (fast_kc->IsNull(lo + j)) {
+          probe_null[j] = 1;
+        } else {
+          probe_hash[j] =
+              HashInt64(static_cast<uint64_t>(fast_kc->GetInt(lo + j)));
+        }
       }
-    }
-  }
-
-  // Match phase: one (probe row, build row) pair per output row, in probe
-  // order and chain order. A LEFT-join miss pairs with kNullRow.
-  std::vector<uint32_t> probe_rows, build_rows;
-  probe_rows.reserve(nrows);
-  build_rows.reserve(nrows);
-  bool misses = false;
-  constexpr size_t kPrefetchDist = 8;
-  for (size_t j = 0; j < nrows; ++j) {
-    // Overlap the next rows' filter-word and slot misses with this row's
-    // work; all addresses derive from the already-batched hashes.
-    if (j + kPrefetchDist < nrows && !probe_null[j + kPrefetchDist]) {
-      const uint64_t ph = probe_hash[j + kPrefetchDist];
-      const Partition& pp =
-          partitions_[partitioned_ ? (ph >> 32) & (nparts - 1) : 0];
-      pp.bloom.Prefetch(ph);
-      pp.table.Prefetch(ph);
-    }
-    const uint32_t r = static_cast<uint32_t>(in.row_at(lo + j));
-    const size_t matched_before = probe_rows.size();
-    if (!probe_null[j]) {
-      const uint64_t h = probe_hash[j];
-      const Partition& part =
-          partitions_[partitioned_ ? (h >> 32) & (nparts - 1) : 0];
-      // Bloom prefilter: most probe misses reject on one or two cache
-      // lines of filter words without ever touching the table.
-      if (part.bloom.MayContain(h)) {
-        const uint64_t key =
-            fast_int_ ? static_cast<uint64_t>(fast_kc->GetInt(lo + j)) : h;
-        for (int32_t cur = part.table.Find(key, h);
-             cur != FlatJoinIndex::kNone; cur = part.table.Next(cur)) {
-          const uint32_t brow = part.table.Row(cur);
-          if (!fast_int_ && !KeysEqual(batch.cols, lo + j, brow)) continue;
-          probe_rows.push_back(r);
-          build_rows.push_back(brow);
+    } else {
+      for (const ColumnVector* kc : batch.cols) {
+        for (size_t j = 0; j < nrows; ++j) {
+          probe_null[j] |= kc->IsNull(lo + j) ? 1 : 0;
+          probe_hash[j] = HashCombine(probe_hash[j], HashCell(*kc, lo + j));
         }
       }
     }
-    if (type_ == JoinType::kLeft && probe_rows.size() == matched_before) {
-      probe_rows.push_back(r);
-      build_rows.push_back(ColumnVector::kNullRow);
-      misses = true;
-    }
+    const uint64_t part_mask = partitioned_ ? (1u << kPartitionBits) - 1 : 0;
+    auto partition = [&](uint64_t h) -> const Partition& {
+      return partitions_[(h >> 32) & part_mask];
+    };
+    constexpr size_t kPrefetchDist = 8;
+    pairs = MatchRows(in, lo, nrows, type_, [&](size_t j, auto&& emit) {
+      // Overlap the next rows' filter-word and slot misses with this row's
+      // work; all addresses derive from the already-batched hashes.
+      if (j + kPrefetchDist < nrows && !probe_null[j + kPrefetchDist]) {
+        const uint64_t ph = probe_hash[j + kPrefetchDist];
+        partition(ph).bloom.Prefetch(ph);
+        partition(ph).table.Prefetch(ph);
+      }
+      if (probe_null[j]) return;
+      const uint64_t h = probe_hash[j];
+      const Partition& part = partition(h);
+      // Bloom prefilter: most probe misses reject on one or two cache
+      // lines of filter words without ever touching the table.
+      if (!part.bloom.MayContain(h)) return;
+      const uint64_t key =
+          fast_int_ ? static_cast<uint64_t>(fast_kc->GetInt(lo + j)) : h;
+      for (int32_t cur = part.table.Find(key, h); cur != FlatJoinIndex::kNone;
+           cur = part.table.Next(cur)) {
+        const uint32_t brow = part.table.Row(cur);
+        if (!fast_int_ && !KeysEqual(batch.cols, lo + j, brow)) continue;
+        emit(brow);
+      }
+    });
   }
 
   // Gather phase: the output, column by column.
   InitBatchFor(output_, out);
-  const size_t k = probe_rows.size();
+  const size_t k = pairs.size;
   const size_t probe_cols = in.columns.size();
   for (size_t c = 0; c < probe_cols; ++c) {
-    out->columns[c].Gather(in.columns[c], probe_rows.data(), k);
+    out->columns[c].Gather(in.columns[c], pairs.probe_rows.data(), k);
   }
   for (size_t c = 0; c < build_data_.columns.size(); ++c) {
     ColumnVector& dst = out->columns[probe_cols + c];
-    if (misses) {
-      dst.GatherOrNull(build_data_.columns[c], build_rows.data(), k);
+    if (pairs.misses) {
+      dst.GatherOrNull(build_data_.columns[c], pairs.build_rows.data(), k);
     } else {
-      dst.Gather(build_data_.columns[c], build_rows.data(), k);
+      dst.Gather(build_data_.columns[c], pairs.build_rows.data(), k);
     }
   }
 }

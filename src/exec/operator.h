@@ -1,6 +1,7 @@
 // Pull-based vectorized operators (paper II.B.7): scans over both table
-// organizations, filter/project, cache-partitioned hash join, partitioned
-// hash aggregation, sort, limit, values, union.
+// organizations, filter/project, hash join (direct-address or
+// cache-partitioned index), partitioned hash aggregation, sort, limit,
+// values, union.
 #pragma once
 
 #include <functional>
@@ -395,6 +396,11 @@ class HashJoinOp : public Operator {
   bool ParallelBuildEligible(size_t build_rows) const;
 
   Status BuildSide();
+  /// Builds dense_ when the fast-int build keys span a compact range
+  /// (DenseJoinIndex::RangeFor); returns whether it did.
+  Result<bool> BuildDense();
+  /// Offers the scan-side Bloom filter once the build is complete.
+  void InstallProbeFilter();
   /// The probe kernel for morsel `m` of the probe window: a match phase,
   /// then a gather into *out. Reads only state that is immutable after the
   /// build, so morsels probe concurrently.
@@ -414,9 +420,12 @@ class HashJoinOp : public Operator {
   /// (generic path; the fast-int path reads build_data_ directly).
   std::vector<ColumnVector> build_key_cols_;
   std::vector<Partition> partitions_;
+  /// Direct-address index over a compact fast-int build key range; when
+  /// built (range() > 0) the probe uses it and partitions_ stay empty.
+  DenseJoinIndex dense_;
   bool built_ = false;
   /// Fast path: single integer-backed column-ref key on both sides keys
-  /// the partition tables directly on the int64 value.
+  /// the index directly on the int64 value.
   bool fast_int_ = false;
   int probe_key_col_ = -1, build_key_col_ = -1;
   /// Scan-side Bloom pushdown target (see SetProbeFilterTarget).

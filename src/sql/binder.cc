@@ -775,7 +775,19 @@ class SelectBinder {
         if (stmt.start_with) roots.push_back(stmt.start_with);
         if (stmt.connect_by) roots.push_back(stmt.connect_by);
         for (const auto& oi : stmt.order_by) {
-          if (oi.expr) roots.push_back(oi.expr);
+          if (!oi.expr) continue;
+          // An unqualified name that is a select-item alias orders by that
+          // output (aliases take precedence), so it reads no base column.
+          const bool names_alias =
+              oi.expr->kind == ExprKind::kColumnRef &&
+              oi.expr->qualifier.empty() &&
+              std::any_of(stmt.items.begin(), stmt.items.end(),
+                          [&](const ast::SelectItem& item) {
+                            return !item.alias.empty() &&
+                                   NormalizeIdent(item.alias) ==
+                                       oi.expr->name;
+                          });
+          if (!names_alias) roots.push_back(oi.expr);
         }
         for (const auto& ref : stmt.from) {
           if (ref.join_condition) roots.push_back(ref.join_condition);

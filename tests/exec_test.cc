@@ -458,7 +458,8 @@ TEST(AggTest, NameMapping) {
 
 // --------------------------------------------------------------- operators --
 
-std::shared_ptr<ColumnTable> MakeOrders(size_t n) {
+/// ORDERS(O_ID, CUST, AMT): CUST cycles through 0..99, times `key_mul`.
+std::shared_ptr<ColumnTable> MakeOrders(size_t n, int64_t key_mul = 1) {
   TableSchema s("PUBLIC", "ORDERS",
                 {{"O_ID", TypeId::kInt64, false, 0, false},
                  {"CUST", TypeId::kInt64, true, 0, false},
@@ -471,14 +472,17 @@ std::shared_ptr<ColumnTable> MakeOrders(size_t n) {
   Rng rng(4);
   for (size_t i = 0; i < n; ++i) {
     b.columns[0].AppendInt(static_cast<int64_t>(i));
-    b.columns[1].AppendInt(static_cast<int64_t>(i % 100));
+    b.columns[1].AppendInt(static_cast<int64_t>(i % 100) * key_mul);
     b.columns[2].AppendDouble(static_cast<double>(rng.Uniform(1000)));
   }
   EXPECT_TRUE(t->Load(b).ok());
   return t;
 }
 
-std::shared_ptr<ColumnTable> MakeCustomers(size_t n) {
+/// CUSTOMERS(C_ID, NAME): C_ID = 0..n-1 times `key_mul`, so the default
+/// keys are dense (a direct-address join index) and a large multiplier
+/// spreads them onto the hash index.
+std::shared_ptr<ColumnTable> MakeCustomers(size_t n, int64_t key_mul = 1) {
   TableSchema s("PUBLIC", "CUSTOMERS",
                 {{"C_ID", TypeId::kInt64, false, 0, false},
                  {"NAME", TypeId::kVarchar, true, 0, false}});
@@ -487,7 +491,7 @@ std::shared_ptr<ColumnTable> MakeCustomers(size_t n) {
   b.columns.emplace_back(TypeId::kInt64);
   b.columns.emplace_back(TypeId::kVarchar);
   for (size_t i = 0; i < n; ++i) {
-    b.columns[0].AppendInt(static_cast<int64_t>(i));
+    b.columns[0].AppendInt(static_cast<int64_t>(i) * key_mul);
     b.columns[1].AppendString("cust" + std::to_string(i));
   }
   EXPECT_TRUE(t->Load(b).ok());
@@ -535,6 +539,12 @@ TEST(OperatorTest, HashJoinInner) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 5000u);  // every order matches one customer
   EXPECT_EQ(r->columns.size(), 4u);
+  // C_ID = 0..99 spans 100 slots: a direct-address index, decided at build
+  // time and reported by EXPLAIN ANALYZE, not by the plan label.
+  EXPECT_NE(join->AnalyzeString().find(" index=dense range=100"),
+            std::string::npos)
+      << join->AnalyzeString();
+  EXPECT_EQ(join->label().find("index"), std::string::npos) << join->label();
 }
 
 TEST(OperatorTest, HashJoinLeftOuterEmitsNulls) {
@@ -562,8 +572,11 @@ TEST(OperatorTest, HashJoinLeftOuterEmitsNulls) {
 }
 
 TEST(OperatorTest, PartitionedAndGlobalJoinAgree) {
-  auto orders = MakeOrders(3000);
-  auto custs = MakeCustomers(100);
+  // Keys spread far past 8 slots per build row, so both layouts build the
+  // hash index rather than the direct-address one.
+  constexpr int64_t kSpread = 1000003;
+  auto orders = MakeOrders(3000, kSpread);
+  auto custs = MakeCustomers(100, kSpread);
   ExecContext ctx = Ctx();
   RowBatch results[2];
   for (int mode = 0; mode < 2; ++mode) {
@@ -580,6 +593,10 @@ TEST(OperatorTest, PartitionedAndGlobalJoinAgree) {
         mode == 0);
     auto r = DrainOperator(join.get());
     ASSERT_TRUE(r.ok());
+    const std::string analyze = join->AnalyzeString();
+    EXPECT_NE(analyze.find(" index=hash"), std::string::npos) << analyze;
+    EXPECT_EQ(analyze.find("cache-partitioned"), std::string::npos)
+        << analyze;
     results[mode] = std::move(*r);
   }
   // Same rows in the same order, cell for cell: both layouts walk probe

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -88,6 +89,80 @@ TEST(FlatJoinIndexTest, GrowthPreservesChainsAndReserveHolds) {
       uint64_t k = 30000 + rng() % 100000;
       EXPECT_EQ(idx.Find(k, HashInt64(k)), FlatJoinIndex::kNone);
     }
+  }
+}
+
+TEST(FlatJoinIndexTest, ByteSizeCoversSlotsAndChains) {
+  FlatJoinIndex idx;
+  EXPECT_EQ(idx.ByteSize(), 0u);
+  for (uint32_t r = 0; r < 1000; ++r) {
+    idx.Insert(r % 600, HashInt64(r % 600), r);
+  }
+  // 28 bytes per slot (key, first row, link, hash, tail) at most 7/8 full,
+  // plus 8 bytes per chained duplicate.
+  EXPECT_GE(idx.ByteSize(), idx.capacity() * 28 + 400 * 8);
+  EXPECT_GE(idx.ByteSize(), idx.size() * 32);
+}
+
+// -------------------------------------------------------- DenseJoinIndex --
+
+TEST(DenseJoinIndexTest, RangeRule) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // At most 8 key slots per build row.
+  EXPECT_EQ(DenseJoinIndex::RangeFor(0, 799, 100), 800u);
+  EXPECT_EQ(DenseJoinIndex::RangeFor(0, 800, 100), 0u);
+  EXPECT_EQ(DenseJoinIndex::RangeFor(-10, -10, 1), 1u);
+  EXPECT_EQ(DenseJoinIndex::RangeFor(kMax - 7, kMax, 1), 8u);
+  EXPECT_EQ(DenseJoinIndex::RangeFor(kMin, kMin + 7, 1), 8u);
+  // Spans that overflow int64, or reach 2^31 slots, never qualify.
+  EXPECT_EQ(DenseJoinIndex::RangeFor(kMin, kMax, size_t{1} << 40), 0u);
+  EXPECT_EQ(DenseJoinIndex::RangeFor(-1, kMax, size_t{1} << 40), 0u);
+  EXPECT_EQ(DenseJoinIndex::RangeFor(0, (int64_t{1} << 31) - 2,
+                                     size_t{1} << 40),
+            (uint64_t{1} << 31) - 1);
+  EXPECT_EQ(DenseJoinIndex::RangeFor(0, (int64_t{1} << 31) - 1,
+                                     size_t{1} << 40),
+            0u);
+  // No keys (hi < lo) never qualifies.
+  EXPECT_EQ(DenseJoinIndex::RangeFor(kMax, kMin, 10), 0u);
+}
+
+TEST(DenseJoinIndexTest, MatchesFlatJoinIndexChainForChain) {
+  std::mt19937_64 rng(11);
+  constexpr size_t kRows = 20000;
+  constexpr int64_t kLo = -5000;
+  constexpr int64_t kDomain = 9000;  // duplicates and absent keys
+  std::vector<int64_t> keys(kRows);
+  for (auto& k : keys) k = kLo + static_cast<int64_t>(rng() % kDomain);
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  const uint64_t range = DenseJoinIndex::RangeFor(*lo, *hi, kRows);
+  ASSERT_EQ(range, static_cast<uint64_t>(*hi - *lo + 1));
+  DenseJoinIndex dense;
+  dense.Init(*lo, range, kRows);
+  EXPECT_EQ(dense.ByteSize(), (range + kRows) * sizeof(int32_t));
+  for (size_t r = kRows; r-- > 0;) {
+    dense.PushFront(keys[r], static_cast<uint32_t>(r));
+  }
+  FlatJoinIndex flat;
+  for (uint32_t r = 0; r < kRows; ++r) {
+    flat.Insert(static_cast<uint64_t>(keys[r]),
+                HashInt64(static_cast<uint64_t>(keys[r])), r);
+  }
+  // Every key in and around the domain, plus the int64 extremes: the same
+  // rows in the same (ascending) order, or absent from both.
+  std::vector<int64_t> probes = {std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::max()};
+  for (int64_t k = kLo - 10; k < kLo + kDomain + 10; ++k) probes.push_back(k);
+  for (int64_t k : probes) {
+    std::vector<uint32_t> got;
+    for (int32_t cur = dense.Find(k); cur != DenseJoinIndex::kNone;
+         cur = dense.Next(cur)) {
+      got.push_back(dense.Row(cur));
+    }
+    EXPECT_EQ(got, CollectRows(flat, static_cast<uint64_t>(k),
+                               HashInt64(static_cast<uint64_t>(k))))
+        << "key " << k;
   }
 }
 

@@ -514,6 +514,54 @@ TEST_F(GovernorTest, JoinProbeBudgetTripsMidProbeAtDop4) {
   EXPECT_EQ(ok->num_rows(), kDrillProbeBatches * kDrillBatchRows);
 }
 
+TEST_F(GovernorTest, DenseJoinIndexChargesTheBudgetAtDop1AndDop4) {
+  ThreadPool pool(4);
+  // Build keys ID = 0..4095: a direct-address index of one 4-byte slot per
+  // key and one 4-byte chain link per row, on top of the drained rows.
+  constexpr size_t kBuildRows = 4096;
+  DrillSourceOp source(1, kBuildRows, nullptr);
+  auto data = DrainOperator(&source);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const int64_t data_bytes = BatchMemoryBytes(*data);
+  const int64_t index_bytes = 2 * kBuildRows * sizeof(int32_t);
+  auto col = [](int i) {
+    return std::make_shared<ColumnRefExpr>(i, TypeId::kInt64);
+  };
+  for (int dop : {1, 4}) {
+    SCOPED_TRACE("dop " + std::to_string(dop));
+    // Unbudgeted, then with room for the rows but not for their index.
+    for (int64_t budget : {int64_t{0}, data_bytes + index_bytes / 2}) {
+      QueryContext qc;  // outlives the plan, which releases into it
+      if (budget > 0) qc.SetMemBudget(budget);
+      ExecContext ctx;
+      ctx.pool = &pool;
+      ctx.dop = dop;
+      HashJoinOp join(
+          std::make_unique<DrillSourceOp>(kDrillProbeBatches, kDrillBatchRows,
+                                          nullptr),
+          std::make_unique<DrillSourceOp>(1, kBuildRows, nullptr),
+          {col(1)}, {col(0)}, JoinType::kInner, &ctx);
+      AttachQueryContext(&join, &qc);
+      auto r = DrainOperator(&join);
+      if (budget == 0) {
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(r->num_rows(), kDrillProbeBatches * kDrillBatchRows);
+        EXPECT_NE(join.AnalyzeString().find("index=dense range=4096"),
+                  std::string::npos)
+            << join.AnalyzeString();
+        EXPECT_GE(qc.mem_peak(), data_bytes + index_bytes);
+        continue;
+      }
+      ASSERT_FALSE(r.ok());
+      EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+      EXPECT_NE(r.status().message().find("hash join index"),
+                std::string::npos)
+          << r.status().ToString();
+      EXPECT_EQ(join.metrics().batches_out, 0u);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Aggregation and Top-N windows at DOP 4: the same drills, landing while a
 // window's morsels run on the pool.

@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -482,6 +484,197 @@ TEST(ParallelExecTest, HashJoinProbeFansOutOverOneMaterializedBatch) {
   EXPECT_TRUE(bytes[0] == bytes[1]);
   EXPECT_NE(analyze[1].find("probe-fanouts=1/1"), std::string::npos)
       << analyze[1];
+}
+
+// ------------------------------------------------ direct-address join index
+
+/// K (the join key), KX (K times an odd constant, wrapping: a bijection, so
+/// the same equalities, but spread far past the direct-address range rule)
+/// and ROW (the row's position on its side).
+const std::vector<OutputCol> kKeyJoinCols = {{"K", TypeId::kInt64},
+                                             {"KX", TypeId::kInt64},
+                                             {"ROW", TypeId::kInt64}};
+
+using Keys = std::vector<std::optional<int64_t>>;  // nullopt = NULL key
+
+int64_t Spread(int64_t k) {
+  return static_cast<int64_t>(static_cast<uint64_t>(k) *
+                              0x9E3779B97F4A7C15ull);
+}
+
+RowBatch KeyJoinRows(const Keys& keys, size_t begin, size_t end) {
+  RowBatch b;
+  for (const auto& c : kKeyJoinCols) b.columns.emplace_back(c.type);
+  for (size_t i = begin; i < end; ++i) {
+    if (keys[i]) {
+      b.columns[0].AppendInt(*keys[i]);
+      b.columns[1].AppendInt(Spread(*keys[i]));
+    } else {
+      b.columns[0].AppendNull();
+      b.columns[1].AppendNull();
+    }
+    b.columns[2].AppendInt(static_cast<int64_t>(i));
+  }
+  return b;
+}
+
+std::vector<RowBatch> KeyJoinBatches(const Keys& keys, size_t batch_rows) {
+  std::vector<RowBatch> out;
+  for (size_t i = 0; i < keys.size(); i += batch_rows) {
+    out.push_back(KeyJoinRows(keys, i, std::min(keys.size(), i + batch_rows)));
+  }
+  return out;
+}
+
+/// The join by definition: probe rows in order, each matched by its key's
+/// build rows in ascending order; a LEFT-join miss pads the build columns
+/// with NULLs.
+std::string ReferenceKeyJoin(const Keys& probe, const Keys& build,
+                             JoinType type) {
+  std::map<int64_t, std::vector<size_t>> rows_of;
+  for (size_t b = 0; b < build.size(); ++b) {
+    if (build[b]) rows_of[*build[b]].push_back(b);
+  }
+  const RowBatch probe_rows = KeyJoinRows(probe, 0, probe.size());
+  const RowBatch build_rows = KeyJoinRows(build, 0, build.size());
+  RowBatch out;
+  for (int side = 0; side < 2; ++side) {
+    for (const auto& c : kKeyJoinCols) out.columns.emplace_back(c.type);
+  }
+  // Appends probe row p joined to build row b (kNullRow: NULL padding).
+  auto append = [&](size_t p, uint32_t b) {
+    for (size_t c = 0; c < 3; ++c) {
+      out.columns[c].AppendFrom(probe_rows.columns[c], p);
+      if (b == ColumnVector::kNullRow) {
+        out.columns[3 + c].AppendNull();
+      } else {
+        out.columns[3 + c].AppendFrom(build_rows.columns[c], b);
+      }
+    }
+  };
+  for (size_t p = 0; p < probe.size(); ++p) {
+    auto it = probe[p] ? rows_of.find(*probe[p]) : rows_of.end();
+    if (it == rows_of.end()) {
+      if (type == JoinType::kLeft) append(p, ColumnVector::kNullRow);
+      continue;
+    }
+    for (size_t b : it->second) append(p, static_cast<uint32_t>(b));
+  }
+  return BatchBytes(out);
+}
+
+/// Joins probe to build on column `key_col` (0 = K, 1 = KX) at `dop`.
+std::string RunKeyJoin(const Keys& probe, const Keys& build, int key_col,
+                       JoinType type, ThreadPool* pool, int dop,
+                       std::string* analyze) {
+  ExecContext ctx;
+  ctx.pool = pool;
+  ctx.dop = dop;
+  std::vector<ExprPtr> keys = {
+      std::make_shared<ColumnRefExpr>(key_col, TypeId::kInt64)};
+  HashJoinOp join(
+      std::make_unique<BatchSourceOp>(KeyJoinBatches(probe, 1024),
+                                      kKeyJoinCols),
+      std::make_unique<BatchSourceOp>(KeyJoinBatches(build, 128),
+                                      kKeyJoinCols),
+      keys, keys, type, &ctx);
+  auto r = DrainOperator(&join);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  *analyze = join.AnalyzeString();
+  return r.ok() ? BatchBytes(*r) : std::string();
+}
+
+TEST(ParallelExecTest, DenseJoinIndexMatchesHashIndexAtDop1AndDop4) {
+  ThreadPool pool(4);
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    std::string name;
+    Keys build;
+    std::vector<int64_t> probe_keys;  ///< cycled over the probe rows
+    std::string index;                ///< expected EXPLAIN ANALYZE index
+  };
+  auto range_keys = [](int64_t lo, int64_t count, int dups) {
+    Keys k;
+    for (int64_t i = 0; i < count; ++i) {
+      for (int d = 0; d <= (i % dups); ++d) k.push_back(lo + i);
+    }
+    return k;
+  };
+  std::vector<Case> cases;
+  {
+    // 100..299, key k repeated k % 3 + 1 times, a NULL every 13th row
+    // (sparing the first and last keys).
+    Keys b = range_keys(100, 200, 3);
+    for (size_t i = 5; i < b.size(); i += 13) b[i] = std::nullopt;
+    std::vector<int64_t> p;
+    for (int64_t i = 0; i < 400; ++i) p.push_back(i);
+    cases.push_back({"duplicates, NULLs, misses either side", b, p,
+                     "index=dense range=200"});
+  }
+  {
+    std::vector<int64_t> p;
+    for (int64_t i = -1200; i < -700; i += 3) p.push_back(i);
+    cases.push_back({"negative keys", range_keys(-1000, 150, 2), p,
+                     "index=dense range=150"});
+  }
+  {
+    // Near the int64 limits: small spans there stay dense, and probe keys
+    // at the far end of the domain wrap to huge offsets and miss.
+    std::vector<int64_t> p = {kMin, kMin + 1, kMax - 1, kMax, 0, -1};
+    cases.push_back({"top of the domain", range_keys(kMax - 63, 64, 2), p,
+                     "index=dense range=64"});
+    cases.push_back({"bottom of the domain", range_keys(kMin, 64, 2), p,
+                     "index=dense range=64"});
+    // The full span: hi - lo overflows int64, and the range takes the hash
+    // index without undefined behaviour.
+    cases.push_back({"full span", Keys{kMin, kMax, 0, kMin, -1, kMax}, p,
+                     "index=hash"});
+  }
+  {
+    // 100 build rows: keys 0..98 plus one outlier setting the range to
+    // exactly 8n (dense) or 8n + 1 (hash).
+    Keys at = range_keys(0, 99, 1), over = at;
+    at.push_back(799);
+    over.push_back(800);
+    std::vector<int64_t> p = {0, 50, 98, 99, 799, 800, 801};
+    cases.push_back({"range 8n", at, p, "index=dense range=800"});
+    cases.push_back({"range 8n+1", over, p, "index=hash"});
+  }
+  cases.push_back({"empty build", Keys{}, {1, 2, 3}, "index=hash"});
+  cases.push_back({"all-NULL build", Keys(50, std::nullopt), {0, 1},
+                   "index=hash"});
+
+  for (const Case& c : cases) {
+    // 16 x 1024 probe rows, so a DOP 4 window fans out; a NULL every 17th.
+    Keys probe;
+    for (size_t i = 0; i < 16 * 1024; ++i) {
+      if (i % 17 == 0) {
+        probe.push_back(std::nullopt);
+      } else {
+        probe.push_back(c.probe_keys[(i * 7) % c.probe_keys.size()]);
+      }
+    }
+    for (JoinType type : {JoinType::kInner, JoinType::kLeft}) {
+      const std::string want = ReferenceKeyJoin(probe, c.build, type);
+      for (int dop : {1, 4}) {
+        const std::string label = c.name +
+                                  (type == JoinType::kLeft ? " LEFT" : "") +
+                                  " @ dop " + std::to_string(dop);
+        std::string analyze_k, analyze_kx;
+        const std::string on_k = RunKeyJoin(probe, c.build, 0, type, &pool,
+                                            dop, &analyze_k);
+        const std::string on_kx = RunKeyJoin(probe, c.build, 1, type, &pool,
+                                             dop, &analyze_kx);
+        EXPECT_TRUE(on_k == want) << label;
+        EXPECT_TRUE(on_kx == on_k) << label;
+        EXPECT_NE(analyze_k.find(c.index), std::string::npos)
+            << label << ": " << analyze_k;
+        EXPECT_NE(analyze_kx.find("index=hash"), std::string::npos)
+            << label << ": " << analyze_kx;
+      }
+    }
+  }
 }
 
 /// G: K BIGINT (NULL every 13th row), J BIGINT, S VARCHAR (NULL every

@@ -301,6 +301,44 @@ TEST_F(SqlTest, CountStarJoinScansOnlyReferencedColumns) {
   EXPECT_EQ(count.message.find("cols=5"), std::string::npos) << count.message;
 }
 
+TEST_F(SqlTest, OrderByAliasScansNoSameNamedColumn) {
+  Seed();
+  // NAME is an alias of d.dept_name and also a column of emp. ORDER BY
+  // NAME orders by the alias, so emp's scan reads dept and salary only.
+  const std::string sql =
+      "SELECT d.dept_name AS name, SUM(e.salary) AS total FROM emp e "
+      "JOIN dept d ON e.dept = d.dept_id GROUP BY d.dept_name ORDER BY name";
+  QueryResult plan = Exec("EXPLAIN " + sql);
+  EXPECT_NE(plan.message.find("ColumnScan(PUBLIC.EMP preds=0 cols=2)"),
+            std::string::npos)
+      << plan.message;
+  QueryResult r = Exec(sql);
+  QueryResult renamed = Exec(
+      "SELECT d.dept_name AS dname, SUM(e.salary) AS total FROM emp e "
+      "JOIN dept d ON e.dept = d.dept_id GROUP BY d.dept_name ORDER BY dname");
+  ASSERT_EQ(r.rows.num_rows(), 2u);
+  ASSERT_EQ(renamed.rows.num_rows(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(r.rows.columns[c].GetValue(i).ToString(),
+                renamed.rows.columns[c].GetValue(i).ToString());
+    }
+  }
+  EXPECT_EQ(r.rows.columns[0].GetString(0), "eng");
+  // The alias still wins over the same-named column: salary order
+  // (dan 80, bob 90, alice 100, carol 120, eve 150), not name order.
+  plan = Exec("EXPLAIN SELECT id, salary AS name FROM emp ORDER BY name");
+  EXPECT_NE(plan.message.find("ColumnScan(PUBLIC.EMP preds=0 cols=2)"),
+            std::string::npos)
+      << plan.message;
+  r = Exec("SELECT id, salary AS name FROM emp ORDER BY name");
+  ASSERT_EQ(r.rows.num_rows(), 5u);
+  const int64_t want[] = {4, 2, 1, 3, 5};
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(r.rows.columns[0].GetInt(i), want[i]) << i;
+  }
+}
+
 TEST_F(SqlTest, CaseExpressions) {
   Seed();
   QueryResult r = Exec(
