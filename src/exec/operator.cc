@@ -312,6 +312,13 @@ ColumnScanOp::ColumnScanOp(std::shared_ptr<const ColumnTable> table,
 }
 
 Status ColumnScanOp::OpenImpl() {
+  if (window_.size() > 1) {
+    for (size_t i = next_slot_; i < window_.size(); ++i) {
+      ReleaseMemory(BatchMemoryBytes(window_[i]));
+    }
+  }
+  window_.clear();
+  next_slot_ = 0;
   next_page_ = 0;
   stats_ = ScanStats{};
   return Status::OK();
@@ -319,7 +326,8 @@ Status ColumnScanOp::OpenImpl() {
 
 bool ColumnScanOp::AcceptRuntimeFilter(
     int col, std::shared_ptr<const BloomPrefilter> bloom) {
-  if (col < 0 || col >= static_cast<int>(output_.size()) || !bloom) {
+  if (next_page_ > 0 || col < 0 ||
+      col >= static_cast<int>(output_.size()) || !bloom) {
     return false;
   }
   runtime_filters_.push_back({col, std::move(bloom)});
@@ -332,137 +340,99 @@ std::string ColumnScanOp::AnalyzeExtra() const {
 }
 
 Result<bool> ColumnScanOp::NextImpl(RowBatch* out) {
-  while (next_page_ <= table_->num_pages()) {
-    InitBatchFor(output_, out);
-    const size_t dropped0 = stats_.bloom_dropped;
-    DASHDB_RETURN_IF_ERROR(table_->ScanPage(next_page_, preds_, projection_,
-                                            runtime_filters_, opts_, out,
-                                            nullptr, &stats_));
-    ++next_page_;
-    GlobalExecInstruments().bloom_rows_dropped->Add(stats_.bloom_dropped -
-                                                    dropped0);
-    if (out->num_rows() > 0) return true;
+  for (;;) {
+    while (next_slot_ < window_.size()) {
+      RowBatch& slot = window_[next_slot_++];
+      if (window_.size() > 1) ReleaseMemory(BatchMemoryBytes(slot));
+      if (slot.num_rows() > 0) {
+        *out = std::move(slot);
+        return true;
+      }
+    }
+    if (next_page_ > table_->num_pages()) return false;
+    DASHDB_RETURN_IF_ERROR(FillWindow());
   }
-  return false;
 }
 
-// ---------------------------------------------------- ParallelColumnScan --
-
-Status ParallelColumnScanOp::OpenImpl() {
-  for (size_t i = next_slot_; ran_ && i < results_.size(); ++i) {
-    ReleaseMemory(BatchMemoryBytes(results_[i]));
-  }
-  ran_ = false;
-  next_slot_ = 0;
-  results_.clear();
-  return ColumnScanOp::OpenImpl();
-}
-
-bool ParallelColumnScanOp::AcceptRuntimeFilter(
-    int col, std::shared_ptr<const BloomPrefilter> bloom) {
-  // Filters must land before the morsel fan-out snapshots them; a build
-  // side always completes before the probe side's first pull, so this
-  // holds for every install path.
-  return !ran_ && ColumnScanOp::AcceptRuntimeFilter(col, std::move(bloom));
-}
-
-Status ParallelColumnScanOp::RunMorsels() {
-  // One morsel per page plus the uncompressed tail; the pool chunks
-  // contiguous page ranges across workers, and per-page result slots keep
-  // the emitted batches in exact page order (identical to the serial scan).
-  const size_t n_units = table_->num_pages() + 1;
-  results_.resize(n_units);
-  std::vector<ScanStats> unit_stats(n_units);
-  Status first_error;
-  std::mutex err_mu;
+Status ColumnScanOp::FillWindow() {
+  const size_t n_units = table_->num_pages() + 1;  // pages plus the tail
   // Cooperative shared scan: attach to the engine's circular page clock
-  // for this (table, column-set) and start at its current position. Unit i
-  // maps to page (start + i) % n_units, so concurrent scans of the same
-  // table cluster on the same (buffer-resident) pages while the per-page
-  // result slots keep emission in exact page order regardless.
-  SharedScanTicket share_ticket;
-  size_t start = 0;
+  // for this (table, column-set) and start at its current position. The
+  // window then spans the whole table so visitation can wrap while the
+  // slots keep emission in exact page order.
+  SharedScanTicket share;
   if (opts_.shared_scan && opts_.share != nullptr) {
     std::vector<int> pred_cols;
     for (const auto& p : preds_) pred_cols.push_back(p.column);
-    share_ticket = opts_.share->Attach(
+    share = opts_.share->Attach(
         table_->table_id(), ScanColumnSetSignature(projection_, pred_cols),
         n_units);
-    start = share_ticket.start();
   }
+  const size_t cap = share.valid() ? n_units
+                     : parallel()  ? 2 * static_cast<size_t>(opts_.dop)
+                                   : 1;
+  // Synopsis probes run here, so pages they skip never take a window place
+  // (nor a pool task); the skips count into stats_ as ScanPage counts them.
+  std::vector<size_t> pages;  // page of each slot, ascending
+  while (pages.size() < cap && next_page_ < n_units) {
+    const size_t p = next_page_++;
+    if (table_->PageMayMatch(p, preds_, opts_, &stats_)) pages.push_back(p);
+  }
+  const size_t n = pages.size();
+  window_.assign(n, RowBatch());
+  next_slot_ = 0;
+  std::vector<ScanStats> unit_stats(n);
+  const size_t first =
+      std::lower_bound(pages.begin(), pages.end(), share.start()) -
+      pages.begin();
+  Status first_error;
+  std::mutex err_mu;
   auto scan_unit = [&](size_t unit) {
-    const size_t p = (start + unit) % n_units;
-    if (share_ticket.valid()) share_ticket.NotePage(p);
-    // Governor probe at morsel granularity: a cancel/timeout stops every
-    // worker before its next page, and the first failing status surfaces
-    // through first_error just like a storage fault.
-    Status alive = CheckQueryAlive();
-    if (!alive.ok()) {
-      std::lock_guard<std::mutex> lk(err_mu);
-      if (first_error.ok()) first_error = alive;
-      return;
+    const size_t slot = (first + unit) % n;
+    share.NotePage(pages[slot]);
+    // Governor probe at page granularity: a cancel/timeout stops every
+    // worker before its next page, and surfaces like a storage fault.
+    Status s = CheckQueryAlive();
+    if (s.ok()) {
+      GlobalExecInstruments().morsels->Add(1);
+      InitBatchFor(output_, &window_[slot]);
+      s = table_->ScanPage(pages[slot], preds_, projection_,
+                           runtime_filters_, opts_, &window_[slot], nullptr,
+                           &unit_stats[slot]);
     }
-    GlobalExecInstruments().morsels->Add(1);
-    RowBatch* out = &results_[p];
-    out->columns.clear();
-    out->columns.reserve(output_.size());
-    for (const auto& c : output_) out->columns.emplace_back(c.type);
-    Status s = table_->ScanPage(p, preds_, projection_, runtime_filters_,
-                                opts_, out, nullptr, &unit_stats[p]);
     if (!s.ok()) {
       std::lock_guard<std::mutex> lk(err_mu);
       if (first_error.ok()) first_error = s;
     }
   };
-  if (opts_.exec_pool != nullptr && opts_.dop > 1) {
-    RunOnPool(opts_.exec_pool, n_units, scan_unit, opts_.dop);
+  if (parallel()) {
+    RunOnPool(opts_.exec_pool, n, scan_unit, opts_.dop);
   } else {
-    for (size_t p = 0; p < n_units; ++p) {
-      scan_unit(p);
-      if (!first_error.ok()) break;
-    }
+    for (size_t u = 0; u < n && first_error.ok(); ++u) scan_unit(u);
   }
   DASHDB_RETURN_IF_ERROR(first_error);
   // A governed ParallelFor abandons its tail when a cancel/timeout lands on
-  // its own chunk-claim probe — without recording an error. Re-probe before
-  // reporting the morsel set complete, or a cancelled scan would surface as
-  // a clean (but truncated) end-of-stream.
+  // its own chunk-claim probe — without recording an error. Re-probe, or a
+  // cancelled scan would surface as a clean (but truncated) end-of-stream.
   DASHDB_RETURN_IF_ERROR(CheckQueryAlive());
   const size_t dropped0 = stats_.bloom_dropped;
-  for (const auto& s : unit_stats) {
-    stats_.pages_visited += s.pages_visited;
-    stats_.pages_skipped += s.pages_skipped;
-    stats_.strides_skipped += s.strides_skipped;
-    stats_.rows_matched += s.rows_matched;
-    stats_.bloom_dropped += s.bloom_dropped;
+  for (const ScanStats& u : unit_stats) {
+    stats_.pages_visited += u.pages_visited;
+    stats_.pages_skipped += u.pages_skipped;
+    stats_.strides_skipped += u.strides_skipped;
+    stats_.rows_matched += u.rows_matched;
+    stats_.bloom_dropped += u.bloom_dropped;
   }
   GlobalExecInstruments().bloom_rows_dropped->Add(stats_.bloom_dropped -
                                                   dropped0);
-  // Every decoded page is now held at once: charge it (NextImpl releases
-  // each slot as it leaves).
+  // A one-slot window passes to the consumer in the call that decoded it,
+  // so the scan holds nothing between calls: only wider windows charge.
+  if (n <= 1) return Status::OK();
   int64_t held = 0;
-  for (const RowBatch& slot : results_) held += BatchMemoryBytes(slot);
-  Status charged = ChargeMemory(held, "parallel scan pages");
-  if (!charged.ok()) {
-    results_.clear();
-    return charged;
-  }
-  ran_ = true;
-  return Status::OK();
-}
-
-Result<bool> ParallelColumnScanOp::NextImpl(RowBatch* out) {
-  if (!ran_) DASHDB_RETURN_IF_ERROR(RunMorsels());
-  while (next_slot_ < results_.size()) {
-    RowBatch& slot = results_[next_slot_];
-    ++next_slot_;
-    ReleaseMemory(BatchMemoryBytes(slot));
-    if (slot.num_rows() > 0) {
-      *out = std::move(slot);
-      return true;
-    }
-  }
-  return false;
+  for (const RowBatch& slot : window_) held += BatchMemoryBytes(slot);
+  Status charged = ChargeMemory(held, "column scan window");
+  if (!charged.ok()) window_.clear();
+  return charged;
 }
 
 // --------------------------------------------------------- CountStarScan --

@@ -72,9 +72,8 @@ class Operator {
   std::string PlanString(int indent = 0) const;
 
   /// Stable operator-kind name used for trace spans: the label up to its
-  /// parameter list. Overridden where the class name is a DOP artifact
-  /// (ParallelColumnScan reports "ColumnScan") so span trees compare equal
-  /// across DOP settings when the logical plan is unchanged.
+  /// parameter list, so span trees compare equal across DOP settings when
+  /// the logical plan is unchanged.
   virtual std::string kind() const;
 
   /// EXPLAIN ANALYZE rendering: the plan tree annotated with per-operator
@@ -189,7 +188,17 @@ class ScannableStorage : public StorageObject {
 /// histogram (0 = perfect, ±1 = off by 2x, ...).
 void RecordCardinalityFeedback(const Operator* root);
 
-/// Scan over a column-organized table with pushed-down predicates.
+/// Scan over a column-organized table with pushed-down predicates, one
+/// logical operator at every degree (paper II.B.6: strides scheduled
+/// across cores). Each NextImpl that runs dry fills a window of pages —
+/// 2 x dop of them when `opts.exec_pool` is set and dop > 1, else one, run
+/// inline — whose synopsis may match (skipped pages do not take a place),
+/// decodes them into per-page slots across the pool, and emits the slots
+/// in page order, so output is identical at every degree and LIMIT stops
+/// the scan after one window. A shared scan's window is the whole table,
+/// visited from the group clock's position. A window of more than one
+/// slot is charged to the statement's memory budget, and each slot's
+/// charge is released as it is emitted.
 class ColumnScanOp : public Operator {
  public:
   ColumnScanOp(std::shared_ptr<const ColumnTable> table,
@@ -202,58 +211,32 @@ class ColumnScanOp : public Operator {
   std::string label() const override {
     return "ColumnScan(" + table_->schema().QualifiedName() +
            " preds=" + std::to_string(preds_.size()) +
-           " cols=" + std::to_string(projection_.size()) + ")";
+           " cols=" + std::to_string(projection_.size()) +
+           (parallel() ? " dop=" + std::to_string(opts_.dop) : "") + ")";
   }
 
+  /// Accepted until the first window is dispatched: a build side always
+  /// completes before the probe side's first pull.
   bool AcceptRuntimeFilter(
       int col, std::shared_ptr<const BloomPrefilter> bloom) override;
 
  protected:
   std::string AnalyzeExtra() const override;
 
+ private:
+  bool parallel() const { return opts_.exec_pool != nullptr && opts_.dop > 1; }
+  /// Decodes the next window of pages into window_ and charges it.
+  Status FillWindow();
+
   std::shared_ptr<const ColumnTable> table_;
   std::vector<ColumnPredicate> preds_;
   std::vector<int> projection_;
   ScanOptions opts_;
-  size_t next_page_ = 0;
+  size_t next_page_ = 0;  ///< next page to probe; num_pages() is the tail
   ScanStats stats_;
   std::vector<ScanRuntimeFilter> runtime_filters_;
-};
-
-/// Morsel-driven parallel scan over a column-organized table (paper II.B.6:
-/// strides scheduled across cores). The page range — one morsel per page,
-/// including the uncompressed tail — fans out over `opts.exec_pool` at
-/// degree `opts.dop`; each worker evaluates predicates and decodes the
-/// projection into a per-page slot, so emitted batches keep exact page
-/// order and results are identical to the serial ColumnScanOp. Per-worker
-/// ScanStats are merged when the fan-out completes. The filled slots are
-/// charged to the statement's memory budget at that point, and each slot's
-/// charge is released as it is emitted.
-class ParallelColumnScanOp : public ColumnScanOp {
- public:
-  using ColumnScanOp::ColumnScanOp;
-  Status OpenImpl() override;
-  Result<bool> NextImpl(RowBatch* out) override;
-
-  std::string label() const override {
-    return "ParallelColumnScan(" + table_->schema().QualifiedName() +
-           " preds=" + std::to_string(preds_.size()) +
-           " cols=" + std::to_string(projection_.size()) +
-           " dop=" + std::to_string(opts_.dop) + ")";
-  }
-  /// Same logical operator as the serial scan; keeps spans DOP-invariant.
-  std::string kind() const override { return "ColumnScan"; }
-
-  bool AcceptRuntimeFilter(
-      int col, std::shared_ptr<const BloomPrefilter> bloom) override;
-
- private:
-  /// Runs the whole page range across the pool, filling results_.
-  Status RunMorsels();
-
-  std::vector<RowBatch> results_;  ///< one slot per page, page order
+  std::vector<RowBatch> window_;  ///< one decoded slot per window page
   size_t next_slot_ = 0;
-  bool ran_ = false;
 };
 
 /// Full scan over the row-organized baseline table.

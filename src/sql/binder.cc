@@ -854,20 +854,8 @@ class SelectBinder {
               scannables[i]->CreateScan(pushdown[i], pruned[i]));
           sources.push_back(std::move(scan));
         } else if (col_tables[i]) {
-          const ScanOptions& sopts = b_->options().scan;
-          // Morsel-driven parallel scan when the engine armed the options
-          // with a pool and a degree > 1 (paper II.B.6). Shared scans also
-          // take this operator regardless of degree: its per-page result
-          // slots let the cooperative clock visit pages circularly while
-          // emission stays in page order (byte-identical to serial).
-          if ((sopts.exec_pool != nullptr && sopts.dop > 1) ||
-              (sopts.shared_scan && sopts.share != nullptr)) {
-            sources.push_back(std::make_unique<ParallelColumnScanOp>(
-                col_tables[i], pushdown[i], pruned[i], sopts));
-          } else {
-            sources.push_back(std::make_unique<ColumnScanOp>(
-                col_tables[i], pushdown[i], pruned[i], sopts));
-          }
+          sources.push_back(std::make_unique<ColumnScanOp>(
+              col_tables[i], pushdown[i], pruned[i], b_->options().scan));
         } else {
           const std::vector<int>& proj = pruned[i];
           // Appliance-style access path selection: a sargable predicate on

@@ -439,7 +439,7 @@ bool ColumnTable::ApplySynopsis(const std::vector<ColumnPredicate>& preds,
       if (stats && !may) ++stats->strides_skipped;
     }
     if (!page_alive) return false;  // entire page skippable, no bit work
-    if (any_skipped) {
+    if (any_skipped && match != nullptr) {
       for (size_t s = 0; s < n_strides; ++s) {
         if (!skip[s]) continue;
         size_t sb = s * kStrideRows;
@@ -586,6 +586,27 @@ bool RowMatches(const ColumnPredicate& pred, TypeId t, const ColumnVector& cv,
   return true;
 }
 }  // namespace
+
+bool ColumnTable::PageMayMatch(size_t page_no,
+                               const std::vector<ColumnPredicate>& preds,
+                               const ScanOptions& opts,
+                               ScanStats* stats) const {
+  if (page_no >= num_pages_) {
+    return page_no > num_pages_ || tail_.num_rows() > 0;
+  }
+  if (!opts.use_synopsis) return true;
+  for (const auto& p : preds) {
+    // Malformed predicates are ScanPage's to report.
+    if (p.column < 0 || p.column >= schema_.num_columns()) return true;
+  }
+  ScanStats probe;
+  if (ApplySynopsis(preds, page_no, nullptr, &probe)) return true;
+  if (stats) {
+    stats->strides_skipped += probe.strides_skipped;
+    ++stats->pages_skipped;
+  }
+  return false;
+}
 
 Status ColumnTable::ScanPage(size_t page_no,
                              const std::vector<ColumnPredicate>& preds,

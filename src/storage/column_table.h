@@ -52,16 +52,17 @@ struct ScanOptions {
   bool use_swar = true;           ///< software SIMD (II.B.6)
   bool operate_on_compressed = true;  ///< predicates on codes (II.B.2)
   BufferPool* pool = nullptr;     ///< charge page accesses when set
-  /// Intra-query parallelism (II.B.6): pages fan out across `exec_pool`
-  /// workers at degree `dop`. Serial when exec_pool is null or dop <= 1;
-  /// both are independently settable for the ablation bench.
+  /// Intra-query parallelism (II.B.6): a column scan decodes a window of
+  /// 2 x `dop` pages across `exec_pool` workers. The window is one page,
+  /// run inline, when exec_pool is null or dop <= 1; both are independently
+  /// settable for the ablation bench.
   ThreadPool* exec_pool = nullptr;
   int dop = 1;
   /// Cooperative shared scans (src/exec/shared_scan.h): when `shared_scan`
   /// is on and `share` points at the engine's manager, concurrent scans of
-  /// the same (table, column-set) follow one circular page clock. The
-  /// manager pointer is always armed by the engine; the bool is the
-  /// session's SET SHARED_SCAN knob.
+  /// the same (table, column-set) follow one circular page clock, and the
+  /// scan's window spans the whole table. The manager pointer is always
+  /// armed by the engine; the bool is the session's SET SHARED_SCAN knob.
   ScanShareManager* share = nullptr;
   bool shared_scan = false;
 };
@@ -154,6 +155,12 @@ class ColumnTable : public StorageObject {
                   const ScanOptions& opts, RowBatch* out,
                   std::vector<uint64_t>* ids, ScanStats* stats = nullptr) const;
 
+  /// Metadata-only probe of page `page_no`: false when ScanPage would emit
+  /// nothing without decoding — the synopsis skips the whole page (counted
+  /// into *stats exactly as ScanPage counts it), or the tail is empty.
+  bool PageMayMatch(size_t page_no, const std::vector<ColumnPredicate>& preds,
+                    const ScanOptions& opts, ScanStats* stats) const;
+
   /// Fast COUNT(*) with predicates: zero predicates count from page-row
   /// metadata; a single predicate on an integer-backed column counts
   /// straight off the packed codes via SwarCount (no bitmap, no decode)
@@ -214,8 +221,9 @@ class ColumnTable : public StorageObject {
                        size_t page_no, const ScanOptions& opts,
                        BitVector* match) const;
 
-  /// Applies synopsis skipping for one page; returns false when the whole
-  /// page is skippable.
+  /// Applies synopsis skipping for one page (clearing skipped strides from
+  /// *match unless it is null); returns false when the whole page is
+  /// skippable.
   bool ApplySynopsis(const std::vector<ColumnPredicate>& preds, size_t page_no,
                      BitVector* match, ScanStats* stats) const;
 

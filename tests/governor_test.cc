@@ -691,8 +691,9 @@ TEST_F(GovernorTest, AggAndTopNBudgetTripsOnTheInputWindowAtDop4) {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-parallel column scan: every decoded page is held until emitted, so
-// the held pages count against the budget.
+// Column scan window: the decoded pages of one window (2 x dop pages) are
+// held until emitted, so the window counts against the budget — but never
+// more than one window.
 
 TEST_F(GovernorTest, ParallelScanPagesChargeTheBudgetAtDop4) {
   ThreadPool pool(4);
@@ -712,26 +713,30 @@ TEST_F(GovernorTest, ParallelScanPagesChargeTheBudgetAtDop4) {
   ScanOptions opts;
   opts.exec_pool = &pool;
   opts.dop = 4;
+  // One window: 8 full pages x 3 BIGINT columns (768 KiB); the whole
+  // table is 40000 rows (~938 KiB).
+  const int64_t window_bytes = 2 * 4 * int64_t{kPageRows} * 3 * 8;
+  ASSERT_LT(window_bytes, 40000 * 3 * 8);
   {
-    // 40000 rows x 3 BIGINT columns (~940 KiB) do not fit in 256 KiB.
     QueryContext qc;
     qc.SetMemBudget(256 << 10);
     {
-      ParallelColumnScanOp op(table, {}, {0, 1, 2}, opts);
+      ColumnScanOp op(table, {}, {0, 1, 2}, opts);
       AttachQueryContext(&op, &qc);
       auto r = DrainOperator(&op);
       ASSERT_FALSE(r.ok());
       EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-      EXPECT_NE(r.status().message().find("parallel scan"), std::string::npos)
+      EXPECT_NE(r.status().message().find("column scan"), std::string::npos)
           << r.status().ToString();
     }
     EXPECT_EQ(qc.mem_used(), 0);
   }
-  // With room for every page the scan completes, and each page's charge is
-  // returned as it is emitted.
+  // Room for one window but not the whole table: the scan completes, each
+  // page's charge is returned as it is emitted, and the peak is one window.
   QueryContext roomy;
-  roomy.SetMemBudget(4 << 20);
-  ParallelColumnScanOp op(table, {}, {0, 1, 2}, opts);
+  roomy.SetMemBudget(800 << 10);
+  ASSERT_LT(roomy.mem_budget(), 40000 * 3 * 8);
+  ColumnScanOp op(table, {}, {0, 1, 2}, opts);
   AttachQueryContext(&op, &roomy);
   ASSERT_TRUE(op.Open().ok());
   RowBatch batch;
@@ -743,7 +748,8 @@ TEST_F(GovernorTest, ParallelScanPagesChargeTheBudgetAtDop4) {
     emitted += batch.num_rows();
   }
   EXPECT_EQ(emitted, 40000u);
-  EXPECT_GE(roomy.mem_peak(), 40000 * 3 * 8);
+  EXPECT_GT(roomy.mem_peak(), 0);
+  EXPECT_LE(roomy.mem_peak(), window_bytes);
   EXPECT_EQ(roomy.mem_used(), 0);
 }
 

@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -143,7 +144,8 @@ TEST(ParallelExecTest, ExplainReportsDegreeOfParallelism) {
       "EXPLAIN SELECT T.G, COUNT(*), SUM(T.V) FROM T, D "
       "WHERE T.K = D.K GROUP BY T.G");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_NE(plan->message.find("ParallelColumnScan"), std::string::npos)
+  EXPECT_NE(plan->message.find("ColumnScan(PUBLIC.T preds=0 cols=3 dop=4)"),
+            std::string::npos)
       << plan->message;
   EXPECT_NE(plan->message.find("dop=4"), std::string::npos) << plan->message;
   EXPECT_NE(plan->message.find("build-dop=4"), std::string::npos)
@@ -156,7 +158,8 @@ TEST(ParallelExecTest, ExplainReportsDegreeOfParallelism) {
       "EXPLAIN SELECT T.G, COUNT(*), SUM(T.V) FROM T, D "
       "WHERE T.K = D.K GROUP BY T.G");
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->message.find("ParallelColumnScan"), std::string::npos)
+  EXPECT_NE(plan->message.find("ColumnScan(PUBLIC.T preds=0 cols=3)"),
+            std::string::npos)
       << plan->message;
   EXPECT_EQ(plan->message.find("dop="), std::string::npos) << plan->message;
 
@@ -932,31 +935,28 @@ std::shared_ptr<ColumnTable> MakeScanTable(int64_t miss_key, int64_t tail) {
   return table;
 }
 
-/// Drains a column scan (serial at dop 1, morsel-parallel otherwise) with
-/// the given runtime filters installed.
+/// Drains a scan of every column at `dop` over `pool` with the given
+/// runtime filters installed; *stats receives its ScanStats.
 std::string RunFilteredScan(
     std::shared_ptr<const ColumnTable> table,
     const std::vector<ColumnPredicate>& preds,
     const std::vector<std::pair<int, std::shared_ptr<BloomPrefilter>>>&
         filters,
-    ThreadPool* pool, int dop, std::string* analyze) {
-  const std::vector<int> projection = {0, 1, 2, 3};
+    ThreadPool* pool, int dop, std::string* analyze,
+    ScanStats* stats = nullptr) {
   ScanOptions opts;
-  std::unique_ptr<ColumnScanOp> op;
-  if (dop > 1) {
-    opts.exec_pool = pool;
-    opts.dop = dop;
-    op = std::make_unique<ParallelColumnScanOp>(table, preds, projection,
-                                                opts);
-  } else {
-    op = std::make_unique<ColumnScanOp>(table, preds, projection, opts);
-  }
+  opts.exec_pool = pool;
+  opts.dop = dop;
+  std::vector<int> projection(table->schema().num_columns());
+  std::iota(projection.begin(), projection.end(), 0);
+  ColumnScanOp op(table, preds, projection, opts);
   for (const auto& [col, bloom] : filters) {
-    EXPECT_TRUE(op->AcceptRuntimeFilter(col, bloom));
+    EXPECT_TRUE(op.AcceptRuntimeFilter(col, bloom));
   }
-  auto r = DrainOperator(op.get());
+  auto r = DrainOperator(&op);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
-  if (analyze != nullptr) *analyze = op->AnalyzeString();
+  if (analyze != nullptr) *analyze = op.AnalyzeString();
+  if (stats != nullptr) *stats = op.stats();
   return r.ok() ? BatchBytes(*r) : std::string();
 }
 
@@ -1020,6 +1020,93 @@ TEST(ParallelExecTest, RuntimeFilteredScanIdenticalAtDop1AndDop4) {
         << analyze;
     EXPECT_EQ(dropped_counter->value() - c0, dropped) << "dop " << dop;
   }
+}
+
+/// 64 full pages plus a partial one of (ID, V), ID ascending from 0.
+std::shared_ptr<ColumnTable> MakeManyPageTable(Engine* engine) {
+  TableSchema schema("PUBLIC", "MANY", {{"ID", TypeId::kInt64, false, 0, false},
+                                        {"V", TypeId::kInt64, true, 0, false}});
+  auto table = engine->CreateColumnTable(schema);
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  RowBatch rows;
+  rows.columns.emplace_back(TypeId::kInt64);
+  rows.columns.emplace_back(TypeId::kInt64);
+  for (int64_t i = 0; i < 64 * static_cast<int64_t>(kPageRows) + 100; ++i) {
+    rows.columns[0].AppendInt(i);
+    rows.columns[1].AppendInt(i * 7 % 1009);
+  }
+  EXPECT_TRUE((*table)->Load(rows).ok());
+  EXPECT_EQ((*table)->num_pages(), 65u);
+  return *table;
+}
+
+TEST(ParallelExecTest, LimitStopsTheScanAfterOneWindow) {
+  Engine engine(ParallelConfig(4));
+  auto session = engine.CreateSession();
+  auto table = MakeManyPageTable(&engine);
+  Counter* morsels = MetricRegistry::Global().GetCounter("exec.morsels");
+  std::string bytes[2];
+  for (int dop : {1, 4}) {
+    ASSERT_TRUE(
+        engine.Execute(session.get(), "SET DOP = " + std::to_string(dop)).ok());
+    const uint64_t m0 = morsels->value();
+    auto r = engine.Execute(session.get(), "SELECT * FROM MANY LIMIT 10");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.num_rows(), 10u);
+    EXPECT_LE(morsels->value() - m0, 2u * dop) << "dop " << dop;
+    bytes[dop > 1] = BatchBytes(r->rows);
+  }
+  EXPECT_TRUE(bytes[0] == bytes[1]);
+
+  // The same plan built directly: the scan probed at most one window.
+  ThreadPool pool(4);
+  ScanOptions opts;
+  opts.exec_pool = &pool;
+  opts.dop = 4;
+  auto scan = std::make_unique<ColumnScanOp>(
+      table, std::vector<ColumnPredicate>{}, std::vector<int>{0, 1}, opts);
+  const ColumnScanOp* raw = scan.get();
+  LimitOp limit(std::move(scan), 10, 0);
+  auto r = DrainOperator(&limit);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->num_rows(), 10u);
+  EXPECT_GT(raw->stats().pages_visited, 0u);
+  EXPECT_LE(raw->stats().pages_visited + raw->stats().pages_skipped, 8u);
+}
+
+TEST(ParallelExecTest, SkippedPagesIdenticalAtDop1AndDop4) {
+  Engine engine(ParallelConfig(4));
+  auto table = MakeManyPageTable(&engine);
+  // IDs inside pages 10..13: the synopsis skips the other 61 pages.
+  ColumnPredicate id_range;
+  id_range.column = 0;
+  id_range.int_range.lo = 10 * static_cast<int64_t>(kPageRows) + 100;
+  id_range.int_range.hi = 13 * static_cast<int64_t>(kPageRows) + 5;
+  ThreadPool pool(4);
+  Counter* morsels = MetricRegistry::Global().GetCounter("exec.morsels");
+  std::string bytes[2];
+  ScanStats stats[2];
+  uint64_t dispatched[2];
+  for (int dop : {1, 4}) {
+    const uint64_t m0 = morsels->value();
+    const int i = dop > 1;
+    bytes[i] = RunFilteredScan(table, {id_range}, {}, &pool, dop, nullptr,
+                               &stats[i]);
+    dispatched[i] = morsels->value() - m0;
+  }
+  EXPECT_FALSE(bytes[0].empty());
+  EXPECT_TRUE(bytes[0] == bytes[1]);
+  EXPECT_EQ(stats[0].pages_visited, 4u);
+  EXPECT_EQ(stats[0].pages_skipped, 61u);
+  for (const ScanStats& s : stats) {
+    EXPECT_EQ(s.pages_visited, stats[0].pages_visited);
+    EXPECT_EQ(s.pages_skipped, stats[0].pages_skipped);
+    EXPECT_EQ(s.strides_skipped, stats[0].strides_skipped);
+    EXPECT_EQ(s.rows_matched, stats[0].rows_matched);
+  }
+  // Only the pages the synopsis kept became pool tasks.
+  EXPECT_EQ(dispatched[1], stats[1].pages_visited);
+  EXPECT_EQ(dispatched[0], dispatched[1]);
 }
 
 /// Runs `tasks` pool tasks at DOP `tasks` from OpenImpl, through the same

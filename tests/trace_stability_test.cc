@@ -2,8 +2,8 @@
 // artifact, not a best-effort log. Same query + same fault seed must yield
 // an identical StructureDigest across runs (ids, nesting, names, rows,
 // attempt/retry attrs — never timing), and across DOP the attr-free digest
-// must match wherever the plan shape is unchanged (ParallelColumnScan
-// reports the same span kind as ColumnScan by design).
+// must match wherever the plan shape is unchanged (an operator's span kind
+// is its label up to the parameter list, so a scan's dop= never enters it).
 #include <gtest/gtest.h>
 
 #include <memory>
