@@ -109,15 +109,14 @@ int main() {
   }
 
   // Join index layouts (II.B.7): the hash index, radix-partitioned into
-  // cache-sized tables or one global table, over spread keys; and the
-  // direct-address index over the plain keys. Every arm joins the same
-  // rows, so all must agree on the output's row count and checksum.
+  // cache-sized tables, over spread keys; and the direct-address index over
+  // the plain keys. Both arms join the same rows, so they must agree on the
+  // output's row count and checksum.
   int status = 0;
   {
     ExecContext ctx;
-    // A build side far larger than L2/L3 so partitioning's cache locality
-    // can matter (with a small build side both variants fit in cache):
-    // 2M rows over 1M keys, each key twice.
+    // A build side far larger than L2/L3: 2M rows over 1M keys, each key
+    // twice.
     auto dim_schema = TableSchema("PUBLIC", "D",
                                   {{"K", TypeId::kInt64, false, 0, false},
                                    {"KX", TypeId::kInt64, false, 0, false}});
@@ -133,16 +132,14 @@ int main() {
     struct Arm {
       const char* name;
       int key;  ///< 0: V = K, 1: VX = KX
-      bool partitioned;
       const char* index;  ///< the index EXPLAIN ANALYZE must report
       double seconds = 0;
       size_t rows = 0;
       uint64_t checksum = 0;
     };
     Arm arms[] = {
-        {"hash join, cache-partitioned (II.B.7)", 1, true, "index=hash"},
-        {"hash join, one global table", 1, false, "index=hash"},
-        {"direct-address join index", 0, true, "index=dense"},
+        {"hash join, cache-partitioned (II.B.7)", 1, "index=hash"},
+        {"direct-address join index", 0, "index=dense"},
     };
     for (Arm& arm : arms) {
       // Probe V, VX; build K, KX: every arm emits the same four columns.
@@ -155,7 +152,7 @@ int main() {
       auto key = std::make_shared<ColumnRefExpr>(arm.key, TypeId::kInt64);
       HashJoinOp join(std::move(probe), std::move(build),
                       std::vector<ExprPtr>{key}, std::vector<ExprPtr>{key},
-                      JoinType::kInner, &ctx, arm.partitioned);
+                      JoinType::kInner, &ctx);
       // Rows stream into an order-sensitive checksum instead of being
       // materialized (the join emits ~6M rows); only the join is timed.
       Stopwatch open_sw;
@@ -192,9 +189,7 @@ int main() {
         status = 4;
       }
     }
-    PrintNote("finding: with the batched probe, routing rows to 64 radix "
-              "partitions costs about what it saves over one global table; "
-              "the direct-address index skips hashing altogether "
+    PrintNote("finding: the direct-address index skips hashing altogether "
               "(EXPERIMENTS.md)");
   }
   PrintNote("each lever contributes independently; the naive configuration "

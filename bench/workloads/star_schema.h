@@ -1,5 +1,5 @@
-// Seeded star/snowflake schema generator shared by the optimizer benchmark
-// (bench_join_order) and the cardinality/optimizer tests: one SALES fact
+// Seeded star/snowflake schema generator shared by dashbench and the
+// cardinality/optimizer tests: one SALES fact
 // table with skewed foreign keys into four dimensions (CUSTOMER, PRODUCT,
 // STORE, DATEDIM) plus a CATEGORY outrigger off PRODUCT (the snowflake
 // arm). Skew gives the cost-based optimizer something to exploit — and the

@@ -29,9 +29,9 @@ trap 'rm -rf "$bench_dir"' EXIT
 (cd "$bench_dir" && "$repo/build/bench/bench_sort_topn")
 
 echo "== Join index gate: bench_ablation (2M-row build) =="
-# Its exit code says the partitioned-hash, global-hash and direct-address
-# join arms built the index each is meant to measure and agreed on their
-# row count and checksum.
+# Its exit code says the partitioned-hash and direct-address join arms
+# built the index each is meant to measure and agreed on their row count
+# and checksum.
 (cd "$bench_dir" && "$repo/build/bench/bench_ablation")
 
 echo "== ASan build: labels $LABELS =="

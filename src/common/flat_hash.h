@@ -271,10 +271,14 @@ class BloomPrefilter {
   bool Deserialize(const std::string& bytes) {
     words_.clear();
     mask_ = 0;
-    if (bytes.size() < sizeof(uint64_t)) return false;
+    if (bytes.size() < sizeof(uint64_t) ||
+        bytes.size() % sizeof(uint64_t) != 0) {
+      return false;
+    }
     uint64_t n = 0;
     std::memcpy(&n, bytes.data(), sizeof(n));
-    if (bytes.size() != sizeof(uint64_t) * (1 + n)) return false;
+    // Compared by division: sizeof(uint64_t) * (1 + n) wraps for huge n.
+    if (n != bytes.size() / sizeof(uint64_t) - 1) return false;
     if (n == 0) return true;  // disabled filter round-trips as disabled
     // Word counts are powers of two by construction; reject anything else
     // so mask_ stays a valid bit mask.

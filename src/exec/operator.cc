@@ -611,14 +611,13 @@ Result<bool> ProjectOp::NextImpl(RowBatch* out) {
 HashJoinOp::HashJoinOp(OperatorPtr probe, OperatorPtr build,
                        std::vector<ExprPtr> probe_keys,
                        std::vector<ExprPtr> build_keys, JoinType type,
-                       const ExecContext* ctx, bool partitioned)
+                       const ExecContext* ctx)
     : probe_(std::move(probe)),
       build_(std::move(build)),
       probe_keys_(std::move(probe_keys)),
       build_keys_(std::move(build_keys)),
       type_(type),
-      ctx_(ctx),
-      partitioned_(partitioned) {
+      ctx_(ctx) {
   output_ = probe_->output();
   for (const auto& c : build_->output()) output_.push_back(c);
   window_ = std::make_unique<InputWindow>(this, probe_.get(), probe_keys_, ctx_,
@@ -645,10 +644,10 @@ Status HashJoinOp::OpenImpl() {
 std::string HashJoinOp::label() const {
   std::string s = type_ == JoinType::kLeft ? "HashLeftJoin" : "HashJoin";
   s += "(keys=" + std::to_string(probe_keys_.size());
-  if (ctx_->parallel() && partitioned_) {
+  if (ctx_->parallel()) {
     s += ", build-dop=" + std::to_string(ctx_->dop);
+    s += ", probe-dop=" + std::to_string(ctx_->dop);
   }
-  if (ctx_->parallel()) s += ", probe-dop=" + std::to_string(ctx_->dop);
   s += ")";
   return s;
 }
@@ -665,13 +664,12 @@ std::string HashJoinOp::AnalyzeExtra() const {
 }
 
 bool HashJoinOp::ParallelBuildEligible(size_t build_rows) const {
-  return ctx_->parallel() && partitioned_ &&
-         build_rows >= InputWindow::kParallelMinRows;
+  return ctx_->parallel() && build_rows >= InputWindow::kParallelMinRows;
 }
 
 Status HashJoinOp::BuildSide() {
   InitBatchFor(build_->output(), &build_data_);
-  const int nparts = partitioned_ ? (1 << kPartitionBits) : 1;
+  constexpr int nparts = 1 << kPartitionBits;
   partitions_.resize(nparts);
   // Fast path detection: one integer-backed column-ref key on both sides.
   if (probe_keys_.size() == 1) {
@@ -747,8 +745,7 @@ Status HashJoinOp::BuildSide() {
       }
       uint64_t h = HashInt64(static_cast<uint64_t>(key_col->GetInt(r)));
       hash_of[r] = h;
-      part_of[r] =
-          partitioned_ ? static_cast<int32_t>((h >> 32) & (nparts - 1)) : 0;
+      part_of[r] = static_cast<int32_t>((h >> 32) & (nparts - 1));
     });
   } else {
     run(n, [&](size_t r) {
@@ -760,10 +757,7 @@ Status HashJoinOp::BuildSide() {
       }
       hash_of[r] = h;
       part_of[r] =
-          has_null
-              ? -1
-              : (partitioned_ ? static_cast<int32_t>((h >> 32) & (nparts - 1))
-                              : 0);
+          has_null ? -1 : static_cast<int32_t>((h >> 32) & (nparts - 1));
     });
   }
 
@@ -988,9 +982,8 @@ void HashJoinOp::ProbeMorsel(size_t m, RowBatch* out) const {
         }
       }
     }
-    const uint64_t part_mask = partitioned_ ? (1u << kPartitionBits) - 1 : 0;
     auto partition = [&](uint64_t h) -> const Partition& {
-      return partitions_[(h >> 32) & part_mask];
+      return partitions_[(h >> 32) & ((1u << kPartitionBits) - 1)];
     };
     constexpr size_t kPrefetchDist = 8;
     pairs = MatchRows(in, lo, nrows, type_, [&](size_t j, auto&& emit) {
@@ -1543,11 +1536,10 @@ Result<bool> MaterializedOp::NextImpl(RowBatch* out) {
 AdaptiveJoinOp::AdaptiveJoinOp(std::vector<OperatorPtr> sources,
                                std::vector<AdaptiveJoinEdge> edges,
                                std::vector<double> source_est_rows,
-                               bool adaptive, const ExecContext* ctx)
+                               const ExecContext* ctx)
     : sources_(std::move(sources)),
       edges_(std::move(edges)),
       source_est_rows_(std::move(source_est_rows)),
-      adaptive_(adaptive),
       ctx_(ctx) {
   for (const auto& s : sources_) {
     for (const auto& c : s->output()) output_.push_back(c);
@@ -1556,8 +1548,7 @@ AdaptiveJoinOp::AdaptiveJoinOp(std::vector<OperatorPtr> sources,
 
 std::string AdaptiveJoinOp::label() const {
   return "AdaptiveJoin(sources=" + std::to_string(sources_.size()) +
-         " edges=" + std::to_string(edges_.size()) +
-         (adaptive_ ? "" : " adaptive=off") + ")";
+         " edges=" + std::to_string(edges_.size()) + ")";
 }
 
 std::vector<const Operator*> AdaptiveJoinOp::children() const {
@@ -1619,7 +1610,7 @@ Status AdaptiveJoinOp::Assemble() {
     const double observed = static_cast<double>(mat[r].num_rows());
     const double est = std::max(0.0, rels[r].rows);
     rels[r].rows = observed;
-    if (adaptive_ && k + 1 < order.size()) {
+    if (k + 1 < order.size()) {
       const double err = std::fabs(std::log2((observed + 1) / (est + 1)));
       if (err > kReplanLogThreshold) {
         std::vector<int> prefix(order.begin(), order.begin() + k + 1);

@@ -329,7 +329,7 @@ enum class JoinType : uint8_t { kInner = 0, kLeft, kCross };
 /// Hash join; the build side (right child) is radix-partitioned into
 /// cache-sized partitions, each with its own hash table — the Hybrid Hash
 /// Join / BLU-style "partition into L2/L3 chunks" strategy of paper II.B.7.
-/// `partitioned=false` degrades to one global table (ablation baseline).
+/// The partitions are also the independent units of the parallel build.
 ///
 /// The probe consumes an InputWindow (exec/window.h) and runs one kernel
 /// per morsel — a match phase producing (probe row, build row) index
@@ -339,7 +339,7 @@ class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr probe, OperatorPtr build,
              std::vector<ExprPtr> probe_keys, std::vector<ExprPtr> build_keys,
-             JoinType type, const ExecContext* ctx, bool partitioned = true);
+             JoinType type, const ExecContext* ctx);
   ~HashJoinOp() override;
   Status OpenImpl() override;
   Result<bool> NextImpl(RowBatch* out) override;
@@ -373,9 +373,9 @@ class HashJoinOp : public Operator {
     BloomPrefilter bloom;
   };
 
-  /// Whether this build runs on the pool (needs the context's pool, a
-  /// partitioned build — the radix partitions are the independent units —
-  /// and enough rows to amortize the fan-out).
+  /// Whether this build runs on the pool (needs the context's pool and
+  /// enough rows to amortize the fan-out; the radix partitions are the
+  /// independent units).
   bool ParallelBuildEligible(size_t build_rows) const;
 
   Status BuildSide();
@@ -397,7 +397,6 @@ class HashJoinOp : public Operator {
   std::vector<ExprPtr> probe_keys_, build_keys_;
   JoinType type_;
   const ExecContext* ctx_;
-  bool partitioned_;
   RowBatch build_data_;
   /// Build-side key columns, batch-evaluated once over build_data_
   /// (generic path; the fast-int path reads build_data_ directly).
@@ -494,8 +493,7 @@ class AdaptiveJoinOp : public Operator {
  public:
   AdaptiveJoinOp(std::vector<OperatorPtr> sources,
                  std::vector<AdaptiveJoinEdge> edges,
-                 std::vector<double> source_est_rows, bool adaptive,
-                 const ExecContext* ctx);
+                 std::vector<double> source_est_rows, const ExecContext* ctx);
   Status OpenImpl() override;
   Result<bool> NextImpl(RowBatch* out) override;
 
@@ -516,7 +514,6 @@ class AdaptiveJoinOp : public Operator {
   std::vector<OperatorPtr> sources_;
   std::vector<AdaptiveJoinEdge> edges_;
   std::vector<double> source_est_rows_;
-  bool adaptive_;
   const ExecContext* ctx_;
 
   OperatorPtr chain_;  ///< assembled join chain (owns all sources)

@@ -1312,7 +1312,6 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
 std::vector<RuntimeScanFilter> MppDatabase::PrepareBloomPushdown(
     const ast::SelectStmt& sel, QueryContext* qctx) {
   if (sel.from.size() < 2 || shards_.empty()) return {};
-  if (sessions_[0]->optimizer_mode() != OptimizerMode::kCost) return {};
   // Inner/cross joins of plain base tables only: a Bloom filter drops
   // probe rows, which an outer join must instead null-extend.
   for (const auto& ref : sel.from) {

@@ -948,9 +948,7 @@ class SelectBinder {
       // eligible when every FROM item is a column table, every join is
       // inner/cross, and every ON conjunct is a plain two-table column
       // equality. Everything else falls back to the FROM-order heuristic.
-      bool cost_path =
-          stmt.from.size() >= 3 && !has_outer &&
-          b_->session()->optimizer_mode() == OptimizerMode::kCost;
+      bool cost_path = stmt.from.size() >= 3 && !has_outer;
       for (size_t i = 0; cost_path && i < stmt.from.size(); ++i) {
         if (!col_tables[i] || pending[i]) cost_path = false;
         const ast::TableRef& ref = stmt.from[i];
@@ -1087,7 +1085,7 @@ class SelectBinder {
         }
         auto aj = std::make_unique<AdaptiveJoinOp>(
             std::move(sources), std::move(aedges), std::move(est_rows_v),
-            b_->session()->adaptive_enabled(), &b_->session()->exec_ctx());
+            &b_->session()->exec_ctx());
         aj->set_est_rows(folded);
         join_tree_est_ = folded;
         root = std::move(aj);
@@ -1782,10 +1780,8 @@ class SelectBinder {
         // Sideways Bloom pushdown: once the build side materializes, its key
         // set semi-filters the probe-side base scan. Only for single-key
         // inner joins whose probe key is a plain base-scan column, and only
-        // while the chain has no outer joins above that scan. Gated on the
-        // cost optimizer so SET OPTIMIZER HEURISTIC is a faithful baseline.
-        if (b_->session()->optimizer_mode() == OptimizerMode::kCost &&
-            jt == JoinType::kInner && chain_all_inner &&
+        // while the chain has no outer joins above that scan.
+        if (jt == JoinType::kInner && chain_all_inner &&
             equi_left.size() == 1 && probe_item >= 0 &&
             static_cast<size_t>(probe_item) < source_ptrs.size() &&
             source_ptrs[probe_item] != nullptr) {

@@ -36,9 +36,6 @@ struct RuntimeScanFilter {
 
 struct BindOptions {
   ScanOptions scan;
-  /// Table organization preference when binding scans of base tables that
-  /// exist in both forms (unused by default; kept for the bench harnesses).
-  bool prefer_row_tables = false;
   /// Scan filters built outside the plan (cross-shard Bloom semi-joins).
   std::vector<RuntimeScanFilter> runtime_filters;
 };

@@ -905,31 +905,6 @@ Result<QueryResult> Engine::ExecSet(Session* session,
     r.message = "DOP " + std::to_string(EffectiveDop(*session));
     return r;
   }
-  if (name == "OPTIMIZER" || name == "JOIN_ORDER") {
-    std::string v = NormalizeIdent(st.set_value);
-    if (v == "COST") {
-      session->set_optimizer_mode(OptimizerMode::kCost);
-    } else if (v == "HEURISTIC" || v == "SYNTACTIC") {
-      session->set_optimizer_mode(OptimizerMode::kHeuristic);
-    } else {
-      return Status::InvalidArgument("OPTIMIZER must be COST or HEURISTIC");
-    }
-    r.message = "OPTIMIZER " + v;
-    return r;
-  }
-  if (name == "ADAPTIVE") {
-    std::string v = NormalizeIdent(st.set_value);
-    if (v == "ON" || v == "TRUE" || v == "1") {
-      session->set_adaptive_enabled(true);
-    } else if (v == "OFF" || v == "FALSE" || v == "0") {
-      session->set_adaptive_enabled(false);
-    } else {
-      return Status::InvalidArgument("ADAPTIVE must be ON or OFF");
-    }
-    r.message = std::string("ADAPTIVE ") +
-                (session->adaptive_enabled() ? "ON" : "OFF");
-    return r;
-  }
   if (name == "SHARED_SCAN") {
     std::string v = NormalizeIdent(st.set_value);
     if (v == "ON" || v == "TRUE" || v == "1") {

@@ -36,9 +36,6 @@ struct SequenceState {
   bool has_current = false;
 };
 
-/// Join-order planning mode (SET OPTIMIZER COST|HEURISTIC).
-enum class OptimizerMode : uint8_t { kCost = 0, kHeuristic };
-
 class Session {
  public:
   /// Every SET-able setting, in one place so one assignment copies them
@@ -48,8 +45,6 @@ class Session {
     Dialect dialect = Dialect::kAnsi;
     std::string default_schema = "PUBLIC";
     int max_parallelism = 0;  ///< 0 = ANY
-    OptimizerMode optimizer_mode = OptimizerMode::kCost;
-    bool adaptive_enabled = true;
     bool shared_scan_enabled = false;
     bool result_cache_enabled = false;
     double statement_timeout_s = 0;
@@ -123,14 +118,6 @@ class Session {
   bool HasSequence(const std::string& name) const {
     return sequences_.count(name) > 0;
   }
-
-  /// Cost-based vs. FROM-order join planning (SET OPTIMIZER).
-  OptimizerMode optimizer_mode() const { return settings_.optimizer_mode; }
-  void set_optimizer_mode(OptimizerMode m) { settings_.optimizer_mode = m; }
-
-  /// Mid-query re-planning on cardinality mis-estimates (SET ADAPTIVE).
-  bool adaptive_enabled() const { return settings_.adaptive_enabled; }
-  void set_adaptive_enabled(bool on) { settings_.adaptive_enabled = on; }
 
   /// SET SHARED_SCAN ON|OFF: attach this session's table scans to in-flight
   /// circular scans of the same (table, column set) so concurrent queries

@@ -13,6 +13,7 @@
 #include "common/fault_injector.h"
 #include "common/metrics.h"
 #include "corpus_util.h"
+#include "from_order_oracle.h"
 #include "mpp/mpp.h"
 
 namespace dashdb {
@@ -86,19 +87,27 @@ TEST_F(DifferentialTest, Dop4WithShardKillMatchesSerialBaseline) {
 
 TEST_F(DifferentialTest, HeuristicVersusCostOptimizerByteIdentical) {
   // Join order and Bloom pushdown are performance levers, never semantic
-  // ones: the whole corpus must agree between the FROM-order heuristic and
-  // the cost-based optimizer, at both degrees of parallelism.
+  // ones: the whole corpus must agree between the FROM-order, no-Bloom
+  // oracle (tests/from_order_oracle.h) and the cost-based optimizer, at
+  // both degrees of parallelism. The oracle runs ship and install no
+  // filter, so they stay independent of the plans they check.
+  Counter* shipped = MetricRegistry::Global().GetCounter("mpp.bloom_filters");
+  Counter* installs =
+      MetricRegistry::Global().GetCounter("exec.bloom_pushdowns");
   for (int dop : {1, 4}) {
     auto db = MakeLoadedDb(dop);
-    ASSERT_TRUE(db->Execute("SET OPTIMIZER HEURISTIC").ok());
-    std::vector<std::string> heur = RunCorpus(db.get());
-    ASSERT_TRUE(db->Execute("SET OPTIMIZER COST").ok());
     std::vector<std::string> cost = RunCorpus(db.get());
-    ASSERT_EQ(heur.size(), cost.size());
-    for (size_t i = 0; i < heur.size(); ++i) {
-      EXPECT_EQ(cost[i], heur[i])
-          << "optimizer modes diverged (dop=" << dop << ") on corpus query "
-          << i << ": " << kCorpus[i];
+    ASSERT_EQ(cost.size(), kCorpusSize);
+    for (size_t i = 0; i < kCorpusSize; ++i) {
+      const std::string sql = oracle::FromOrderSql(kCorpus[i]);
+      const uint64_t s0 = shipped->value(), i0 = installs->value();
+      auto r = db->Execute(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      EXPECT_EQ(shipped->value(), s0) << sql;
+      EXPECT_EQ(installs->value(), i0) << sql;
+      EXPECT_EQ(cost[i], ResultKey(r->result))
+          << "cost plan diverged from the FROM-order oracle (dop=" << dop
+          << ") on corpus query " << i << ": " << kCorpus[i];
     }
   }
 }
@@ -139,11 +148,12 @@ TEST_F(DifferentialTest, ShippedBloomDropsSameShardRowsAtDop1AndDop4) {
   EXPECT_EQ(keys[0], keys[1]);
   EXPECT_GT(drops[0], 0u);
   EXPECT_EQ(drops[0], drops[1]);
-  // Filters never change the answer.
+  // Filters never change the answer: the derived-table oracle ships none.
   auto db = MakeLoadedDb(4);
-  ASSERT_TRUE(db->Execute("SET OPTIMIZER HEURISTIC").ok());
-  auto unfiltered = db->Execute(q);
+  const uint64_t s0 = shipped->value();
+  auto unfiltered = db->Execute(oracle::FromOrderSql(q));
   ASSERT_TRUE(unfiltered.ok()) << unfiltered.status().ToString();
+  EXPECT_EQ(shipped->value(), s0);
   EXPECT_EQ(ResultKey(unfiltered->result), keys[0]);
 }
 

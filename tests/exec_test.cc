@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <type_traits>
 #include <vector>
 
@@ -572,48 +573,60 @@ TEST(OperatorTest, HashJoinLeftOuterEmitsNulls) {
 }
 
 TEST(OperatorTest, PartitionedAndGlobalJoinAgree) {
-  // Keys spread far past 8 slots per build row, so both layouts build the
-  // hash index rather than the direct-address one.
+  // Keys spread far past 8 slots per build row, so the join builds the
+  // radix-partitioned hash index rather than the direct-address one. The
+  // reference is one global table kept here: a std::map from key to its
+  // build rows, walked in probe order.
   constexpr int64_t kSpread = 1000003;
   auto orders = MakeOrders(3000, kSpread);
   auto custs = MakeCustomers(100, kSpread);
   ExecContext ctx = Ctx();
-  RowBatch results[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    auto probe = std::make_unique<ColumnScanOp>(
-        orders, std::vector<ColumnPredicate>{}, std::vector<int>{0, 1, 2},
-        ScanOptions{});
-    auto build = std::make_unique<ColumnScanOp>(
-        custs, std::vector<ColumnPredicate>{}, std::vector<int>{0, 1},
-        ScanOptions{});
-    auto join = std::make_unique<HashJoinOp>(
-        std::move(probe), std::move(build),
-        std::vector<ExprPtr>{Col(1, TypeId::kInt64)},
-        std::vector<ExprPtr>{Col(0, TypeId::kInt64)}, JoinType::kInner, &ctx,
-        mode == 0);
-    auto r = DrainOperator(join.get());
-    ASSERT_TRUE(r.ok());
-    const std::string analyze = join->AnalyzeString();
-    EXPECT_NE(analyze.find(" index=hash"), std::string::npos) << analyze;
-    EXPECT_EQ(analyze.find("cache-partitioned"), std::string::npos)
-        << analyze;
-    results[mode] = std::move(*r);
+  auto scan = [](const std::shared_ptr<ColumnTable>& t, std::vector<int> cols) {
+    return std::make_unique<ColumnScanOp>(t, std::vector<ColumnPredicate>{},
+                                          std::move(cols), ScanOptions{});
+  };
+  auto join = std::make_unique<HashJoinOp>(
+      scan(orders, {0, 1, 2}), scan(custs, {0, 1}),
+      std::vector<ExprPtr>{Col(1, TypeId::kInt64)},
+      std::vector<ExprPtr>{Col(0, TypeId::kInt64)}, JoinType::kInner, &ctx);
+  auto r = DrainOperator(join.get());
+  ASSERT_TRUE(r.ok());
+  const std::string analyze = join->AnalyzeString();
+  EXPECT_NE(analyze.find(" index=hash"), std::string::npos) << analyze;
+  EXPECT_EQ(analyze.find("cache-partitioned"), std::string::npos) << analyze;
+
+  auto probe_rows = DrainOperator(scan(orders, {0, 1, 2}).get());
+  auto build_rows = DrainOperator(scan(custs, {0, 1}).get());
+  ASSERT_TRUE(probe_rows.ok() && build_rows.ok());
+  std::map<int64_t, std::vector<size_t>> global;
+  for (size_t b = 0; b < build_rows->num_rows(); ++b) {
+    global[build_rows->columns[0].GetInt(b)].push_back(b);
   }
-  // Same rows in the same order, cell for cell: both layouts walk probe
-  // rows in order and each key's build rows in ascending build-row order.
-  const RowBatch& part = results[0];
-  const RowBatch& global = results[1];
-  ASSERT_EQ(part.num_rows(), 3000u);
-  ASSERT_EQ(part.num_rows(), global.num_rows());
-  ASSERT_EQ(part.num_columns(), 5u);
-  ASSERT_EQ(part.num_columns(), global.num_columns());
-  for (size_t c = 0; c < part.num_columns(); ++c) {
-    EXPECT_EQ(part.columns[c].type(), global.columns[c].type()) << c;
-    for (size_t i = 0; i < part.num_rows(); ++i) {
-      const Value a = part.columns[c].GetValue(i);
-      const Value b = global.columns[c].GetValue(i);
-      ASSERT_EQ(a.is_null(), b.is_null()) << "row " << i << " col " << c;
-      ASSERT_EQ(a.ToString(), b.ToString()) << "row " << i << " col " << c;
+  // Same rows in the same order, cell for cell: the join walks probe rows
+  // in order and each key's build rows in ascending build-row order.
+  std::vector<std::vector<std::string>> want;
+  for (size_t p = 0; p < probe_rows->num_rows(); ++p) {
+    auto it = global.find(probe_rows->columns[1].GetInt(p));
+    if (it == global.end()) continue;
+    for (size_t b : it->second) {
+      std::vector<std::string> row;
+      for (const ColumnVector& c : probe_rows->columns) {
+        row.push_back(c.GetValue(p).ToString());
+      }
+      for (const ColumnVector& c : build_rows->columns) {
+        row.push_back(c.GetValue(b).ToString());
+      }
+      want.push_back(std::move(row));
+    }
+  }
+  const RowBatch& got = *r;
+  ASSERT_EQ(got.num_rows(), 3000u);
+  ASSERT_EQ(got.num_rows(), want.size());
+  ASSERT_EQ(got.num_columns(), 5u);
+  for (size_t i = 0; i < got.num_rows(); ++i) {
+    for (size_t c = 0; c < got.num_columns(); ++c) {
+      ASSERT_EQ(got.columns[c].GetValue(i).ToString(), want[i][c])
+          << "row " << i << " col " << c;
     }
   }
 }

@@ -443,7 +443,7 @@ TEST_F(MppConcurrencyTest, WritesAndSetsInterleaveWithReaders) {
       run("CREATE TABLE " + w + " (ID BIGINT NOT NULL, V BIGINT)", -1);
       run("INSERT INTO " + w + " VALUES (1, 10), (2, 20), (3, 30)", 3);
       // Plan-shape knobs: every reader's bytes are the same under both.
-      run(i % 2 ? "SET OPTIMIZER COST" : "SET OPTIMIZER HEURISTIC", -1);
+      run(i % 2 ? "SET DOP ANY" : "SET DOP 1", -1);
       run("UPDATE " + w + " SET V = V + 1 WHERE ID >= 2", 2);
       run(i % 2 ? "SET SHARED_SCAN OFF" : "SET SHARED_SCAN ON", -1);
       run("DELETE FROM " + w + " WHERE ID = 1", 1);
