@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full verification sweep: Release build + complete ctest, the release
-# bench_sort_topn byte-identity gate and the bench_ablation join-arm
-# agreement gate, then ASan and TSan builds running the
+# Full verification sweep: warning-free (-Werror) Release build + complete
+# ctest, the release bench_sort_topn byte-identity gate and the
+# bench_ablation join-arm agreement gate, then ASan and TSan builds running the
 # concurrency/fault/differential/trace/hash/optimizer/governor/serving/
 # sort/MPP/executor/SQL/storage suites (ctest labels: parallel, fault,
 # diff, trace, hash, expr, opt, govern, serve, share, sort, mpp, exec,
@@ -14,8 +14,11 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 LABELS='parallel|fault|diff|trace|hash|expr|opt|govern|serve|share|sort|mpp|exec|sql|storage'
 
-echo "== Release build + full test suite =="
-cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+echo "== Release build (-Werror) + full test suite =="
+# Warning-free under the project's -Wall -Wextra, and kept so: a new
+# warning fails the sweep.
+cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror \
+      >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

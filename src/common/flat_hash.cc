@@ -1,5 +1,7 @@
 #include "common/flat_hash.h"
 
+#include <algorithm>
+
 namespace dashdb {
 
 using flat_internal::CapacityFor;
@@ -127,17 +129,75 @@ int64_t FlatKeyIndex::Find(const uint8_t* key, size_t len,
 
 // ------------------------------------------------------------- FlatIntMap --
 
-void FlatIntMap::Reserve(size_t n) {
-  keys_dense_.reserve(n);
-  size_t cap = CapacityFor(n);
-  if (cap > cap_) Grow(cap);
-}
-
 uint32_t FlatIntMap::InsertAt(size_t i, int64_t key, uint32_t tag) {
   const uint32_t id = static_cast<uint32_t>(keys_dense_.size());
   keys_dense_.push_back(key);
   slots_[i] = Slot{key, id, tag};
   return id;
+}
+
+uint32_t FlatIntMap::InsertDirect(int64_t key, bool* inserted) {
+  if (static_cast<uint64_t>(key) - static_cast<uint64_t>(lo_) >= dir_.size() &&
+      !Rebase(key)) {
+    return FindOrInsert(key, inserted);  // now open addressing
+  }
+  *inserted = true;
+  const bool first = keys_dense_.size() == (null_id_ < 0 ? 0u : 1u);
+  min_ = first ? key : std::min(min_, key);
+  max_ = first ? key : std::max(max_, key);
+  const uint32_t id = static_cast<uint32_t>(keys_dense_.size());
+  keys_dense_.push_back(key);
+  dir_[static_cast<uint64_t>(key) - static_cast<uint64_t>(lo_)] = id;
+  return id;
+}
+
+bool FlatIntMap::Rebase(int64_t key) {
+  const size_t groups = keys_dense_.size() - (null_id_ < 0 ? 0 : 1);
+  const int64_t lo = groups == 0 ? key : std::min(min_, key);
+  const int64_t hi = groups == 0 ? key : std::max(max_, key);
+  // hi - lo cannot overflow in uint64.
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (span > MaxDirectSpan(groups + 1)) {
+    // Convert, once: every id keeps its slot in keys_dense_.
+    direct_ = false;
+    dir_ = std::vector<uint32_t>();
+    Grow(CapacityFor(keys_dense_.size() + 1));
+    const size_t mask = cap_ - 1;
+    for (size_t id = 0; id < keys_dense_.size(); ++id) {
+      if (static_cast<int64_t>(id) == null_id_) continue;
+      const int64_t k = keys_dense_[id];
+      const uint64_t h = HashInt64(static_cast<uint64_t>(k));
+      size_t i = static_cast<size_t>(h) & mask;
+      while (slots_[i].tag != 0) i = (i + 1) & mask;
+      slots_[i] = Slot{k, static_cast<uint32_t>(id), CtrlTag(h)};
+    }
+    return false;
+  }
+  // At least double the directory, and leave the slack on the side the
+  // keys grow toward, clamped to the int64 domain.
+  const uint64_t width = std::min<uint64_t>(
+      MaxDirectSpan(groups + 1) + 1,
+      std::max<uint64_t>({span + 1, 2 * dir_.size(), 256}));
+  const uint64_t int_min = static_cast<uint64_t>(INT64_MIN);
+  const uint64_t int_max = static_cast<uint64_t>(INT64_MAX);
+  uint64_t base;
+  if (groups > 0 && key < min_) {
+    base = static_cast<uint64_t>(hi) - int_min >= width - 1
+               ? static_cast<uint64_t>(hi) - (width - 1)
+               : int_min;
+  } else {
+    base = int_max - static_cast<uint64_t>(lo) >= width - 1
+               ? static_cast<uint64_t>(lo)
+               : int_max - (width - 1);
+  }
+  lo_ = static_cast<int64_t>(base);
+  dir_.assign(width, kAbsent);
+  for (size_t id = 0; id < keys_dense_.size(); ++id) {
+    if (static_cast<int64_t>(id) == null_id_) continue;
+    dir_[static_cast<uint64_t>(keys_dense_[id]) - base] =
+        static_cast<uint32_t>(id);
+  }
+  return true;
 }
 
 void FlatIntMap::Grow(size_t new_cap) {

@@ -326,6 +326,11 @@ class FlatKeyIndex {
     return arena_.data() + entries_[id].offset;
   }
   uint32_t KeyLen(uint32_t id) const { return entries_[id].len; }
+  /// Bytes held: control bytes, slot ids, entries and key bytes.
+  size_t MemoryBytes() const {
+    return ctrl_.size() + slot_id_.size() * sizeof(uint32_t) +
+           entries_.size() * sizeof(Entry) + arena_.size();
+  }
   uint64_t HashOf(uint32_t id) const { return entries_[id].hash; }
 
  private:
@@ -354,15 +359,29 @@ class FlatKeyIndex {
 };
 
 /// Map from an int64 key to a dense insertion-order id — the single
-/// integer group-key fast path. The NULL key is tracked outside the int64
-/// domain, so no value collides with it.
+/// integer group-key fast path. While the keys seen span at most
+/// max(2^16, 8 x groups) values (DenseJoinIndex::RangeFor's rule, with a
+/// floor so a few groups over a small domain qualify too) the id is one
+/// load, dir_[key - lo_]: no hash and no probe sequence. A key outside the
+/// directory re-bases it (at least doubling it, so re-bases stay
+/// amortized); a key that breaks the rule converts the map, once, to open
+/// addressing. Ids stay dense and in first-seen order throughout. The
+/// NULL key is tracked outside the int64 domain, so no value collides with
+/// it.
 class FlatIntMap {
  public:
-  void Reserve(size_t n);
-
   /// Returns the id of `key`, assigning the next dense id when absent.
   /// Always inlined: the group-by fold calls it once per input row.
   [[gnu::always_inline]] uint32_t FindOrInsert(int64_t key, bool* inserted) {
+    if (direct_) {
+      const uint64_t off =
+          static_cast<uint64_t>(key) - static_cast<uint64_t>(lo_);
+      if (off < dir_.size() && dir_[off] != kAbsent) {
+        *inserted = false;
+        return dir_[off];
+      }
+      return InsertDirect(key, inserted);
+    }
     if ((keys_dense_.size() + 1) * 8 > cap_ * 7) {
       Grow(cap_ == 0 ? 16 : cap_ * 2);
     }
@@ -395,8 +414,25 @@ class FlatIntMap {
   size_t size() const { return keys_dense_.size(); }
   bool IsNull(uint32_t id) const { return id == null_id_; }
   int64_t KeyOf(uint32_t id) const { return keys_dense_[id]; }
+  /// Whether ids are still direct-addressed (false once converted).
+  bool direct() const { return direct_; }
+  /// Bytes held: the dense keys plus the directory or the slot array.
+  size_t MemoryBytes() const {
+    return keys_dense_.size() * sizeof(int64_t) +
+           dir_.size() * sizeof(uint32_t) + slots_.size() * sizeof(Slot);
+  }
+
+  /// The widest key span (max - min) direct mode keeps over `groups`
+  /// non-NULL keys.
+  static uint64_t MaxDirectSpan(size_t groups) {
+    const uint64_t by_groups = uint64_t{8} * groups;
+    return by_groups > kMinDirectSpan ? by_groups : kMinDirectSpan;
+  }
 
  private:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+  static constexpr uint64_t kMinDirectSpan = uint64_t{1} << 16;
+
   /// Key, id and control tag share one 16-byte slot (tag 0 = empty), so
   /// a probe touches one cache line.
   struct Slot {
@@ -409,11 +445,23 @@ class FlatIntMap {
   /// Fills the empty slot i with `key` under the next dense id (the cold
   /// half of FindOrInsert, kept out of line).
   uint32_t InsertAt(size_t i, int64_t key, uint32_t tag);
+  /// Direct mode's cold half: an absent key, re-basing the directory or
+  /// converting the map when the key lies outside it.
+  uint32_t InsertDirect(int64_t key, bool* inserted);
+  /// Re-bases the directory over the keys seen plus `key`; false (and the
+  /// map converted to open addressing) when their span breaks the rule.
+  bool Rebase(int64_t key);
 
+  // Direct mode: dir_[key - lo_] is the key's id, or kAbsent; min_/max_
+  // bound the non-NULL keys seen (valid once one is).
+  bool direct_ = true;
+  int64_t lo_ = 0, min_ = 0, max_ = 0;
+  std::vector<uint32_t> dir_;
+  // Open addressing, after conversion.
   std::vector<Slot> slots_;
+  size_t cap_ = 0;
   std::vector<int64_t> keys_dense_;
   int64_t null_id_ = -1;
-  size_t cap_ = 0;
 };
 
 }  // namespace dashdb

@@ -93,11 +93,11 @@ void AppendNormalizedCell(const ColumnVector& cv, size_t row, bool desc,
   }
 }
 
-void NormalizedKeyColumn::Build(
+template <typename RowOf>
+void NormalizedKeyColumn::BuildRows(
     const std::vector<const ColumnVector*>& key_cols,
-    const std::vector<bool>& desc, size_t begin, size_t end) {
+    const std::vector<bool>& desc, size_t n, RowOf row_of) {
   bytes_.clear();
-  const size_t n = end - begin;
   offsets_.resize(n + 1);
   offsets_[0] = 0;
   bool fixed = true;
@@ -109,22 +109,38 @@ void NormalizedKeyColumn::Build(
     // keys in place.
     bytes_.resize(n * key_cols.size() * 9);
     size_t pos = 0;
-    for (size_t r = begin; r < end; ++r) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = row_of(i);
       for (size_t k = 0; k < key_cols.size(); ++k) {
         pos += EncodeFixedCell(*key_cols[k], r, desc[k], &bytes_[pos]);
       }
-      offsets_[r - begin + 1] = pos;
+      offsets_[i + 1] = pos;
     }
     bytes_.resize(pos);
     return;
   }
   bytes_.reserve(n * (key_cols.size() * 9 + 1));
-  for (size_t r = begin; r < end; ++r) {
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = row_of(i);
     for (size_t k = 0; k < key_cols.size(); ++k) {
       AppendNormalizedCell(*key_cols[k], r, desc[k], &bytes_);
     }
-    offsets_[r - begin + 1] = bytes_.size();
+    offsets_[i + 1] = bytes_.size();
   }
+}
+
+void NormalizedKeyColumn::Build(
+    const std::vector<const ColumnVector*>& key_cols,
+    const std::vector<bool>& desc, size_t begin, size_t end) {
+  BuildRows(key_cols, desc, end - begin,
+            [begin](size_t i) { return begin + i; });
+}
+
+void NormalizedKeyColumn::Build(
+    const std::vector<const ColumnVector*>& key_cols,
+    const std::vector<bool>& desc, const std::vector<uint32_t>& rows) {
+  BuildRows(key_cols, desc, rows.size(),
+            [&rows](size_t i) { return rows[i]; });
 }
 
 }  // namespace dashdb

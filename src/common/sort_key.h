@@ -33,15 +33,18 @@ namespace dashdb {
 void AppendNormalizedCell(const ColumnVector& cv, size_t row, bool desc,
                           std::string* out);
 
-/// The normalized keys of a contiguous row range, arena-backed: one byte
-/// blob plus per-row offsets. Rows are addressed 0..n) relative to the
-/// range's start.
+/// The normalized keys of a row range or row list, arena-backed: one byte
+/// blob plus per-row offsets. Keys are addressed 0..n) relative to the
+/// range's start or in list order.
 class NormalizedKeyColumn {
  public:
   /// Builds keys for rows [begin, end) of the given key columns. `desc`
   /// runs parallel to `key_cols`.
   void Build(const std::vector<const ColumnVector*>& key_cols,
              const std::vector<bool>& desc, size_t begin, size_t end);
+  /// Builds keys for the listed rows: key i is row rows[i]'s.
+  void Build(const std::vector<const ColumnVector*>& key_cols,
+             const std::vector<bool>& desc, const std::vector<uint32_t>& rows);
 
   size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
 
@@ -62,6 +65,10 @@ class NormalizedKeyColumn {
   size_t byte_size() const { return bytes_.size() + offsets_.size() * 8; }
 
  private:
+  template <typename RowOf>
+  void BuildRows(const std::vector<const ColumnVector*>& key_cols,
+                 const std::vector<bool>& desc, size_t n, RowOf row_of);
+
   std::string bytes_;
   std::vector<uint64_t> offsets_;
 };

@@ -6,6 +6,19 @@
 
 namespace dashdb {
 
+namespace {
+
+/// Neumaier's compensated step: sum + err stays the correctly rounded
+/// total in practice, whatever order the inputs (or partial states) arrive
+/// in, so the result does not depend on the degree.
+void CompensatedAdd(double* sum, double* err, double y) {
+  const double t = *sum + y;
+  *err += std::fabs(*sum) >= std::fabs(y) ? (*sum - t) + y : (y - t) + *sum;
+  *sum = t;
+}
+
+}  // namespace
+
 bool AggKindFromName(const std::string& u, AggKind* out) {
   if (u == "COUNT") *out = AggKind::kCount;
   else if (u == "SUM") *out = AggKind::kSum;
@@ -95,14 +108,7 @@ void AggState::AddSum(double x, int64_t ix, bool is_int) {
     int_domain_ = false;
     sum_ = static_cast<double>(isum_);
   }
-  // Neumaier's compensated step: sum_ + sum_err_ stays the correctly
-  // rounded total in practice, whatever order the inputs (or partial
-  // states) arrive in, so the result does not depend on the degree.
-  const double y = is_int ? static_cast<double>(ix) : x;
-  const double t = sum_ + y;
-  sum_err_ +=
-      std::fabs(sum_) >= std::fabs(y) ? (sum_ - t) + y : (y - t) + sum_;
-  sum_ = t;
+  CompensatedAdd(&sum_, &sum_err_, is_int ? static_cast<double>(ix) : x);
 }
 
 void AggState::AddExtremes(double x, int64_t ix, bool int_domain) {
@@ -158,57 +164,28 @@ void AggState::AddNumericFast(double x, int64_t ix, bool int_domain) {
   }
 }
 
-void AggState::Fold(const AggSpec& spec, AggState* st, size_t stride,
-                    const uint32_t* gids, const ColumnVector& x, size_t lo,
-                    size_t n) {
+void AggState::Fold(AggState* st, size_t stride, const uint32_t* gids,
+                    const ColumnVector& x, size_t lo, size_t n) {
   if (x.type() == TypeId::kDouble) {
-    FoldTyped(spec, st, stride, gids, x.doubles().data() + lo, x, lo, n);
+    FoldTyped(st, stride, gids, x.doubles().data() + lo, x, lo, n);
   } else {
-    FoldTyped(spec, st, stride, gids, x.ints().data() + lo, x, lo, n);
+    FoldTyped(st, stride, gids, x.ints().data() + lo, x, lo, n);
   }
 }
 
 template <typename T>
-void AggState::FoldTyped(const AggSpec& spec, AggState* st, size_t stride,
-                         const uint32_t* gids, const T* v,
-                         const ColumnVector& x, size_t lo, size_t n) {
+void AggState::FoldTyped(AggState* st, size_t stride, const uint32_t* gids,
+                         const T* v, const ColumnVector& x, size_t lo,
+                         size_t n) {
   // The arguments AddNumericFast gets: a double input feeds the integer
   // side a zero.
   constexpr bool kInt = std::is_same_v<T, int64_t>;
   const bool nulls = x.has_nulls();
-  auto each = [&](auto update) {
-    auto row = [&](size_t j) {
-      update(st[gids[j] * stride], static_cast<double>(v[j]),
-             kInt ? static_cast<int64_t>(v[j]) : 0);
-    };
-    if (!nulls) {
-      for (size_t j = 0; j < n; ++j) row(j);
-      return;
-    }
-    for (size_t j = 0; j < n; ++j) {
-      if (!x.IsNull(lo + j)) row(j);
-    }
-  };
-  switch (spec.kind) {
-    case AggKind::kCount:
-      each([](AggState& s, double, int64_t) { ++s.count_; });
-      return;
-    case AggKind::kSum:
-    case AggKind::kAvg:
-      each([](AggState& s, double d, int64_t i) {
-        ++s.count_;
-        s.AddSum(d, i, kInt);
-      });
-      return;
-    case AggKind::kMin:
-    case AggKind::kMax:
-      each([](AggState& s, double d, int64_t i) { s.AddExtremes(d, i, kInt); });
-      return;
-    default:
-      each([](AggState& s, double d, int64_t i) {
-        s.AddNumericFast(d, i, kInt);
-      });
-      return;
+  for (size_t j = 0; j < n; ++j) {
+    if (nulls && x.IsNull(lo + j)) continue;
+    st[gids[j] * stride].AddNumericFast(static_cast<double>(v[j]),
+                                        kInt ? static_cast<int64_t>(v[j]) : 0,
+                                        kInt);
   }
 }
 
@@ -374,6 +351,264 @@ Value AggState::Finish() const {
     }
   }
   return Value::Null(TypeId::kDouble);
+}
+
+// ------------------------------------------------------------ AggColumn --
+
+bool AggColumn::Supports(const AggSpec& spec) {
+  if (spec.distinct || spec.arg2) return false;
+  switch (spec.kind) {
+    case AggKind::kCountStar:
+      return true;
+    case AggKind::kCount:
+    case AggKind::kSum:
+    case AggKind::kAvg:
+    case AggKind::kMin:
+    case AggKind::kMax:
+      return spec.arg && (spec.arg->out_type() == TypeId::kDouble ||
+                          IsIntegerBacked(spec.arg->out_type()));
+    default:
+      return false;
+  }
+}
+
+AggColumn::AggColumn(const AggSpec& spec)
+    : avg_(spec.kind == AggKind::kAvg), out_type_(spec.out_type) {
+  const bool dbl = spec.arg && spec.arg->out_type() == TypeId::kDouble;
+  switch (spec.kind) {
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      form_ = dbl ? Form::kDoubleSum : Form::kIntSum;
+      break;
+    case AggKind::kMin:
+      form_ = dbl ? Form::kDoubleMin : Form::kIntMin;
+      break;
+    case AggKind::kMax:
+      form_ = dbl ? Form::kDoubleMax : Form::kIntMax;
+      break;
+    default:
+      form_ = Form::kCount;
+      break;
+  }
+}
+
+void AggColumn::AddGroup() {
+  count_.push_back(0);
+  switch (form_) {
+    case Form::kCount:
+      break;
+    case Form::kIntSum:
+    case Form::kIntMin:
+    case Form::kIntMax:
+      i_.push_back(0);
+      break;
+    case Form::kDoubleSum:
+      err_.push_back(0);
+      [[fallthrough]];
+    case Form::kDoubleMin:
+    case Form::kDoubleMax:
+      d_.push_back(0);
+      break;
+  }
+}
+
+size_t AggColumn::BytesPerGroup() const {
+  switch (form_) {
+    case Form::kCount:
+      return sizeof(int64_t);
+    case Form::kDoubleSum:
+      return sizeof(int64_t) + 2 * sizeof(double);
+    default:
+      return 2 * sizeof(int64_t);
+  }
+}
+
+namespace {
+
+/// Calls update(gids[j], x[lo + j]) for each non-NULL row j of [0, n) of
+/// the T-payload column x; the NULL test runs only when x has NULLs.
+template <typename T, typename Update>
+void Each(const uint32_t* gids, const ColumnVector& x, size_t lo, size_t n,
+          Update update) {
+  const T* v;
+  if constexpr (std::is_same_v<T, double>) {
+    v = x.doubles().data() + lo;
+  } else {
+    v = x.ints().data() + lo;
+  }
+  if (!x.has_nulls()) {
+    for (size_t j = 0; j < n; ++j) update(gids[j], v[j]);
+    return;
+  }
+  for (size_t j = 0; j < n; ++j) {
+    if (!x.IsNull(lo + j)) update(gids[j], v[j]);
+  }
+}
+
+}  // namespace
+
+void AggColumn::Fold(const uint32_t* gids, const ColumnVector* x, size_t lo,
+                     size_t n) {
+  int64_t* c = count_.data();
+  if (x == nullptr) {
+    for (size_t j = 0; j < n; ++j) ++c[gids[j]];
+    return;
+  }
+  int64_t* iv = i_.data();
+  double* dv = d_.data();
+  double* ev = err_.data();
+  switch (form_) {
+    case Form::kCount:
+      if (x->type() == TypeId::kDouble) {
+        Each<double>(gids, *x, lo, n, [c](uint32_t g, double) { ++c[g]; });
+      } else {
+        Each<int64_t>(gids, *x, lo, n, [c](uint32_t g, int64_t) { ++c[g]; });
+      }
+      return;
+    case Form::kIntSum:
+      Each<int64_t>(gids, *x, lo, n, [c, iv](uint32_t g, int64_t v) {
+        ++c[g];
+        iv[g] += v;
+      });
+      return;
+    case Form::kDoubleSum:
+      Each<double>(gids, *x, lo, n, [c, dv, ev](uint32_t g, double v) {
+        ++c[g];
+        CompensatedAdd(&dv[g], &ev[g], v);
+      });
+      return;
+    case Form::kIntMin:
+      Each<int64_t>(gids, *x, lo, n, [c, iv](uint32_t g, int64_t v) {
+        iv[g] = c[g]++ == 0 ? v : std::min(iv[g], v);
+      });
+      return;
+    case Form::kIntMax:
+      Each<int64_t>(gids, *x, lo, n, [c, iv](uint32_t g, int64_t v) {
+        iv[g] = c[g]++ == 0 ? v : std::max(iv[g], v);
+      });
+      return;
+    case Form::kDoubleMin:
+      Each<double>(gids, *x, lo, n, [c, dv](uint32_t g, double v) {
+        dv[g] = c[g]++ == 0 ? v : std::min(dv[g], v);
+      });
+      return;
+    case Form::kDoubleMax:
+      Each<double>(gids, *x, lo, n, [c, dv](uint32_t g, double v) {
+        dv[g] = c[g]++ == 0 ? v : std::max(dv[g], v);
+      });
+      return;
+  }
+}
+
+void AggColumn::AppendGroup(const AggColumn& src, uint32_t g) {
+  count_.push_back(src.count_[g]);
+  if (!src.i_.empty()) i_.push_back(src.i_[g]);
+  if (!src.d_.empty()) d_.push_back(src.d_[g]);
+  if (!src.err_.empty()) err_.push_back(src.err_[g]);
+}
+
+void AggColumn::MergeGroup(const AggColumn& src, uint32_t g, uint32_t into) {
+  const int64_t n = src.count_[g];
+  switch (form_) {
+    case Form::kCount:
+      break;
+    case Form::kIntSum:
+      i_[into] += src.i_[g];
+      break;
+    case Form::kDoubleSum:
+      // AggState also adds an empty side's 0.0 into a non-empty sum; that
+      // step never changes a bit, because a sum and its error that start
+      // at +0.0 never become -0.0.
+      if (n > 0) {
+        CompensatedAdd(&d_[into], &err_[into], src.d_[g]);
+        err_[into] += src.err_[g];
+      }
+      break;
+    case Form::kIntMin:
+    case Form::kIntMax:
+      if (n > 0) {
+        i_[into] = count_[into] == 0          ? src.i_[g]
+                   : form_ == Form::kIntMin ? std::min(i_[into], src.i_[g])
+                                            : std::max(i_[into], src.i_[g]);
+      }
+      break;
+    case Form::kDoubleMin:
+    case Form::kDoubleMax:
+      if (n > 0) {
+        d_[into] = count_[into] == 0 ? src.d_[g]
+                   : form_ == Form::kDoubleMin
+                       ? std::min(d_[into], src.d_[g])
+                       : std::max(d_[into], src.d_[g]);
+      }
+      break;
+  }
+  count_[into] += n;
+}
+
+void AggColumn::Finish(const uint32_t* order, size_t n,
+                       ColumnVector* out) const {
+  out->Reserve(out->size() + n);
+  // AggState::Finish's Value goes through AppendValue, which converts by
+  // the column's type; a column of the natural type takes the value as is.
+  const bool int_out =
+      out->type() != TypeId::kDouble && out->type() != TypeId::kVarchar;
+  auto emit_int = [&](int64_t v) {
+    if (int_out) {
+      out->AppendInt(v);
+    } else {
+      out->AppendValue(Value::Int64(v));
+    }
+  };
+  auto emit_double = [&](double v) {
+    if (out->type() == TypeId::kDouble) {
+      out->AppendDouble(v);
+    } else {
+      out->AppendValue(Value::Double(v));
+    }
+  };
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t g = order != nullptr ? order[k] : static_cast<uint32_t>(k);
+    const int64_t c = count_[g];
+    if (form_ == Form::kCount) {
+      emit_int(c);
+      continue;
+    }
+    if (c == 0) {
+      out->AppendNull();
+      continue;
+    }
+    switch (form_) {
+      case Form::kCount:
+        break;
+      case Form::kIntSum:
+        if (avg_) {
+          emit_double(static_cast<double>(i_[g]) / c);
+        } else if (out_type_ != TypeId::kDouble) {
+          emit_int(i_[g]);
+        } else {
+          emit_double(static_cast<double>(i_[g]));
+        }
+        break;
+      case Form::kDoubleSum:
+        emit_double(avg_ ? (d_[g] + err_[g]) / c : d_[g] + err_[g]);
+        break;
+      case Form::kIntMin:
+      case Form::kIntMax:
+        if (out_type_ == TypeId::kDouble) {
+          emit_double(static_cast<double>(i_[g]));
+        } else if (out_type_ == TypeId::kInt64) {
+          emit_int(i_[g]);
+        } else {
+          auto cast = Value::Int64(i_[g]).CastTo(out_type_);
+          out->AppendValue(cast.ok() ? *cast : Value::Int64(i_[g]));
+        }
+        break;
+      case Form::kDoubleMin:
+      case Form::kDoubleMax:
+        emit_double(d_[g]);
+        break;
+    }
+  }
 }
 
 }  // namespace dashdb

@@ -67,14 +67,13 @@ class AggState {
 
   /// Typed column fold for one aggregate over rows [lo, lo + n) of the
   /// integer-backed or DOUBLE column x: folds each non-NULL x[lo + j] into
-  /// states[gids[j] * stride]. Each aggregate kind runs its own loop with
-  /// the state updates inline, and the NULL test runs only when x has
-  /// NULLs; the result is bit-identical to calling AddNumericFast per
-  /// non-NULL row. Every state shares `spec`, which is neither DISTINCT
-  /// nor COVAR.
-  static void Fold(const AggSpec& spec, AggState* states, size_t stride,
-                   const uint32_t* gids, const ColumnVector& x, size_t lo,
-                   size_t n);
+  /// states[gids[j] * stride], with no Value boxing; the NULL test runs
+  /// only when x has NULLs. The result is bit-identical to calling
+  /// AddNumericFast per non-NULL row. The states' spec is neither DISTINCT
+  /// nor COVAR. (A group-by whose aggregates are all
+  /// COUNT/SUM/AVG/MIN/MAX keeps AggColumn states instead.)
+  static void Fold(AggState* states, size_t stride, const uint32_t* gids,
+                   const ColumnVector& x, size_t lo, size_t n);
 
   /// Folds another partial accumulator for the same spec into this one
   /// (parallel aggregation: thread-local partials merged per group). Welford
@@ -90,9 +89,9 @@ class AggState {
 
  private:
   template <typename T>
-  static void FoldTyped(const AggSpec& spec, AggState* states, size_t stride,
-                        const uint32_t* gids, const T* v,
-                        const ColumnVector& x, size_t lo, size_t n);
+  static void FoldTyped(AggState* states, size_t stride, const uint32_t* gids,
+                        const T* v, const ColumnVector& x, size_t lo,
+                        size_t n);
 
   const AggSpec* spec_;
   /// SUM/AVG accumulation: exact in isum_ while every input is an
@@ -133,6 +132,56 @@ class AggState {
   // Welford.
   double mean_ = 0, m2_ = 0;
   std::unique_ptr<Extra> extra_;
+};
+
+/// The states of one aggregate over every group of a group-by table, in
+/// columns: one array per state field (the non-NULL input count, plus an
+/// int64 sum or extreme, or a double sum and its Neumaier error, or a
+/// double extreme) instead of one AggState per group — 16 bytes per group
+/// for an integer SUM. Covers COUNT(*), and COUNT, SUM, AVG, MIN and MAX
+/// over an integer-backed or DOUBLE argument, none DISTINCT (Supports).
+/// The arithmetic is AggState's bit for bit: exact int64 sums, the same
+/// Neumaier steps and merge, the same NULL-on-empty rules, CastTo for an
+/// integer extreme of another integer type.
+class AggColumn {
+ public:
+  static bool Supports(const AggSpec& spec);
+
+  /// `spec` must be supported.
+  explicit AggColumn(const AggSpec& spec);
+
+  /// Adds an empty group.
+  void AddGroup();
+  /// Folds each row j of [0, n) into group gids[j]: row lo + j of `x`
+  /// unless NULL (every row, for COUNT(*), whose `x` is null).
+  void Fold(const uint32_t* gids, const ColumnVector* x, size_t lo,
+            size_t n);
+  /// Appends group `g` of `src` as a new group.
+  void AppendGroup(const AggColumn& src, uint32_t g);
+  /// Merges group `g` of `src` into group `into` (AggState::Merge).
+  void MergeGroup(const AggColumn& src, uint32_t g, uint32_t into);
+  /// Appends the results of groups order[0, n) — of groups [0, n) when
+  /// `order` is null — to `out`, a column of the spec's out_type.
+  void Finish(const uint32_t* order, size_t n, ColumnVector* out) const;
+  /// Bytes each group takes.
+  size_t BytesPerGroup() const;
+
+ private:
+  /// Which fields a group keeps and how they fold.
+  enum class Form : uint8_t {
+    kCount,      ///< count_
+    kIntSum,     ///< count_, i_ (SUM/AVG of integers)
+    kDoubleSum,  ///< count_, d_, err_ (SUM/AVG of doubles)
+    kIntMin,     ///< count_, i_
+    kIntMax,
+    kDoubleMin,  ///< count_, d_
+    kDoubleMax,
+  };
+  Form form_;
+  bool avg_;
+  TypeId out_type_;
+  std::vector<int64_t> count_, i_;
+  std::vector<double> d_, err_;
 };
 
 }  // namespace dashdb

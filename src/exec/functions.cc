@@ -200,7 +200,7 @@ FunctionRegistry::FunctionRegistry() {
                     std::function<TypeId(const std::vector<TypeId>&)> rt,
                     ScalarFnImpl fn) {
     Register(FunctionDef{std::move(name), mn, mx, origin, std::move(rt),
-                         std::move(fn)});
+                         std::move(fn), /*pure=*/false, /*vec_fn=*/nullptr});
   };
 
   // ---- ANSI core --------------------------------------------------------

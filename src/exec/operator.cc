@@ -320,6 +320,8 @@ Status ColumnScanOp::OpenImpl() {
   window_.clear();
   next_slot_ = 0;
   next_page_ = 0;
+  window_units_ = 0;
+  window_bytes_ = 0;
   stats_ = ScanStats{};
   return Status::OK();
 }
@@ -368,9 +370,13 @@ Status ColumnScanOp::FillWindow() {
         table_->table_id(), ScanColumnSetSignature(projection_, pred_cols),
         n_units);
   }
-  const size_t cap = share.valid() ? n_units
-                     : parallel()  ? 2 * static_cast<size_t>(opts_.dop)
-                                   : 1;
+  size_t cap = n_units;
+  if (!share.valid()) {
+    window_units_ = NextWindowUnits(
+        *this, parallel() ? static_cast<size_t>(opts_.dop) : 1,
+        window_units_, window_bytes_);
+    cap = window_units_;
+  }
   // Synopsis probes run here, so pages they skip never take a window place
   // (nor a pool task); the skips count into stats_ as ScanPage counts them.
   std::vector<size_t> pages;  // page of each slot, ascending
@@ -427,11 +433,13 @@ Status ColumnScanOp::FillWindow() {
                                                   dropped0);
   // A one-slot window passes to the consumer in the call that decoded it,
   // so the scan holds nothing between calls: only wider windows charge.
+  window_bytes_ = 0;
   if (n <= 1) return Status::OK();
   int64_t held = 0;
   for (const RowBatch& slot : window_) held += BatchMemoryBytes(slot);
   Status charged = ChargeMemory(held, "column scan window");
   if (!charged.ok()) window_.clear();
+  window_bytes_ = held;
   return charged;
 }
 
@@ -1133,6 +1141,7 @@ HashAggOp::HashAggOp(OperatorPtr child, std::vector<ExprPtr> group_exprs,
   }
   int_key_ = group_exprs_.size() == 1 &&
              IsIntegerBacked(group_exprs_[0]->out_type());
+  columnar_ = std::all_of(aggs_.begin(), aggs_.end(), AggColumn::Supports);
   // DISTINCT states dedup per partial and cannot merge across partials.
   if (ctx_->parallel()) lanes_ = static_cast<size_t>(ctx_->dop);
   for (const AggSpec& a : aggs_) {
@@ -1163,7 +1172,28 @@ std::string HashAggOp::label() const {
 }
 
 std::string HashAggOp::AnalyzeExtra() const {
-  return window_->FanoutExtra("fanouts");
+  std::string s = window_->FanoutExtra("fanouts");
+  if (materialized_) {
+    s += direct_ids_ ? " ids=direct" : " ids=hash";
+    s += columnar_ ? " states=columnar" : " states=boxed";
+  }
+  return s;
+}
+
+int64_t HashAggOp::Partial::MemoryBytes() const {
+  size_t bytes = ints.MemoryBytes() + 2 * keys.MemoryBytes() +
+                 first.size() * sizeof(uint64_t) +
+                 states.size() * sizeof(AggState);
+  for (const AggColumn& c : cols) bytes += groups() * c.BytesPerGroup();
+  return static_cast<int64_t>(bytes);
+}
+
+HashAggOp::Partial HashAggOp::NewPartial() const {
+  Partial p;
+  if (columnar_) {
+    for (const AggSpec& a : aggs_) p.cols.emplace_back(a);
+  }
+  return p;
 }
 
 void HashAggOp::Consume(size_t m, Partial* p) {
@@ -1173,7 +1203,11 @@ void HashAggOp::Consume(size_t m, Partial* p) {
   const size_t A = aggs_.size();
   auto new_group = [&](size_t j) {
     p->first.push_back(b.first_row + lo + j);
-    for (const AggSpec& a : aggs_) p->states.emplace_back(&a);
+    if (columnar_) {
+      for (AggColumn& c : p->cols) c.AddGroup();
+    } else {
+      for (const AggSpec& a : aggs_) p->states.emplace_back(&a);
+    }
   };
   // Phase 1: a group id per row; new groups append in first-seen order.
   p->gids.resize(n);
@@ -1225,8 +1259,15 @@ void HashAggOp::Consume(size_t m, Partial* p) {
     }
   }
   // Phase 2: each aggregate folds its argument column into the states: a
-  // typed loop per aggregate kind over a numeric payload, boxed Values
-  // otherwise.
+  // typed loop per state column, else a typed loop over AggStates for a
+  // numeric payload, boxed Values otherwise.
+  if (columnar_) {
+    for (size_t a = 0; a < A; ++a) {
+      p->cols[a].Fold(gids, arg_col_[a] < 0 ? nullptr : b.cols[arg_col_[a]],
+                      lo, n);
+    }
+    return;
+  }
   for (size_t a = 0; a < A; ++a) {
     AggState* st = p->states.data() + a;
     const AggSpec& spec = aggs_[a];
@@ -1241,7 +1282,7 @@ void HashAggOp::Consume(size_t m, Partial* p) {
                        spec.kind != AggKind::kCovarSamp &&
                        x->type() != TypeId::kVarchar;
     if (typed) {
-      AggState::Fold(spec, st, A, gids, *x, lo, n);
+      AggState::Fold(st, A, gids, *x, lo, n);
       continue;
     }
     const Value none = Value::Null(TypeId::kInt64);
@@ -1264,7 +1305,7 @@ void HashAggOp::MergeGroup(Partial* src, uint32_t g, Partial* dst) {
                                 src->keys.HashOf(g), &inserted);
   }
   const size_t A = aggs_.size();
-  AggState* from = src->states.data() + g * A;
+  AggState* from = columnar_ ? nullptr : src->states.data() + g * A;
   if (inserted) {
     if (!int_key_) {
       if (dst->key_rows.columns.empty()) {
@@ -1275,11 +1316,23 @@ void HashAggOp::MergeGroup(Partial* src, uint32_t g, Partial* dst) {
       AppendRowFrom(src->key_rows, g, &dst->key_rows);
     }
     dst->first.push_back(src->first[g]);
-    for (size_t a = 0; a < A; ++a) dst->states.push_back(std::move(from[a]));
+    for (size_t a = 0; a < A; ++a) {
+      if (columnar_) {
+        dst->cols[a].AppendGroup(src->cols[a], g);
+      } else {
+        dst->states.push_back(std::move(from[a]));
+      }
+    }
     return;
   }
   dst->first[id] = std::min(dst->first[id], src->first[g]);
-  for (size_t a = 0; a < A; ++a) dst->states[id * A + a].Merge(from[a]);
+  for (size_t a = 0; a < A; ++a) {
+    if (columnar_) {
+      dst->cols[a].MergeGroup(src->cols[a], g, id);
+    } else {
+      dst->states[id * A + a].Merge(from[a]);
+    }
+  }
 }
 
 Status HashAggOp::Merge(std::vector<RowBatch>* outs,
@@ -1293,7 +1346,7 @@ Status HashAggOp::Merge(std::vector<RowBatch>* outs,
   outs->resize(M);
   firsts->resize(M);
   auto merge_shard = [&](size_t s) {
-    Partial dst;
+    Partial dst = NewPartial();
     for (Partial& src : partials_) {
       for (uint32_t g = 0; g < src.groups(); ++g) {
         const uint64_t h =
@@ -1310,11 +1363,9 @@ Status HashAggOp::Merge(std::vector<RowBatch>* outs,
       return dst.first[a] < dst.first[b];
     });
     InitBatchFor(output_, &(*outs)[s]);
+    AppendGroups(dst, order.data(), order.size(), &(*outs)[s]);
     (*firsts)[s].reserve(order.size());
-    for (uint32_t g : order) {
-      AppendGroup(dst, g, &(*outs)[s]);
-      (*firsts)[s].push_back(dst.first[g]);
-    }
+    for (uint32_t g : order) (*firsts)[s].push_back(dst.first[g]);
   };
   if (M == 1) {
     merge_shard(0);
@@ -1329,30 +1380,42 @@ Status HashAggOp::Merge(std::vector<RowBatch>* outs,
   return CheckQueryAlive();
 }
 
-void HashAggOp::AppendGroup(const Partial& p, uint32_t g, RowBatch* out) {
+void HashAggOp::AppendGroups(const Partial& p, const uint32_t* order,
+                             size_t n, RowBatch* out) {
+  auto group = [order](size_t k) {
+    return order != nullptr ? order[k] : static_cast<uint32_t>(k);
+  };
   const size_t G = group_exprs_.size();
-  if (int_key_) {
-    if (p.ints.IsNull(g)) {
-      out->columns[0].AppendNull();
-    } else {
-      out->columns[0].AppendInt(p.ints.KeyOf(g));
-    }
-  } else {
-    for (size_t c = 0; c < G; ++c) {
-      out->columns[c].AppendFrom(p.key_rows.columns[c], g);
+  for (size_t c = 0; c < G; ++c) {
+    ColumnVector& col = out->columns[c];
+    col.Reserve(col.size() + n);
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t g = group(k);
+      if (!int_key_) {
+        col.AppendFrom(p.key_rows.columns[c], g);
+      } else if (p.ints.IsNull(g)) {
+        col.AppendNull();
+      } else {
+        col.AppendInt(p.ints.KeyOf(g));
+      }
     }
   }
   const size_t A = aggs_.size();
   for (size_t a = 0; a < A; ++a) {
-    out->columns[G + a].AppendValue(p.states[g * A + a].Finish());
+    ColumnVector& col = out->columns[G + a];
+    if (columnar_) {
+      p.cols[a].Finish(order, n, &col);
+      continue;
+    }
+    for (size_t k = 0; k < n; ++k) {
+      col.AppendValue(p.states[group(k) * A + a].Finish());
+    }
   }
 }
 
 Status HashAggOp::Materialize() {
   partials_.clear();
-  partials_.resize(lanes_);
-  const int64_t group_bytes =
-      static_cast<int64_t>(aggs_.size() * sizeof(AggState)) + 32;
+  for (size_t w = 0; w < lanes_; ++w) partials_.push_back(NewPartial());
   for (;;) {
     DASHDB_ASSIGN_OR_RETURN(bool more, window_->Fill());
     if (!more) break;
@@ -1360,19 +1423,22 @@ Status HashAggOp::Materialize() {
     DASHDB_RETURN_IF_ERROR(window_->Run(lanes_, [&](size_t w) {
       for (size_t m = w; m < n; m += lanes_) Consume(m, &partials_[w]);
     }));
-    size_t groups = 0;
-    for (const Partial& p : partials_) groups += p.groups();
-    const int64_t bytes = static_cast<int64_t>(groups) * group_bytes;
-    DASHDB_RETURN_IF_ERROR(
-        ChargeMemory(bytes - table_bytes_, "group-by table"));
+    int64_t bytes = 0;
+    for (const Partial& p : partials_) bytes += p.MemoryBytes();
+    if (bytes > table_bytes_) {
+      DASHDB_RETURN_IF_ERROR(
+          ChargeMemory(bytes - table_bytes_, "group-by table"));
+    } else {
+      ReleaseMemory(table_bytes_ - bytes);
+    }
     table_bytes_ = bytes;
   }
+  direct_ids_ = int_key_;
+  for (const Partial& p : partials_) direct_ids_ = direct_ids_ && p.ints.direct();
   InitBatchFor(output_, &result_);
   if (partials_.size() == 1) {
     // One partial is already in first-appearance order.
-    for (uint32_t g = 0; g < partials_[0].groups(); ++g) {
-      AppendGroup(partials_[0], g, &result_);
-    }
+    AppendGroups(partials_[0], nullptr, partials_[0].groups(), &result_);
   } else {
     std::vector<RowBatch> outs;
     std::vector<std::vector<uint64_t>> firsts;

@@ -190,12 +190,14 @@ void RecordCardinalityFeedback(const Operator* root);
 
 /// Scan over a column-organized table with pushed-down predicates, one
 /// logical operator at every degree (paper II.B.6: strides scheduled
-/// across cores). Each NextImpl that runs dry fills a window of pages —
-/// 2 x dop of them when `opts.exec_pool` is set and dop > 1, else one, run
-/// inline — whose synopsis may match (skipped pages do not take a place),
-/// decodes them into per-page slots across the pool, and emits the slots
-/// in page order, so output is identical at every degree and LIMIT stops
-/// the scan after one window. A shared scan's window is the whole table,
+/// across cores). Each NextImpl that runs dry fills a window of pages
+/// whose synopsis may match (skipped pages do not take a place) — one, run
+/// inline, unless `opts.exec_pool` is set and dop > 1; else 2 x dop pages
+/// at first, doubling on each refill by the rule InputWindow follows
+/// (NextWindowUnits in exec/window.h) — decodes them into per-page slots
+/// across the pool, and emits the slots in page order, so output is
+/// identical at every degree and LIMIT stops the scan after the first
+/// window. A shared scan's window is the whole table,
 /// visited from the group clock's position. A window of more than one
 /// slot is charged to the statement's memory budget, and each slot's
 /// charge is released as it is emitted.
@@ -237,6 +239,8 @@ class ColumnScanOp : public Operator {
   std::vector<ScanRuntimeFilter> runtime_filters_;
   std::vector<RowBatch> window_;  ///< one decoded slot per window page
   size_t next_slot_ = 0;
+  size_t window_units_ = 0;   ///< page capacity of the last window (0: none)
+  int64_t window_bytes_ = 0;  ///< what the last window charged
 };
 
 /// Full scan over the row-organized baseline table.
@@ -552,19 +556,25 @@ class HashAggOp : public Operator {
   /// One aggregation table: group ids from a FlatIntMap on a single
   /// integer-backed key, else from normalized key bytes in a FlatKeyIndex
   /// (key_rows keeps those groups' key cells). Group g's states are
-  /// states[g * aggs, (g + 1) * aggs). Cache-line aligned: lanes update
-  /// neighbouring tables concurrently.
+  /// cols[a]'s entry g (columnar) or states[g * aggs, (g + 1) * aggs)
+  /// (boxed). Cache-line aligned: lanes update neighbouring tables
+  /// concurrently.
   struct alignas(64) Partial {
     FlatIntMap ints;
     FlatKeyIndex keys;
     RowBatch key_rows;
-    std::vector<AggState> states;
+    std::vector<AggColumn> cols;  ///< columnar: one per aggregate
+    std::vector<AggState> states;  ///< boxed
     std::vector<uint64_t> first;  ///< stream position of each group's first row
     std::vector<uint32_t> gids;   ///< per-morsel scratch
     std::string scratch;
     size_t groups() const { return first.size(); }
+    /// Bytes the table holds (key cells counted as their normalized bytes).
+    int64_t MemoryBytes() const;
   };
 
+  /// An empty table with this operator's state columns.
+  Partial NewPartial() const;
   /// The kernel: folds morsel `m` of the window into `p`.
   void Consume(size_t m, Partial* p);
   /// Adds group `g` of `src` (states moved or merged) to `dst`.
@@ -574,7 +584,10 @@ class HashAggOp : public Operator {
   /// in (*firsts)[s].
   Status Merge(std::vector<RowBatch>* outs,
                std::vector<std::vector<uint64_t>>* firsts);
-  void AppendGroup(const Partial& p, uint32_t g, RowBatch* out);
+  /// Appends groups order[0, n) of `p` (groups [0, n) when `order` is
+  /// null) to `out`, one column at a time.
+  void AppendGroups(const Partial& p, const uint32_t* order, size_t n,
+                    RowBatch* out);
   Status Materialize();
 
   OperatorPtr child_;
@@ -584,6 +597,10 @@ class HashAggOp : public Operator {
   /// Window column of each aggregate's argument(s); -1 when absent.
   std::vector<int> arg_col_, arg2_col_;
   bool int_key_ = false;  ///< one integer-backed group key
+  /// Every aggregate keeps AggColumn states (AggColumn::Supports), else
+  /// every one keeps AggStates.
+  bool columnar_ = false;
+  bool direct_ids_ = false;  ///< the int maps stayed direct-addressed
   size_t lanes_ = 1;      ///< partials: dop when every state merges
   std::unique_ptr<InputWindow> window_;
   /// Morsel m of every window folds into partials_[m % lanes_].

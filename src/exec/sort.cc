@@ -290,18 +290,67 @@ Status TopNOp::OpenImpl() {
   return child_->Open();
 }
 
-void TopNOp::Consume(Heap* h, const InputWindow::Batch& b,
-                     const NormalizedKeyColumn& keys, size_t lo, size_t hi) {
+namespace {
+
+/// Rows a threshold step looks at before it re-reads the heap boundary.
+constexpr size_t kTopNChunkRows = 512;
+
+/// Appends to `rows` each row r of [lo, hi) whose value v[r] is not
+/// strictly worse than `bound` (ASC: greater; DESC: less). IEEE compares:
+/// ties, NaN and +-0 are never strictly worse, so they pass to the exact
+/// normalized-key compare.
+template <typename T>
+void PassThreshold(const T* v, size_t lo, size_t hi, T bound, bool desc,
+                   std::vector<uint32_t>* rows) {
+  for (size_t r = lo; r < hi; ++r) {
+    if (desc ? !(v[r] < bound) : !(v[r] > bound)) {
+      rows->push_back(static_cast<uint32_t>(r));
+    }
+  }
+}
+
+}  // namespace
+
+void TopNOp::Feed(Heap* h, const InputWindow::Batch& b, size_t lo,
+                  size_t hi) {
+  const ColumnVector& lead = *b.cols[0];
+  const bool typed = lead.type() != TypeId::kVarchar && !lead.has_nulls();
+  for (size_t c = lo; c < hi; c += kTopNChunkRows) {
+    const size_t e = std::min(hi, c + kTopNChunkRows);
+    h->rows.clear();
+    const Heap::Entry* top =
+        h->entries.size() >= capacity_ ? &h->entries.front() : nullptr;
+    if (typed && top != nullptr && top->has_lead) {
+      if (lead.type() == TypeId::kDouble) {
+        PassThreshold(lead.doubles().data(), c, e, top->lead_double,
+                      desc_[0], &h->rows);
+      } else {
+        PassThreshold(lead.ints().data(), c, e, top->lead_int, desc_[0],
+                      &h->rows);
+      }
+      if (h->rows.empty()) continue;
+    } else {
+      for (size_t r = c; r < e; ++r) {
+        h->rows.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    h->keys.Build(b.cols, desc_, h->rows);
+    Consume(h, b);
+  }
+}
+
+void TopNOp::Consume(Heap* h, const InputWindow::Batch& b) {
   auto heap_less = [](const Heap::Entry& a, const Heap::Entry& b) {
     int c = CompareBytes(
         reinterpret_cast<const uint8_t*>(a.key.data()), a.key.size(),
         reinterpret_cast<const uint8_t*>(b.key.data()), b.key.size());
     return c != 0 ? c < 0 : a.seq < b.seq;
   };
-  for (size_t row = lo; row < hi; ++row) {
-    const size_t local = row - lo;
-    const uint8_t* kd = keys.data(local);
-    const size_t kl = keys.length(local);
+  const ColumnVector& lead = *b.cols[0];
+  for (size_t i = 0; i < h->rows.size(); ++i) {
+    const size_t row = h->rows[i];
+    const uint8_t* kd = h->keys.data(i);
+    const size_t kl = h->keys.length(i);
     const uint64_t seq = b.first_row + row;
     if (h->entries.size() >= capacity_) {
       // Admit only when strictly better than the boundary: an equal key
@@ -320,6 +369,14 @@ void TopNOp::Consume(Heap* h, const InputWindow::Batch& b,
     e.key.assign(reinterpret_cast<const char*>(kd), kl);
     e.seq = seq;
     e.pool_row = static_cast<uint32_t>(h->pool_rows++);
+    e.has_lead = lead.type() != TypeId::kVarchar && !lead.IsNull(row);
+    if (e.has_lead) {
+      if (lead.type() == TypeId::kDouble) {
+        e.lead_double = lead.doubles()[row];
+      } else {
+        e.lead_int = lead.ints()[row];
+      }
+    }
     h->entries.push_back(std::move(e));
     std::push_heap(h->entries.begin(), h->entries.end(), heap_less);
     if (h->pool_rows > 2 * capacity_ + 4096) CompactPool(h);
@@ -360,10 +417,7 @@ Status TopNOp::Materialize() {
     DASHDB_RETURN_IF_ERROR(window_->Run(W, [&](size_t w) {
       for (size_t m = w; m < n; m += W) {
         const InputWindow::Morsel& mo = window_->morsels()[m];
-        const InputWindow::Batch& b = window_->batch(m);
-        NormalizedKeyColumn nk;
-        nk.Build(b.cols, desc_, mo.begin, mo.end);
-        Consume(&heaps_[w], b, nk, mo.begin, mo.end);
+        Feed(&heaps_[w], window_->batch(m), mo.begin, mo.end);
       }
     }));
   }

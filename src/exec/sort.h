@@ -15,7 +15,9 @@
 // prefix: bounded (limit+offset)-entry max-heaps — one per lane of an
 // InputWindow — admit a row only when it beats the current boundary, with
 // a global sequence number as tie-break so the kept prefix matches the
-// stable full sort exactly.
+// stable full sort exactly. Once a heap is full, a row whose leading
+// integer or DOUBLE key is strictly worse than the boundary's is dropped
+// before its normalized key is built.
 //
 // PlanOrderBy picks between the two. The binder and the MPP coordinator
 // both call it, so ORDER BY has one implementation everywhere.
@@ -103,17 +105,26 @@ class TopNOp : public Operator {
       std::string key;    ///< normalized key bytes
       uint64_t seq = 0;   ///< global input row number (stability tie-break)
       uint32_t pool_row = 0;
+      /// The leading key's value, when it is a non-NULL integer-backed
+      /// (lead_int) or DOUBLE (lead_double) cell.
+      bool has_lead = false;
+      int64_t lead_int = 0;
+      double lead_double = 0;
     };
     std::vector<Entry> entries;  ///< max-heap on (key, seq)
     RowBatch pool;               ///< admitted rows (output schema)
     size_t pool_rows = 0;
+    // Per-chunk scratch: the rows that pass the threshold and their keys.
+    std::vector<uint32_t> rows;
+    NormalizedKeyColumn keys;
   };
 
   Status Materialize();
-  /// Feeds logical rows [lo, hi) of `b` with keys from `keys` (built over
-  /// the same range, so local index = row - lo) into `h`.
-  void Consume(Heap* h, const InputWindow::Batch& b,
-               const NormalizedKeyColumn& keys, size_t lo, size_t hi);
+  /// Feeds logical rows [lo, hi) of `b` into `h`, a chunk at a time: once
+  /// the heap is full, rows the threshold drops never get a key.
+  void Feed(Heap* h, const InputWindow::Batch& b, size_t lo, size_t hi);
+  /// Feeds the logical rows h->rows of `b`, whose keys are h->keys.
+  void Consume(Heap* h, const InputWindow::Batch& b);
   void CompactPool(Heap* h);
 
   OperatorPtr child_;

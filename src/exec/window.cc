@@ -6,6 +6,20 @@
 
 namespace dashdb {
 
+size_t NextWindowUnits(const Operator& owner, size_t dop, size_t units,
+                       int64_t charged) {
+  if (dop <= 1) return 1;
+  if (units == 0) return 2 * dop;
+  const size_t cap = kMaxWindowPerDop * dop;
+  if (units >= cap) return cap;
+  const QueryContext* q = owner.query_ctx();
+  if (q != nullptr && q->mem_budget() > 0 &&
+      2 * charged > q->mem_budget() - q->mem_used()) {
+    return units;
+  }
+  return std::min(cap, 2 * units);
+}
+
 InputWindow::InputWindow(Operator* owner, Operator* child,
                          std::vector<ExprPtr> exprs, const ExecContext* ctx,
                          const char* what)
@@ -23,6 +37,8 @@ InputWindow::InputWindow(Operator* owner, Operator* child,
 void InputWindow::Reset() {
   Release();
   next_row_ = windows_ = fanouts_ = 0;
+  units_ = 0;
+  last_bytes_ = 0;
   done_ = false;
 }
 
@@ -35,11 +51,16 @@ void InputWindow::Release() {
 }
 
 Result<bool> InputWindow::Fill() {
+  // The last window's whole charge: its input and the output it parked.
+  const int64_t last = last_bytes_ + held_bytes_;
   Release();
-  const size_t capacity =
-      ctx_->parallel() ? 2 * static_cast<size_t>(ctx_->dop) : 1;
+  // Sized after the release, so the headroom the growth rule sees is what
+  // the next window may take.
+  units_ = NextWindowUnits(
+      *owner_, ctx_->parallel() ? static_cast<size_t>(ctx_->dop) : 1, units_,
+      last);
   int64_t bytes = 0;
-  while (!done_ && batches_.size() < capacity) {
+  while (!done_ && batches_.size() < units_) {
     Batch b;
     DASHDB_ASSIGN_OR_RETURN(bool more, child_->NextSel(&b.in));
     if (!more) {
@@ -74,7 +95,7 @@ Result<bool> InputWindow::Fill() {
   if (batches_.empty()) return false;
   // Charged once the window is complete: the whole window is what is held.
   DASHDB_RETURN_IF_ERROR(owner_->ChargeMemory(bytes, what_));
-  input_bytes_ = bytes;
+  input_bytes_ = last_bytes_ = bytes;
   return true;
 }
 

@@ -2,14 +2,16 @@
 // hash-join probe, hash aggregation and Top-N (paper II.B.6/II.B.7 —
 // morsels of one stream scheduled across cores).
 //
-// A window pulls up to 2 x dop batches from a child, evaluates the
-// consumer's expressions over each batch on the calling thread (Evaluate
-// is not guaranteed re-entrant), and slices every batch into morsels of at
-// most kMorselRows logical rows, so one huge batch still fans out. The
-// consumer's kernel then runs over the morsels, on the pool when the
-// window is large enough and inline otherwise; DOP 1 is a window of one
-// batch. The held input (and any output parked with Hold) is charged to
-// the statement's memory budget and released once consumed.
+// A window pulls a run of batches from a child — 2 x dop at first, twice
+// as many on each refill up to kMaxWindowPerDop x dop (see
+// NextWindowUnits) — evaluates the consumer's expressions over each batch
+// on the calling thread (Evaluate is not guaranteed re-entrant), and
+// slices every batch into morsels of at most kMorselRows logical rows, so
+// one huge batch still fans out. The consumer's kernel then runs over the
+// morsels, on the pool when the window is large enough and inline
+// otherwise; DOP 1 is a window of one batch. The held input (and any
+// output parked with Hold) is charged to the statement's memory budget and
+// released once consumed.
 #pragma once
 
 #include <functional>
@@ -17,6 +19,22 @@
 #include "exec/operator.h"
 
 namespace dashdb {
+
+/// Largest window, in units (batches or pages) per degree of parallelism.
+/// Windows start at 2 x dop units and double on each refill up to this, so
+/// a long stream pays its per-window fan-out and barrier a logarithmic
+/// number of times while a short one (or a LIMIT) still stops after the
+/// first, small window.
+inline constexpr size_t kMaxWindowPerDop = 16;
+
+/// Units in the next window of an operator at degree `dop` (1 when it runs
+/// inline), after a window of `units` units (0: none yet) that charged
+/// `charged` bytes. The first window is 2 x dop units (one at DOP 1); each
+/// later one doubles, up to kMaxWindowPerDop x dop, unless the statement
+/// has a memory budget whose headroom cannot hold twice the last charge.
+/// The one rule for InputWindow and the column scan.
+size_t NextWindowUnits(const Operator& owner, size_t dop, size_t units,
+                       int64_t charged);
 
 class InputWindow {
  public:
@@ -82,6 +100,8 @@ class InputWindow {
   std::vector<Batch> batches_;
   std::vector<Morsel> morsels_;
   size_t rows_ = 0;          ///< logical rows in the window
+  size_t units_ = 0;         ///< batch capacity of the last window (0: none)
+  int64_t last_bytes_ = 0;   ///< what the last window charged for input
   uint64_t next_row_ = 0;    ///< stream position of the next pulled row
   bool done_ = false;
   int64_t held_bytes_ = 0;   ///< charged output, released at the next Fill

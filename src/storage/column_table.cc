@@ -492,8 +492,8 @@ void ColumnTable::DecodeColumn(int col, size_t page_no, const BitVector& sel,
 
 size_t ColumnTable::ApplyRuntimeFilters(
     const std::vector<ScanRuntimeFilter>& filters,
-    const std::vector<int>& projection, size_t page_no,
-    BitVector* match) const {
+    const std::vector<int>& projection, size_t page_no, BitVector* match,
+    std::vector<DecodedKey>* decoded) const {
   size_t dropped = 0;
   uint64_t* words = match->mutable_words();
   for (const ScanRuntimeFilter& f : filters) {
@@ -501,8 +501,11 @@ size_t ColumnTable::ApplyRuntimeFilters(
     // so key j belongs to the j-th set bit. Misses clear their bits without
     // a branch, one bitmap word at a time.
     const int c = projection[f.col];
-    ColumnVector keys(schema_.column(c).type);
-    DecodeColumn(c, page_no, *match, &keys);
+    DecodedKey& d = decoded->emplace_back(
+        DecodedKey{static_cast<size_t>(f.col), *match,
+                   ColumnVector(schema_.column(c).type)});
+    const ColumnVector& keys = d.values;
+    DecodeColumn(c, page_no, *match, &d.values);
     const BloomPrefilter& bloom = *f.bloom;
     auto drop_misses = [&](auto hash_of) {
       size_t j = 0;
@@ -529,14 +532,40 @@ size_t ColumnTable::ApplyRuntimeFilters(
 
 void ColumnTable::DecodeProjection(const std::vector<int>& projection,
                                    size_t page_no, const BitVector& sel,
-                                   bool attach_codes, RowBatch* out) const {
+                                   bool attach_codes,
+                                   std::vector<DecodedKey>* keys,
+                                   RowBatch* out) const {
+  const size_t hits = keys->empty() ? 0 : sel.CountSet();
   for (size_t k = 0; k < projection.size(); ++k) {
     int c = projection[k];
     const ColumnData& cd = columns_[c];
     const ColumnPage& page = *cd.pages[page_no];
     ColumnVector* cv = &out->columns[k];
     const bool was_empty = cv->size() == 0;
-    DecodeColumn(c, page_no, sel, cv);
+    // The last decode of this column by a runtime filter, if any.
+    DecodedKey* key = nullptr;
+    for (DecodedKey& d : *keys) {
+      if (d.k == k) key = &d;
+    }
+    if (key == nullptr) {
+      DecodeColumn(c, page_no, sel, cv);
+    } else if (key->values.size() == hits) {
+      // Filters only clear bits: as many rows means the same rows.
+      if (was_empty) {
+        *cv = std::move(key->values);
+      } else {
+        cv->Append(key->values);
+      }
+    } else {
+      std::vector<uint32_t> keep;
+      keep.reserve(hits);
+      uint32_t j = 0;
+      key->sel.ForEachSet([&](size_t i) {
+        if (sel.Get(i)) keep.push_back(j);
+        ++j;
+      });
+      cv->Gather(key->values, keep.data(), keep.size());
+    }
     // Keep the dictionary codes alongside the decoded values when they stay
     // row-aligned: every page row selected, single-partition row-order
     // codes, no exception rows. Appends reset the sidecar, so set it last.
@@ -697,14 +726,16 @@ Status ColumnTable::ScanPage(size_t page_no,
   if (hits == 0) return Status::OK();
   if (stats) stats->rows_matched += hits;
   for (int c : projection) ChargePool(opts.pool, c, p);
+  std::vector<DecodedKey> keys;
   if (!filters.empty()) {
-    const size_t dropped = ApplyRuntimeFilters(filters, projection, p, &match);
+    const size_t dropped =
+        ApplyRuntimeFilters(filters, projection, p, &match, &keys);
     if (stats) stats->bloom_dropped += dropped;
     hits -= dropped;
     if (hits == 0) return Status::OK();
   }
   DecodeProjection(projection, p, match,
-                   opts.operate_on_compressed && hits == n_rows, out);
+                   opts.operate_on_compressed && hits == n_rows, &keys, out);
   if (ids) {
     ids->reserve(ids->size() + hits);
     match.ForEachSet([&](size_t i) { ids->push_back(base + i); });

@@ -231,17 +231,29 @@ class ColumnTable : public StorageObject {
   void DecodeColumn(int col, size_t page_no, const BitVector& sel,
                     ColumnVector* out) const;
 
+  /// A runtime filter's key column as ApplyRuntimeFilters decoded it:
+  /// output column `k`, holding the rows of `sel`.
+  struct DecodedKey {
+    size_t k = 0;
+    BitVector sel;
+    ColumnVector values;
+  };
+
   /// Clears the `match` bits whose filter key misses a runtime filter
-  /// (page_no < num_pages()); returns the number of bits cleared.
+  /// (page_no < num_pages()); returns the number of bits cleared. Each
+  /// filter's decoded key column is appended to *keys.
   size_t ApplyRuntimeFilters(const std::vector<ScanRuntimeFilter>& filters,
                              const std::vector<int>& projection,
-                             size_t page_no, BitVector* match) const;
+                             size_t page_no, BitVector* match,
+                             std::vector<DecodedKey>* keys) const;
 
   /// `attach_codes` keeps the dictionary-code sidecar on fully-selected
-  /// kDict* pages so downstream filters can operate on compressed.
+  /// kDict* pages so downstream filters can operate on compressed. A
+  /// column in `keys` is taken from there — moved when its rows are
+  /// exactly `sel`, else compacted to them — instead of decoded again.
   void DecodeProjection(const std::vector<int>& projection, size_t page_no,
                         const BitVector& sel, bool attach_codes,
-                        RowBatch* out) const;
+                        std::vector<DecodedKey>* keys, RowBatch* out) const;
 
   void ChargePool(BufferPool* pool, int col, size_t page_no) const;
 

@@ -133,7 +133,9 @@ TEST(CompressionPropertyTest, SinglePartitionDictIsGloballyOrderPreserving) {
     bool first = true;
     for (uint32_t c = 0; c < dict.partition_size(0); ++c) {
       int64_t v = dict.Decode(0, c);
-      if (!first) EXPECT_LT(prev, v) << "codes must sort like values";
+      if (!first) {
+        EXPECT_LT(prev, v) << "codes must sort like values";
+      }
       auto pc = dict.Encode(v);
       ASSERT_TRUE(pc.has_value());
       EXPECT_EQ(pc->code, c);
@@ -197,7 +199,9 @@ TEST(CompressionPropertyTest, IntPageRoundTripsFrequencyAndForEncodings) {
       for (size_t i = 0; i < d.values.size(); ++i) {
         bool want_null = d.nulls_ptr() && d.nulls.Get(i);
         ASSERT_EQ(out.IsNull(i), want_null) << "row " << i;
-        if (!want_null) EXPECT_EQ(out.GetInt(i), d.values[i]) << "row " << i;
+        if (!want_null) {
+          EXPECT_EQ(out.GetInt(i), d.values[i]) << "row " << i;
+        }
       }
     }
   }
@@ -230,7 +234,9 @@ TEST(CompressionPropertyTest, StringDictAndPageRoundTrip) {
   ASSERT_EQ(out.size(), values.size());
   for (size_t i = 0; i < values.size(); ++i) {
     ASSERT_EQ(out.IsNull(i), static_cast<bool>(nulls.Get(i))) << "row " << i;
-    if (!nulls.Get(i)) EXPECT_EQ(out.GetString(i), values[i]) << "row " << i;
+    if (!nulls.Get(i)) {
+      EXPECT_EQ(out.GetString(i), values[i]) << "row " << i;
+    }
   }
 }
 

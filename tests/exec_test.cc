@@ -2,6 +2,7 @@
 // the polyglot scalar function library, aggregates, and operators.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <type_traits>
@@ -412,8 +413,8 @@ void CheckTypedFold(const std::vector<T>& x, TypeId type, bool with_nulls) {
     }
     // Two morsels, so the second folds into states the first started.
     const size_t half = x.size() / 2;
-    AggState::Fold(spec, folded.data(), 1, gids.data(), col, 0, half);
-    AggState::Fold(spec, folded.data(), 1, gids.data() + half, col, half,
+    AggState::Fold(folded.data(), 1, gids.data(), col, 0, half);
+    AggState::Fold(folded.data(), 1, gids.data() + half, col, half,
                    x.size() - half);
     for (size_t j = 0; j < x.size(); ++j) {
       if (col.IsNull(j)) continue;
@@ -444,6 +445,120 @@ TEST(AggTest, TypedFoldMatchesPerRowTypedPath) {
     CheckTypedFold(ints, TypeId::kInt64, with_nulls);
     CheckTypedFold(doubles, TypeId::kDouble, with_nulls);
   }
+}
+
+/// Folds `col` into G groups of two partials (rows [0, half) and [half, n)),
+/// merges the second into the first, then moves every group into a third
+/// in reverse — once as AggColumn states and once as AggStates — and checks
+/// the finished results bit for bit. Groups G-2 and G-1 stay empty.
+void CheckColumnarStates(const AggSpec& spec, const ColumnVector& col) {
+  constexpr size_t G = 9;
+  Rng rng(23);
+  std::vector<uint32_t> gids(col.size());
+  for (auto& g : gids) g = static_cast<uint32_t>(rng.Uniform(G - 2));
+  const ColumnVector* x = spec.arg ? &col : nullptr;
+  const size_t half = col.size() / 2;
+  AggColumn a(spec), b(spec), c(spec);
+  std::vector<AggState> sa, sb, sc;
+  for (size_t g = 0; g < G; ++g) {
+    a.AddGroup();
+    b.AddGroup();
+    sa.emplace_back(&spec);
+    sb.emplace_back(&spec);
+  }
+  a.Fold(gids.data(), x, 0, half);
+  b.Fold(gids.data() + half, x, half, col.size() - half);
+  for (size_t j = 0; j < col.size(); ++j) {
+    AggState& st = (j < half ? sa : sb)[gids[j]];
+    if (!x) {
+      st.AddCountStarFast();
+    } else {
+      st.Add(col.GetValue(j), Value::Null(TypeId::kInt64));
+    }
+  }
+  for (uint32_t g = 0; g < G; ++g) {
+    a.MergeGroup(b, g, g);
+    sa[g].Merge(sb[g]);
+  }
+  for (uint32_t g = G; g-- > 0;) {
+    c.AppendGroup(a, g);
+    sc.push_back(std::move(sa[g]));
+  }
+  ColumnVector got(spec.out_type);
+  c.Finish(nullptr, G, &got);
+  ASSERT_EQ(got.size(), G);
+  for (size_t g = 0; g < G; ++g) {
+    SCOPED_TRACE("group " + std::to_string(g));
+    ColumnVector want(spec.out_type);
+    want.AppendValue(sc[g].Finish());
+    ExpectSameValue(got.GetValue(g), want.GetValue(0));
+  }
+}
+
+TEST(AggTest, ColumnarStatesMatchAggStateBitForBit) {
+  Rng rng(17);
+  ColumnVector ints(TypeId::kInt64), doubles(TypeId::kDouble);
+  for (int i = 0; i < 3000; ++i) {
+    if (i % 9 == 4) {
+      ints.AppendNull();
+      doubles.AppendNull();
+      continue;
+    }
+    ints.AppendInt(static_cast<int64_t>(rng.Uniform(2000000)) - 1000000 +
+                   (i % 89 == 0 ? int64_t{1} << 52 : 0));
+    // Mixed magnitudes exercise the compensated sum; signed zeros and NaN
+    // the extremes.
+    doubles.AppendDouble(i % 13 == 0   ? 1e16
+                         : i % 17 == 0 ? -0.0
+                         : i % 19 == 0 ? 0.0
+                         : i % 401 == 0 ? std::nan("")
+                                        : rng.NextDouble() * 100 - 50);
+  }
+  ASSERT_TRUE(AggColumn::Supports(AggSpec{}));
+  CheckColumnarStates(AggSpec{}, ints);
+  for (const ColumnVector* col : {&ints, &doubles}) {
+    for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
+                         AggKind::kMin, AggKind::kMax}) {
+      SCOPED_TRACE(std::string(TypeName(col->type())) + " kind " +
+                   std::to_string(static_cast<int>(kind)));
+      AggSpec spec;
+      spec.kind = kind;
+      spec.arg = std::make_shared<ColumnRefExpr>(0, col->type());
+      spec.out_type = AggResultType(kind, col->type());
+      ASSERT_TRUE(AggColumn::Supports(spec));
+      CheckColumnarStates(spec, *col);
+    }
+  }
+  // Groups whose double sum is -0.0 in the first partial and empty in the
+  // second: AggState's merge adds +0.0 into a non-empty sum.
+  ColumnVector zeros(TypeId::kDouble);
+  for (int i = 0; i < 3000; ++i) {
+    if (i < 1500 && i % 3 != 0) {
+      zeros.AppendDouble(-0.0);
+    } else {
+      zeros.AppendNull();
+    }
+  }
+  for (AggKind kind : {AggKind::kSum, AggKind::kAvg, AggKind::kMin}) {
+    AggSpec spec;
+    spec.kind = kind;
+    spec.arg = std::make_shared<ColumnRefExpr>(0, TypeId::kDouble);
+    spec.out_type = TypeId::kDouble;
+    CheckColumnarStates(spec, zeros);
+  }
+  // An integer extreme of another integer type finishes through CastTo.
+  AggSpec small;
+  small.kind = AggKind::kMax;
+  small.arg = std::make_shared<ColumnRefExpr>(0, TypeId::kInt64);
+  small.out_type = TypeId::kInt32;
+  CheckColumnarStates(small, ints);
+  // DISTINCT, two-argument and order-statistic aggregates stay boxed.
+  AggSpec distinct = small;
+  distinct.distinct = true;
+  EXPECT_FALSE(AggColumn::Supports(distinct));
+  AggSpec median = small;
+  median.kind = AggKind::kMedian;
+  EXPECT_FALSE(AggColumn::Supports(median));
 }
 
 TEST(AggTest, NameMapping) {

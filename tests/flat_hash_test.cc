@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -314,6 +315,104 @@ TEST(FlatIntMapTest, MatchesMapOracleIncludingSentinels) {
     EXPECT_EQ(idx.KeyOf(id), k);
   }
   EXPECT_EQ(idx.size(), oracle.size());
+}
+
+/// Inserts `keys` into `idx` and checks every id against an insertion-order
+/// oracle (dense, first-seen order) and KeyOf.
+void InsertAndCheck(FlatIntMap* idx, std::map<int64_t, uint32_t>* oracle,
+                    const std::vector<int64_t>& keys) {
+  for (int64_t k : keys) {
+    bool inserted = false;
+    const uint32_t id = idx->FindOrInsert(k, &inserted);
+    auto [it, fresh] = oracle->emplace(k, static_cast<uint32_t>(idx->size()) -
+                                              (inserted ? 1 : 0));
+    EXPECT_EQ(inserted, fresh) << k;
+    EXPECT_EQ(id, it->second) << k;
+    EXPECT_EQ(idx->KeyOf(id), k);
+  }
+  // Every key seen so far still finds its id.
+  for (const auto& [k, id] : *oracle) {
+    bool inserted = true;
+    EXPECT_EQ(idx->FindOrInsert(k, &inserted), id) << k;
+    EXPECT_FALSE(inserted) << k;
+  }
+}
+
+TEST(FlatIntMapTest, DirectIdsStayDenseThroughRebaseAndConversion) {
+  FlatIntMap idx;
+  std::map<int64_t, uint32_t> oracle;
+  std::vector<int64_t> keys;
+  for (int64_t k = 1000; k < 1100; ++k) keys.push_back(k);
+  InsertAndCheck(&idx, &oracle, keys);
+  EXPECT_TRUE(idx.direct());
+  // Downward and upward re-bases, within a span of 2^16.
+  InsertAndCheck(&idx, &oracle, {999, 500, -20000, 1100, 45000, 45535});
+  EXPECT_TRUE(idx.direct());
+  // A span of exactly 2^16 is direct; one more converts, keeping every id.
+  InsertAndCheck(&idx, &oracle, {45536, 7});
+  EXPECT_TRUE(idx.direct());
+  InsertAndCheck(&idx, &oracle, {45537, 8});
+  EXPECT_FALSE(idx.direct());
+  EXPECT_EQ(idx.size(), oracle.size());
+}
+
+TEST(FlatIntMapTest, DirectSpanGrowsWithTheGroupCount) {
+  // 20000 keys 7 apart span 139993 > 2^16, but never more than 8 per group.
+  FlatIntMap idx;
+  std::map<int64_t, uint32_t> oracle;
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < 20000; ++k) keys.push_back(-7 * k);
+  InsertAndCheck(&idx, &oracle, keys);
+  EXPECT_TRUE(idx.direct());
+  EXPECT_GE(FlatIntMap::MaxDirectSpan(20000), uint64_t{139993});
+}
+
+TEST(FlatIntMapTest, DirectSpanAtTheInt64Extremes) {
+  {
+    // Down to INT64_MIN: the directory clamps to the domain.
+    FlatIntMap idx;
+    std::map<int64_t, uint32_t> oracle;
+    InsertAndCheck(&idx, &oracle, {INT64_MIN + 3, INT64_MIN + 1, INT64_MIN});
+    EXPECT_TRUE(idx.direct());
+    // The widest span there is: no overflow, a conversion.
+    InsertAndCheck(&idx, &oracle, {INT64_MAX});
+    EXPECT_FALSE(idx.direct());
+  }
+  {
+    FlatIntMap idx;
+    std::map<int64_t, uint32_t> oracle;
+    InsertAndCheck(&idx, &oracle, {INT64_MAX - 5, INT64_MAX, INT64_MAX - 65536});
+    EXPECT_TRUE(idx.direct());
+    InsertAndCheck(&idx, &oracle, {INT64_MAX - 65537});
+    EXPECT_FALSE(idx.direct());
+  }
+}
+
+TEST(FlatIntMapTest, NullIdSurvivesRebaseAndConversion) {
+  FlatIntMap idx;
+  std::map<int64_t, uint32_t> oracle;
+  bool inserted = false;
+  InsertAndCheck(&idx, &oracle, {0, 1});
+  const uint32_t null_id = idx.FindOrInsertNull(&inserted);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(null_id, 2u);
+  // Ids after the NULL one skip it.
+  bool fresh = false;
+  EXPECT_EQ(idx.FindOrInsert(-100, &fresh), 3u);
+  EXPECT_TRUE(fresh);
+  oracle.emplace(-100, 3u);
+  EXPECT_TRUE(idx.direct());
+  EXPECT_EQ(idx.FindOrInsert(int64_t{1} << 40, &fresh), 4u);
+  oracle.emplace(int64_t{1} << 40, 4u);
+  EXPECT_FALSE(idx.direct());
+  EXPECT_EQ(idx.FindOrInsertNull(&inserted), null_id);
+  EXPECT_FALSE(inserted);
+  EXPECT_TRUE(idx.IsNull(null_id));
+  for (const auto& [k, id] : oracle) {
+    EXPECT_FALSE(idx.IsNull(id)) << k;
+    EXPECT_EQ(idx.KeyOf(id), k);
+    EXPECT_EQ(idx.FindOrInsert(k, &fresh), id) << k;
+  }
 }
 
 TEST(FlatIntMapTest, NullKeyLivesOutsideTheIntDomain) {

@@ -567,14 +567,16 @@ TEST_F(GovernorTest, DenseJoinIndexChargesTheBudgetAtDop1AndDop4) {
 // window's morsels run on the pool.
 
 /// GROUP BY GRP with SUM(V), or ORDER BY V DESC, ID LIMIT 10, over the
-/// 16 x 1024-row drill source: each 8-batch window fans out over 4 lanes.
+/// 16 x 1024-row drill source (or `batches` of them): each window, 8
+/// batches at first, fans out over 4 lanes.
 struct BreakerDrill {
   BreakerDrill(ThreadPool* pool, bool topn,
-               std::function<void(size_t)> on_emit = nullptr) {
+               std::function<void(size_t)> on_emit = nullptr,
+               size_t batches = kDrillProbeBatches) {
     ctx.pool = pool;
     ctx.dop = 4;
-    auto src = std::make_unique<DrillSourceOp>(
-        kDrillProbeBatches, kDrillBatchRows, std::move(on_emit));
+    auto src = std::make_unique<DrillSourceOp>(batches, kDrillBatchRows,
+                                               std::move(on_emit));
     source = src.get();
     auto col = [](int i) {
       return std::make_shared<ColumnRefExpr>(i, TypeId::kInt64);
@@ -635,7 +637,9 @@ TEST_F(GovernorTest, AggAndTopNCancelAtEveryCheckAtDop4) {
       // Pipeline breakers emit nothing before their input is consumed, and
       // then everything (a trip on the trailing pull follows it).
       EXPECT_TRUE(got.empty() || got == want) << "topn=" << topn << " n=" << n;
-      if (in_fanout) EXPECT_EQ(drill.source->emitted(), 8u) << "n=" << n;
+      if (in_fanout) {
+        EXPECT_EQ(drill.source->emitted(), 8u) << "n=" << n;
+      }
     }
     EXPECT_GT(cancelled, 0u) << "topn=" << topn;
   }
@@ -687,6 +691,50 @@ TEST_F(GovernorTest, AggAndTopNBudgetTripsOnTheInputWindowAtDop4) {
     auto ok = DrainOperator(drill.op.get());
     ASSERT_TRUE(ok.ok()) << ok.status().ToString();
     EXPECT_EQ(ok->num_rows(), topn ? 10u : 97u);
+  }
+}
+
+/// The window count of an EXPLAIN ANALYZE line's " fanouts=a/b".
+size_t WindowsOf(const std::string& analyze) {
+  size_t fanned = 0, windows = 0;
+  const size_t at = analyze.find(" fanouts=");
+  if (at == std::string::npos ||
+      std::sscanf(analyze.c_str() + at, " fanouts=%zu/%zu", &fanned,
+                  &windows) != 2) {
+    return 0;
+  }
+  return windows;
+}
+
+TEST_F(GovernorTest, AggAndTopNWindowsGrowOnlyAsFarAsTheBudgetAtDop4) {
+  // 200 batches of 24 KiB. Unbudgeted, the windows grow to 16 x dop = 64
+  // batches (1.5 MiB). A 640 KiB budget holds the first window (8 batches,
+  // 192 KiB) and one doubling (384 KiB) but not the next (768 KiB): the
+  // stream completes in more, smaller windows.
+  ThreadPool pool(4);
+  for (bool topn : {false, true}) {
+    std::string want, unbudgeted;
+    {
+      QueryContext qc;
+      BreakerDrill drill(&pool, topn, nullptr, 200);
+      AttachQueryContext(drill.op.get(), &qc);
+      ASSERT_TRUE(DrainRows(drill.op.get(), &want).ok());
+      unbudgeted = drill.op->AnalyzeString();
+      EXPECT_GT(qc.mem_peak(), 1 << 20) << "topn=" << topn;
+    }
+    QueryContext qc;
+    qc.SetMemBudget(640 << 10);
+    BreakerDrill drill(&pool, topn, nullptr, 200);
+    AttachQueryContext(drill.op.get(), &qc);
+    std::string got;
+    const Status st = DrainRows(drill.op.get(), &got);
+    ASSERT_TRUE(st.ok()) << "topn=" << topn << ": " << st.ToString();
+    EXPECT_EQ(got, want) << "topn=" << topn;
+    EXPECT_EQ(drill.source->emitted(), 200u);
+    EXPECT_LE(qc.mem_peak(), 640 << 10) << "topn=" << topn;
+    EXPECT_GE(qc.mem_peak(), 384 << 10) << "topn=" << topn;
+    EXPECT_GT(WindowsOf(drill.op->AnalyzeString()), WindowsOf(unbudgeted))
+        << drill.op->AnalyzeString() << " vs " << unbudgeted;
   }
 }
 
@@ -751,6 +799,45 @@ TEST_F(GovernorTest, ParallelScanPagesChargeTheBudgetAtDop4) {
   EXPECT_GT(roomy.mem_peak(), 0);
   EXPECT_LE(roomy.mem_peak(), window_bytes);
   EXPECT_EQ(roomy.mem_used(), 0);
+}
+
+TEST_F(GovernorTest, ScanWindowsGrowOnlyAsFarAsTheBudgetAtDop4) {
+  // 100 pages. The first window, 8 pages of 3 BIGINT columns, is 768 KiB;
+  // a 2 MiB budget lets it double once (1.5 MiB) but not grow to the
+  // 64-page window an unbudgeted scan reaches: the scan completes.
+  ThreadPool pool(4);
+  TableSchema schema("PUBLIC", "PAGES",
+                     {{"ID", TypeId::kInt64, false, 0, false},
+                      {"GRP", TypeId::kInt64, true, 0, false},
+                      {"V", TypeId::kInt64, true, 0, false}});
+  auto table = std::make_shared<ColumnTable>(schema, 951);
+  RowBatch rows;
+  for (int c = 0; c < 3; ++c) rows.columns.emplace_back(TypeId::kInt64);
+  const int64_t n = 100 * int64_t{kPageRows};
+  for (int64_t i = 0; i < n; ++i) {
+    rows.columns[0].AppendInt(i);
+    rows.columns[1].AppendInt(i % 97);
+    rows.columns[2].AppendInt(i * 31 % 101);
+  }
+  ASSERT_TRUE(table->Load(rows).ok());
+  ScanOptions opts;
+  opts.exec_pool = &pool;
+  opts.dop = 4;
+  for (int64_t budget : {int64_t{0}, int64_t{2} << 20}) {
+    QueryContext qc;
+    qc.SetMemBudget(budget);
+    ColumnScanOp op(table, {}, {0, 1, 2}, opts);
+    AttachQueryContext(&op, &qc);
+    auto r = DrainOperator(&op);
+    ASSERT_TRUE(r.ok()) << "budget=" << budget << ": " << r.status().ToString();
+    EXPECT_EQ(r->num_rows(), static_cast<size_t>(n));
+    if (budget == 0) {
+      EXPECT_GT(qc.mem_peak(), int64_t{2} << 20);
+    } else {
+      EXPECT_LE(qc.mem_peak(), budget);
+      EXPECT_GT(qc.mem_peak(), 1 << 20);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -835,6 +835,352 @@ TEST(ParallelExecTest, NullGroupNeverCollidesWithAnIntegerKey) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Typed GROUP BY: direct-address group ids and columnar states
+
+/// Group-by input: K BIGINT key, I BIGINT and D DOUBLE arguments; any of
+/// the three may be NULL.
+const std::vector<OutputCol> kAggCols = {{"K", TypeId::kInt64},
+                                         {"I", TypeId::kInt64},
+                                         {"D", TypeId::kDouble}};
+
+struct AggRow {
+  std::optional<int64_t> k, i;
+  std::optional<double> d;
+};
+
+std::vector<RowBatch> AggBatches(const std::vector<AggRow>& rows,
+                                 size_t batch_rows) {
+  std::vector<RowBatch> out;
+  for (size_t lo = 0; lo < rows.size(); lo += batch_rows) {
+    RowBatch b;
+    for (const OutputCol& c : kAggCols) b.columns.emplace_back(c.type);
+    for (size_t r = lo; r < std::min(rows.size(), lo + batch_rows); ++r) {
+      auto put_int = [](ColumnVector* cv, std::optional<int64_t> v) {
+        if (v) {
+          cv->AppendInt(*v);
+        } else {
+          cv->AppendNull();
+        }
+      };
+      put_int(&b.columns[0], rows[r].k);
+      put_int(&b.columns[1], rows[r].i);
+      if (rows[r].d) {
+        b.columns[2].AppendDouble(*rows[r].d);
+      } else {
+        b.columns[2].AppendNull();
+      }
+    }
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+/// COUNT(*), then COUNT, SUM, AVG, MIN and MAX of I and of D; plus
+/// MEDIAN(I) when `boxed`, which keeps the operator on AggStates.
+std::vector<AggSpec> TypedAggs(bool boxed) {
+  std::vector<AggSpec> aggs;
+  aggs.push_back(AggSpec{});
+  for (int col : {1, 2}) {
+    const TypeId t = kAggCols[col].type;
+    for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
+                         AggKind::kMin, AggKind::kMax}) {
+      AggSpec a;
+      a.kind = kind;
+      a.arg = std::make_shared<ColumnRefExpr>(col, t);
+      a.out_type = AggResultType(kind, t);
+      aggs.push_back(a);
+    }
+  }
+  if (boxed) {
+    AggSpec a;
+    a.kind = AggKind::kMedian;
+    a.arg = std::make_shared<ColumnRefExpr>(1, TypeId::kInt64);
+    a.out_type = TypeId::kDouble;
+    aggs.push_back(a);
+  }
+  return aggs;
+}
+
+/// The oracle: a std::map from key to group, groups in order of first
+/// appearance, each aggregate an AggState fed row by row in stream order.
+std::string ReferenceGroupBy(const std::vector<AggRow>& rows,
+                             const std::vector<AggSpec>& aggs) {
+  std::map<std::optional<int64_t>, size_t> group_of;
+  std::vector<std::optional<int64_t>> keys;
+  std::vector<std::vector<AggState>> states;
+  for (const AggRow& r : rows) {
+    auto [it, fresh] = group_of.emplace(r.k, keys.size());
+    if (fresh) {
+      keys.push_back(r.k);
+      states.emplace_back();
+      for (const AggSpec& a : aggs) states.back().emplace_back(&a);
+    }
+    const Value i = r.i ? Value::Int64(*r.i) : Value::Null(TypeId::kInt64);
+    const Value d = r.d ? Value::Double(*r.d) : Value::Null(TypeId::kDouble);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const auto* ref = static_cast<const ColumnRefExpr*>(aggs[a].arg.get());
+      states[it->second][a].Add(ref != nullptr && ref->index() == 2 ? d : i,
+                                Value::Null(TypeId::kInt64));
+    }
+  }
+  RowBatch out;
+  out.columns.emplace_back(TypeId::kInt64);
+  for (const AggSpec& a : aggs) out.columns.emplace_back(a.out_type);
+  for (size_t g = 0; g < keys.size(); ++g) {
+    if (keys[g]) {
+      out.columns[0].AppendInt(*keys[g]);
+    } else {
+      out.columns[0].AppendNull();
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      out.columns[a + 1].AppendValue(states[g][a].Finish());
+    }
+  }
+  return BatchBytes(out);
+}
+
+/// GROUP BY K over `rows`, in batches of `batch_rows`, at `dop`; returns
+/// the result bytes and fills *analyze.
+std::string RunGroupBy(const std::vector<AggRow>& rows, bool boxed,
+                       ThreadPool* pool, int dop, std::string* analyze,
+                       size_t batch_rows = 4096) {
+  ExecContext ctx;
+  ctx.pool = pool;
+  ctx.dop = dop;
+  std::vector<AggSpec> aggs = TypedAggs(boxed);
+  std::vector<std::string> names(aggs.size(), "A");
+  HashAggOp agg(std::make_unique<BatchSourceOp>(AggBatches(rows, batch_rows),
+                                                kAggCols),
+                {std::make_shared<ColumnRefExpr>(0, TypeId::kInt64)}, {"K"},
+                std::move(aggs), names, &ctx);
+  auto r = DrainOperator(&agg);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  *analyze = agg.AnalyzeString();
+  return r.ok() ? BatchBytes(*r) : std::string();
+}
+
+/// Arguments for row r: I and D NULL on some rows, D with inexact
+/// decimals. (No -0.0: a group whose extreme ties +0.0 keeps whichever
+/// zero its partials meet first, at any degree.)
+AggRow ArgsFor(size_t r, std::optional<int64_t> k) {
+  AggRow row;
+  row.k = k;
+  if (r % 11 != 3) {
+    row.i = static_cast<int64_t>(r * 2654435761u % 2000003) - 1000000;
+  }
+  if (r % 7 != 5) row.d = static_cast<double>(r % 1000) * 0.1 - 40;
+  return row;
+}
+
+/// The first line where `got` and `want` differ, for a failure message.
+std::string FirstDiff(const std::string& got, const std::string& want) {
+  size_t at = 0;
+  while (at < got.size() && at < want.size() && got[at] == want[at]) ++at;
+  const size_t line = got.rfind('\n', at) == std::string::npos
+                          ? 0
+                          : got.rfind('\n', at) + 1;
+  return "\n got: " + got.substr(line, got.find('\n', line) - line) +
+         "\nwant: " + want.substr(line, want.find('\n', line) - line);
+}
+
+TEST(ParallelExecTest, TypedGroupByMatchesOracleAtDop1AndDop4) {
+  ThreadPool pool(4);
+  struct Case {
+    std::string name;
+    std::vector<AggRow> rows;
+    const char* ids;  ///< the id path the case is written for
+    bool boxed;       ///< with a MEDIAN, so on AggStates
+  };
+  std::vector<Case> cases;
+  {
+    // 60000 groups over a compact key range, a NULL key every 101st row.
+    Case c{"50k groups", {}, "direct", false};
+    for (size_t r = 0; r < 120000; ++r) {
+      c.rows.push_back(ArgsFor(
+          r, r % 101 == 0 ? std::nullopt
+                          : std::optional<int64_t>(r * 7919 % 60000)));
+    }
+    cases.push_back(c);
+    c.name += ", boxed";
+    c.boxed = true;
+    cases.push_back(std::move(c));
+  }
+  {
+    // Compact for the first window (8 batches at DOP 4, one at DOP 1),
+    // sparse after it: the maps convert to hashing mid-stream.
+    Case c{"compact then sparse", {}, "hash", false};
+    for (size_t r = 0; r < 12 * 4096; ++r) {
+      const int64_t k = static_cast<int64_t>(r * 31 % 3000);
+      c.rows.push_back(ArgsFor(r, r < 8 * 4096 ? k : k * (int64_t{1} << 40)));
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // Negative keys only: still direct.
+    Case c{"negative keys", {}, "direct", false};
+    for (size_t r = 0; r < 40000; ++r) {
+      c.rows.push_back(ArgsFor(r, -1 - static_cast<int64_t>(r * 13 % 5000)));
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // Negative keys plus both int64 extremes: the span is computed without
+    // overflow and breaks the rule.
+    Case c{"int64 extremes", {}, "hash", false};
+    for (size_t r = 0; r < 40000; ++r) {
+      const int64_t k = r % 1000 == 1 ? INT64_MIN
+                        : r % 1000 == 2 ? INT64_MAX
+                                        : static_cast<int64_t>(r % 700) - 350;
+      c.rows.push_back(ArgsFor(r, k));
+    }
+    cases.push_back(std::move(c));
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string want = ReferenceGroupBy(c.rows, TypedAggs(c.boxed));
+    for (int dop : {1, 4}) {
+      std::string analyze;
+      const std::string got = RunGroupBy(c.rows, c.boxed, &pool, dop, &analyze);
+      EXPECT_TRUE(got == want) << "dop=" << dop << FirstDiff(got, want);
+      EXPECT_NE(analyze.find(std::string(" ids=") + c.ids), std::string::npos)
+          << analyze;
+      EXPECT_NE(analyze.find(c.boxed ? " states=boxed" : " states=columnar"),
+                std::string::npos)
+          << analyze;
+      if (dop == 4) {
+        EXPECT_EQ(analyze.find(" fanouts=0/"), std::string::npos) << analyze;
+      }
+    }
+  }
+}
+
+TEST(ParallelExecTest, GrowingWindowsFanOutFewTimesOverALongStream) {
+  // A 245-page GROUP BY at DOP 4: scan and aggregate windows of 8, 16, 32
+  // and then 64 pages take 6 fan-outs each, where fixed 8-page windows
+  // took 31.
+  Engine engine(ParallelConfig(4));
+  auto session = engine.CreateSession();
+  TableSchema schema("PUBLIC", "LONG", {{"ID", TypeId::kInt64, false, 0, false},
+                                        {"V", TypeId::kInt64, true, 0, false}});
+  auto table = engine.CreateColumnTable(schema);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  RowBatch rows;
+  rows.columns.emplace_back(TypeId::kInt64);
+  rows.columns.emplace_back(TypeId::kInt64);
+  for (int64_t i = 0; i < 244 * static_cast<int64_t>(kPageRows) + 100; ++i) {
+    rows.columns[0].AppendInt(i);
+    rows.columns[1].AppendInt(i % 1009);
+  }
+  ASSERT_TRUE((*table)->Load(rows).ok());
+  ASSERT_EQ((*table)->num_pages(), 245u);
+  ASSERT_TRUE(engine.Execute(session.get(), "SET DOP = 4").ok());
+  auto r = engine.Execute(
+      session.get(), "EXPLAIN ANALYZE SELECT V, COUNT(*) FROM LONG GROUP BY V");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::string& plan = r->message;
+  const size_t agg = plan.find("HashAggregate(");
+  ASSERT_NE(agg, std::string::npos) << plan;
+  const size_t at = plan.find(" fanouts=", agg);
+  ASSERT_LT(at, plan.find('\n', agg)) << plan;
+  size_t fanned = 0, windows = 0;
+  ASSERT_EQ(std::sscanf(plan.c_str() + at, " fanouts=%zu/%zu", &fanned,
+                        &windows),
+            2)
+      << plan;
+  EXPECT_GT(fanned, 0u) << plan;
+  EXPECT_LE(windows, 8u) << plan;
+}
+
+// ---------------------------------------------------------------------------
+// Top-N threshold on the leading key
+
+/// Top-N input: L (the leading key, BIGINT or DOUBLE) and T BIGINT, the
+/// row number, so any difference in tie order shows.
+std::vector<RowBatch> ThresholdBatches(TypeId lead_type, size_t n) {
+  std::vector<RowBatch> out;
+  for (size_t lo = 0; lo < n; lo += 4096) {
+    RowBatch b;
+    b.columns.emplace_back(lead_type);
+    b.columns.emplace_back(TypeId::kInt64);
+    // Batches 3, 4 and 9 carry a few NULL leading keys — fewer than the
+    // limit, so under DESC (NULLs first) a NaN still sits at the heap's
+    // boundary; the others, the last ones included (where a second key's
+    // ties decide the result), none.
+    const size_t batch = lo / 4096;
+    const bool nulls = batch == 3 || batch == 4 || batch == 9;
+    for (size_t r = lo; r < std::min(n, lo + 4096); ++r) {
+      if (nulls && r % 499 == 0) {
+        b.columns[0].AppendNull();
+      } else if (lead_type == TypeId::kDouble) {
+        // Few distinct values, so the boundary holds ties: under ASC the
+        // two zeros are the smallest values, under DESC NaN is the
+        // largest.
+        const size_t m = r % 53;
+        b.columns[0].AppendDouble(m == 0   ? std::nan("")
+                                  : m == 1 ? -0.0
+                                  : m == 2 ? 0.0
+                                           : static_cast<double>(m % 9) + 0.5);
+      } else {
+        b.columns[0].AppendInt(static_cast<int64_t>(r * 7 % 23) - 11);
+      }
+      b.columns[1].AppendInt(static_cast<int64_t>(r));
+    }
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+TEST(ParallelExecTest, TopNThresholdMatchesTheOracleAtDop1AndDop4) {
+  ThreadPool pool(4);
+  for (TypeId lead : {TypeId::kInt64, TypeId::kDouble}) {
+    const std::vector<OutputCol> cols = {{"L", lead}, {"T", TypeId::kInt64}};
+    const auto batches = ThresholdBatches(lead, 40 * 4096);
+    RowBatch all;
+    for (const OutputCol& c : cols) all.columns.emplace_back(c.type);
+    for (const RowBatch& b : batches) {
+      for (size_t c = 0; c < all.columns.size(); ++c) {
+        all.columns[c].Append(b.columns[c]);
+      }
+    }
+    for (bool desc : {false, true}) {
+      for (int64_t offset : {0, 37}) {
+        // The leading key alone (ties break on the stream position), and
+        // with T DESC as a second key.
+        for (bool second : {false, true}) {
+          auto keys = [&] {
+            std::vector<SortKey> k = {
+                {std::make_shared<ColumnRefExpr>(0, lead), desc}};
+            if (second) {
+              k.push_back(
+                  {std::make_shared<ColumnRefExpr>(1, TypeId::kInt64), true});
+            }
+            return k;
+          };
+          const std::string want =
+              BatchBytes(sort_oracle::Sort(all, keys(), 100, offset));
+          for (int dop : {1, 4}) {
+            SCOPED_TRACE(std::string(TypeName(lead)) +
+                         (desc ? " DESC" : " ASC") +
+                         " offset=" + std::to_string(offset) +
+                         (second ? " two keys" : " one key") +
+                         " dop=" + std::to_string(dop));
+            ExecContext ctx;
+            ctx.pool = &pool;
+            ctx.dop = dop;
+            TopNOp topn(std::make_unique<BatchSourceOp>(batches, cols),
+                        keys(), 100, offset, &ctx);
+            auto r = DrainOperator(&topn);
+            ASSERT_TRUE(r.ok()) << r.status().ToString();
+            const std::string got = BatchBytes(*r);
+            EXPECT_TRUE(got == want) << FirstDiff(got, want);
+          }
+        }
+      }
+    }
+  }
+}
+
 /// K2 DESC, S: about 20 rows share each key, and their P payloads differ,
 /// so any unstable tie order shows in the bytes.
 std::vector<SortKey> TopNKeys() {

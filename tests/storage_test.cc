@@ -5,8 +5,11 @@
 
 #include <map>
 #include <set>
+#include <string>
 
+#include "common/hash.h"
 #include "common/rng.h"
+#include "compression/dict_codes.h"
 #include "storage/btree.h"
 #include "storage/clusterfs.h"
 #include "storage/column_table.h"
@@ -248,6 +251,100 @@ TEST(ColumnTableTest, FeaturetogglesGiveIdenticalResults) {
     }
   }
   EXPECT_GT(baseline, 0u);
+}
+
+/// A batch's cells, null flags and dictionary-code sidecar, for a
+/// byte-identity check.
+std::string ScanBytes(const RowBatch& b) {
+  std::string s;
+  for (const ColumnVector& cv : b.columns) {
+    s += "col " + std::to_string(static_cast<int>(cv.type())) + " rows " +
+         std::to_string(cv.size()) + "\n";
+    for (size_t i = 0; i < cv.size(); ++i) {
+      s += cv.IsNull(i) ? "null" : cv.GetValue(i).ToString();
+      s += '|';
+    }
+    const auto& dc = cv.dict_codes();
+    s += dc ? "\ncodes " + std::to_string(dc->codes.size()) + ":" : "\nno codes";
+    if (dc) {
+      for (size_t i = 0; i < dc->codes.size(); ++i) {
+        s += std::to_string(dc->codes.Get(i)) + ",";
+      }
+    }
+    s += '\n';
+  }
+  return s;
+}
+
+TEST(ColumnTableTest, RuntimeFilterKeyDecodeIsReusedByTheProjection) {
+  // K BIGINT (50 values, dictionary pages), S VARCHAR, D DOUBLE over
+  // three full pages and more; the filter is on K, projected first.
+  TableSchema schema("PUBLIC", "RF",
+                     {{"K", TypeId::kInt64, false, 0, false},
+                      {"S", TypeId::kVarchar, true, 0, false},
+                      {"D", TypeId::kDouble, true, 0, false}});
+  ColumnTable t(schema, 7);
+  RowBatch rows;
+  for (const auto& c : schema.columns()) rows.columns.emplace_back(c.type);
+  const size_t n = 3 * kPageRows + 100;
+  for (size_t i = 0; i < n; ++i) {
+    rows.columns[0].AppendInt(static_cast<int64_t>(i * 7 % 50));
+    if (i % 11 == 0) {
+      rows.columns[1].AppendNull();
+      rows.columns[2].AppendNull();
+    } else {
+      rows.columns[1].AppendString("s" + std::to_string(i % 13));
+      rows.columns[2].AppendDouble(static_cast<double>(i) * 0.5);
+    }
+  }
+  ASSERT_TRUE(t.Load(rows).ok());
+  ASSERT_GE(t.num_pages(), 3u);
+  auto every = std::make_shared<BloomPrefilter>();
+  auto even = std::make_shared<BloomPrefilter>();
+  every->Init(50);
+  even->Init(50);
+  for (int64_t k = 0; k < 50; ++k) {
+    every->Add(HashInt64(static_cast<uint64_t>(k)));
+    if (k % 2 == 0) even->Add(HashInt64(static_cast<uint64_t>(k)));
+  }
+  const std::vector<int> projection = {0, 1, 2};
+  ScanOptions opts;
+  auto scan = [&](size_t p, std::shared_ptr<const BloomPrefilter> bloom) {
+    RowBatch out;
+    for (const auto& c : schema.columns()) out.columns.emplace_back(c.type);
+    std::vector<ScanRuntimeFilter> filters;
+    if (bloom) filters.push_back({0, std::move(bloom)});
+    EXPECT_TRUE(t.ScanPage(p, {}, projection, filters, opts, &out, nullptr)
+                    .ok());
+    return out;
+  };
+  size_t kept_total = 0;
+  for (size_t p = 0; p <= t.num_pages(); ++p) {
+    SCOPED_TRACE("page " + std::to_string(p));
+    const RowBatch plain = scan(p, nullptr);
+    if (p == 0) {
+      ASSERT_NE(ScanBytes(plain).find("codes "), std::string::npos);
+    }
+    // A filter that drops nothing: the same bytes, sidecar included.
+    EXPECT_EQ(ScanBytes(scan(p, every)), ScanBytes(plain));
+    // A filter that drops rows: the unfiltered rows without the dropped
+    // keys.
+    RowBatch want;
+    for (const auto& c : schema.columns()) want.columns.emplace_back(c.type);
+    for (size_t i = 0; i < plain.num_rows(); ++i) {
+      const int64_t k = plain.columns[0].GetInt(i);
+      if (!even->MayContain(HashInt64(static_cast<uint64_t>(k)))) continue;
+      for (size_t c = 0; c < 3; ++c) {
+        want.columns[c].AppendFrom(plain.columns[c], i);
+      }
+    }
+    if (plain.num_rows() > 0) {
+      ASSERT_LT(want.num_rows(), plain.num_rows());
+    }
+    kept_total += want.num_rows();
+    EXPECT_EQ(ScanBytes(scan(p, even)), ScanBytes(want));
+  }
+  EXPECT_GT(kept_total, 0u);
 }
 
 TEST(ColumnTableTest, AppendGoesThroughTailAndFlushes) {
