@@ -1,9 +1,10 @@
 // Design-choice ablation: each of the paper's architectural levers
 // (II.B.2 operating on compressed data, II.B.4 data skipping, II.B.6
-// software SIMD, II.B.5 cache policy, II.B.7 join index layout) toggled
-// one at a time on a scan-heavy query, quantifying its contribution.
-// Exits nonzero when the join arms disagree on their rows, or an arm does
-// not build the join index it is meant to measure.
+// software SIMD, II.B.5 cache policy, II.B.7 join index layout, runtime
+// join filters) toggled one at a time on a scan-heavy query, quantifying
+// its contribution. Exits nonzero when the join arms or the runtime-filter
+// arms disagree on their rows or checksum, or an arm does not build the
+// join index or take the filter it is meant to measure.
 #include <cstdio>
 #include <string>
 
@@ -191,6 +192,93 @@ int main() {
     }
     PrintNote("finding: the direct-address index skips hashing altogether "
               "(EXPERIMENTS.md)");
+  }
+  // Runtime join filters: a 1M-row scan of (K, V) semi-joined with the
+  // build keys 0..59999 (plus a NULL), with no filter, a Bloom filter and
+  // the exact dense key set. K = i % 100000 runs in page-long ascending
+  // stretches, so some pages lie inside the keys' range (the dense filter
+  // skips them untouched), some straddle it and some miss it. The arms
+  // without the exact set re-check each row against it, so all three must
+  // agree on the row count and checksum.
+  {
+    constexpr size_t kScanRows = 1000000;
+    auto schema = TableSchema("PUBLIC", "S",
+                              {{"K", TypeId::kInt64, true, 0, false},
+                               {"V", TypeId::kInt64, true, 0, false}});
+    auto fact = std::make_shared<ColumnTable>(schema, 3);
+    RowBatch rows;
+    rows.columns.emplace_back(TypeId::kInt64);
+    rows.columns.emplace_back(TypeId::kInt64);
+    Rng rng(3);
+    for (size_t i = 0; i < kScanRows; ++i) {
+      rows.columns[0].AppendInt(static_cast<int64_t>(i % 100000));
+      rows.columns[1].AppendInt(rng.Range(0, 1000000));
+    }
+    if (!fact->Load(rows).ok()) std::exit(1);
+    ColumnVector keys(TypeId::kInt64);
+    keys.AppendNull();
+    for (int64_t k = 0; k < 60000; ++k) keys.AppendInt(k);
+    const ScanRuntimeFilter dense = MakeRuntimeFilter(0, keys, TypeId::kInt64);
+    auto bloom = std::make_shared<BloomPrefilter>();
+    bloom->Init(keys.size());
+    for (size_t r = 0; r < keys.size(); ++r) {
+      if (!keys.IsNull(r)) bloom->Add(HashCell(keys, r));
+    }
+    struct Arm {
+      const char* name;
+      std::vector<ScanRuntimeFilter> filters;
+      const char* label;  ///< what EXPLAIN ANALYZE must report, or null
+      double seconds = 0;
+      size_t rows = 0;
+      uint64_t checksum = 0;
+      std::string analyze{};
+    };
+    Arm arms[] = {
+        {"no runtime filter", {}, nullptr},
+        {"Bloom runtime filter", {{0, bloom}}, " filter=bloom"},
+        {"dense runtime filter (exact key set)", {dense}, " filter=dense"},
+    };
+    for (Arm& arm : arms) {
+      ColumnScanOp scan(fact, {}, {0, 1}, ScanOptions{});
+      for (const ScanRuntimeFilter& f : arm.filters) {
+        if (!scan.AcceptRuntimeFilter(f)) std::exit(5);
+      }
+      if (!scan.Open().ok()) std::exit(5);
+      const bool exact = arm.filters.size() == 1 && arm.filters[0].dense;
+      RowBatch b;
+      for (;;) {
+        Stopwatch sw;
+        auto more = scan.Next(&b);
+        arm.seconds += sw.ElapsedSeconds();
+        if (!more.ok()) std::exit(5);
+        if (!*more) break;
+        for (size_t i = 0; i < b.num_rows(); ++i) {
+          if (!exact && !dense.Keeps(b.columns[0], i)) continue;
+          arm.checksum = arm.checksum * 1000003u ^
+                         static_cast<uint64_t>(b.columns[0].GetInt(i)) ^
+                         static_cast<uint64_t>(b.columns[1].GetInt(i)) << 20;
+          ++arm.rows;
+        }
+      }
+      arm.analyze = scan.AnalyzeString();
+      if (arm.label != nullptr &&
+          arm.analyze.find(arm.label) == std::string::npos) {
+        std::printf("  MISMATCH: %s did not take%s: %s\n", arm.name, arm.label,
+                    arm.analyze.c_str());
+        status = 5;
+      }
+    }
+    for (const Arm& arm : arms) {
+      std::printf("  %-44s %10.2f ms  %7.2fx  rows=%zu checksum=%016llx\n",
+                  arm.name, arm.seconds * 1e3, arm.seconds / arms[0].seconds,
+                  arm.rows, static_cast<unsigned long long>(arm.checksum));
+      if (arm.rows != arms[0].rows || arm.checksum != arms[0].checksum) {
+        std::printf("  MISMATCH: %s disagrees with %s\n", arm.name,
+                    arms[0].name);
+        status = 5;
+      }
+    }
+    std::printf("  %s\n", arms[2].analyze.c_str());
   }
   PrintNote("each lever contributes independently; the naive configuration "
             "is the Test-4 competitor profile");

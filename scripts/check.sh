@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Full verification sweep: warning-free (-Werror) Release build + complete
 # ctest, the release bench_sort_topn byte-identity gate and the
-# bench_ablation join-arm agreement gate, then ASan and TSan builds running the
-# concurrency/fault/differential/trace/hash/optimizer/governor/serving/
-# sort/MPP/executor/SQL/storage suites (ctest labels: parallel, fault,
-# diff, trace, hash, expr, opt, govern, serve, share, sort, mpp, exec,
-# sql, storage). This is the recipe the
+# bench_ablation join-arm and runtime-filter agreement gate, then ASan and
+# TSan builds running the concurrency/fault/differential/trace/hash/
+# optimizer/governor/serving/sort/MPP/executor/SQL/storage suites (ctest
+# labels: parallel, fault, diff, trace, hash, expr, opt, govern, serve,
+# share, sort, mpp, exec, sql, storage). This is the recipe the
 # observability and parallelism PRs are gated on; run it from the repo root.
 # Set JOBS to bound parallelism (defaults to nproc).
 set -euo pipefail
@@ -31,10 +31,12 @@ bench_dir="$(mktemp -d)"
 trap 'rm -rf "$bench_dir"' EXIT
 (cd "$bench_dir" && "$repo/build/bench/bench_sort_topn")
 
-echo "== Join index gate: bench_ablation (2M-row build) =="
+echo "== Join index and runtime filter gate: bench_ablation =="
 # Its exit code says the partitioned-hash and direct-address join arms
-# built the index each is meant to measure and agreed on their row count
-# and checksum.
+# (2M-row build) built the index each is meant to measure and agreed on
+# their row count and checksum, and that the 1M-row scan's no-filter,
+# Bloom and dense runtime-filter arms agreed on theirs, the dense arm
+# having taken the dense filter.
 (cd "$bench_dir" && "$repo/build/bench/bench_ablation")
 
 echo "== ASan build: labels $LABELS =="

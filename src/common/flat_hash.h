@@ -215,6 +215,54 @@ class DenseJoinIndex {
   std::vector<int32_t> next_;
 };
 
+/// Exact set of int64 keys in a compact range [min, min + range), one bit
+/// per key slot: the runtime join filter for build keys that
+/// DenseJoinIndex::RangeFor accepts. Membership is one subtraction, one
+/// compare and one bit test — no hashing and no false positives. The range
+/// is at most 8 slots per build row, so the set never takes more than a
+/// byte per build row: no more than the BloomPrefilter for the same keys.
+class DenseKeySet {
+ public:
+  /// Empties the set over keys [min, min + range).
+  void Init(int64_t min, uint64_t range) {
+    min_ = min;
+    range_ = range;
+    size_ = 0;
+    words_.assign((range + 63) / 64, 0);
+  }
+
+  /// Adds `key`, which must lie in the set's range.
+  void Insert(int64_t key) {
+    const uint64_t off = Offset(key);
+    uint64_t& w = words_[off >> 6];
+    const uint64_t bit = uint64_t{1} << (off & 63);
+    size_ += (w & bit) == 0;
+    w |= bit;
+  }
+
+  bool Contains(int64_t key) const {
+    const uint64_t off = Offset(key);
+    return off < range_ && ((words_[off >> 6] >> (off & 63)) & 1) != 0;
+  }
+
+  /// Every key slot is set: the set is exactly the range [lo(), hi()].
+  bool full() const { return range_ > 0 && size_ == range_; }
+  int64_t lo() const { return min_; }
+  int64_t hi() const {
+    return static_cast<int64_t>(static_cast<uint64_t>(min_) + range_ - 1);
+  }
+
+ private:
+  uint64_t Offset(int64_t key) const {
+    return static_cast<uint64_t>(key) - static_cast<uint64_t>(min_);
+  }
+
+  int64_t min_ = 0;
+  uint64_t range_ = 0;
+  uint64_t size_ = 0;  ///< distinct keys held
+  std::vector<uint64_t> words_;
+};
+
 /// Per-partition Bloom-style prefilter for the probe side of a join:
 /// ~8 bits per build key, two bits set per key inside a single 64-bit
 /// word, so a probe miss costs one cache line and no table walk. The word

@@ -1,6 +1,7 @@
 #include "exec/agg.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <type_traits>
 
@@ -17,7 +18,23 @@ void CompensatedAdd(double* sum, double* err, double y) {
   *sum = t;
 }
 
+/// The order DoubleMin/DoubleMax pick by. NaNs whose keys tie (same
+/// payload, other sign) order by their bits.
+bool DoubleBelow(double a, double b) {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  auto key = [](double d, uint64_t u) {
+    if (std::isnan(d)) return u | kSign;
+    return (u & kSign) != 0 ? ~u : u | kSign;
+  };
+  const uint64_t ua = std::bit_cast<uint64_t>(a);
+  const uint64_t ub = std::bit_cast<uint64_t>(b);
+  const uint64_t ka = key(a, ua), kb = key(b, ub);
+  return ka < kb || (ka == kb && ua < ub);
+}
 }  // namespace
+
+double DoubleMin(double a, double b) { return DoubleBelow(b, a) ? b : a; }
+double DoubleMax(double a, double b) { return DoubleBelow(a, b) ? b : a; }
 
 bool AggKindFromName(const std::string& u, AggKind* out) {
   if (u == "COUNT") *out = AggKind::kCount;
@@ -120,8 +137,8 @@ void AggState::AddExtremes(double x, int64_t ix, bool int_domain) {
     return;
   }
   if (!int_domain) fast_int_domain_ = false;
-  dmin_ = std::min(dmin_, x);
-  dmax_ = std::max(dmax_, x);
+  dmin_ = DoubleMin(dmin_, x);
+  dmax_ = DoubleMax(dmax_, x);
   imin_ = std::min(imin_, ix);
   imax_ = std::max(imax_, ix);
 }
@@ -218,8 +235,8 @@ void AggState::Merge(const AggState& o) {
           imax_ = o.imax_;
         } else {
           fast_int_domain_ = fast_int_domain_ && o.fast_int_domain_;
-          dmin_ = std::min(dmin_, o.dmin_);
-          dmax_ = std::max(dmax_, o.dmax_);
+          dmin_ = DoubleMin(dmin_, o.dmin_);
+          dmax_ = DoubleMax(dmax_, o.dmax_);
           imin_ = std::min(imin_, o.imin_);
           imax_ = std::max(imax_, o.imax_);
         }
@@ -489,12 +506,12 @@ void AggColumn::Fold(const uint32_t* gids, const ColumnVector* x, size_t lo,
       return;
     case Form::kDoubleMin:
       Each<double>(gids, *x, lo, n, [c, dv](uint32_t g, double v) {
-        dv[g] = c[g]++ == 0 ? v : std::min(dv[g], v);
+        dv[g] = c[g]++ == 0 ? v : DoubleMin(dv[g], v);
       });
       return;
     case Form::kDoubleMax:
       Each<double>(gids, *x, lo, n, [c, dv](uint32_t g, double v) {
-        dv[g] = c[g]++ == 0 ? v : std::max(dv[g], v);
+        dv[g] = c[g]++ == 0 ? v : DoubleMax(dv[g], v);
       });
       return;
   }
@@ -537,8 +554,8 @@ void AggColumn::MergeGroup(const AggColumn& src, uint32_t g, uint32_t into) {
       if (n > 0) {
         d_[into] = count_[into] == 0 ? src.d_[g]
                    : form_ == Form::kDoubleMin
-                       ? std::min(d_[into], src.d_[g])
-                       : std::max(d_[into], src.d_[g]);
+                       ? DoubleMin(d_[into], src.d_[g])
+                       : DoubleMax(d_[into], src.d_[g]);
       }
       break;
   }

@@ -43,6 +43,13 @@ bool AggKindFromName(const std::string& upper, AggKind* out);
 /// Result type of an aggregate given its input type.
 TypeId AggResultType(AggKind kind, TypeId input);
 
+/// MIN and MAX of two doubles in one total order: -0.0 below +0.0, every
+/// NaN above +inf (as in ORDER BY), NaNs of either sign by their bits. No
+/// two distinct bit patterns tie, so a fold or merge gives the same bits
+/// whatever order the values or partials arrive in.
+double DoubleMin(double a, double b);
+double DoubleMax(double a, double b);
+
 /// One aggregate in a GROUP BY: kind + argument expression(s).
 struct AggSpec {
   AggKind kind = AggKind::kCountStar;

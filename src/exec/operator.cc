@@ -63,13 +63,42 @@ bool CellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
   return a.GetInt(i) == b.GetInt(j);
 }
 
-std::string BloomDroppedExtra(const std::vector<ScanRuntimeFilter>& filters,
-                              uint64_t dropped) {
+/// ` blooms=N bloom-dropped=M filter=K[,K...]` over every runtime filter,
+/// plus ` noop-pages=P` (full dense filters skipped by the key synopsis)
+/// when a dense filter is among them.
+std::string RuntimeFilterExtra(const std::vector<ScanRuntimeFilter>& filters,
+                              const ScanStats& stats) {
   if (filters.empty()) return std::string();
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), " blooms=%zu bloom-dropped=%llu",
-                filters.size(), static_cast<unsigned long long>(dropped));
-  return buf;
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), " blooms=%zu bloom-dropped=%llu filter=",
+                filters.size(),
+                static_cast<unsigned long long>(stats.bloom_dropped));
+  std::string out = buf;
+  bool dense = false;
+  for (size_t i = 0; i < filters.size(); ++i) {
+    if (i > 0) out += ",";
+    out += filters[i].kind();
+    dense |= filters[i].dense != nullptr;
+  }
+  if (dense) out += " noop-pages=" + std::to_string(stats.filter_skips);
+  return out;
+}
+
+/// The DenseJoinIndex::RangeFor key-slot count of the non-NULL keys of the
+/// integer-backed column `keys` (0 when they do not qualify); *lo receives
+/// their minimum.
+uint64_t DenseRangeOf(const ColumnVector& keys, int64_t* lo) {
+  const int64_t* v = keys.ints().data();
+  const bool nulls = keys.has_nulls();
+  int64_t min = INT64_MAX, max = INT64_MIN;
+  for (size_t r = 0; r < keys.size(); ++r) {
+    if (nulls && keys.IsNull(r)) continue;
+    min = std::min(min, v[r]);
+    max = std::max(max, v[r]);
+  }
+  *lo = min;
+  // An all-NULL column leaves max < min, which never qualifies.
+  return DenseJoinIndex::RangeFor(min, max, keys.size());
 }
 
 }  // namespace
@@ -283,6 +312,29 @@ void AttachQueryContext(Operator* root, QueryContext* qctx) {
   }
 }
 
+ScanRuntimeFilter MakeRuntimeFilter(int col, const ColumnVector& keys,
+                                    TypeId probe_type) {
+  const size_t n = keys.size();
+  int64_t lo = 0;
+  if (IsIntegerBacked(keys.type()) && IsIntegerBacked(probe_type)) {
+    if (const uint64_t range = DenseRangeOf(keys, &lo)) {
+      auto set = std::make_shared<DenseKeySet>();
+      set->Init(lo, range);
+      const int64_t* v = keys.ints().data();
+      for (size_t r = 0; r < n; ++r) {
+        if (!keys.IsNull(r)) set->Insert(v[r]);
+      }
+      return {col, std::shared_ptr<const DenseKeySet>(std::move(set))};
+    }
+  }
+  auto bloom = std::make_shared<BloomPrefilter>();
+  bloom->Init(n);
+  for (size_t r = 0; r < n; ++r) {
+    if (!keys.IsNull(r)) bloom->Add(HashCell(keys, r));
+  }
+  return {col, std::shared_ptr<const BloomPrefilter>(std::move(bloom))};
+}
+
 int64_t BatchMemoryBytes(const RowBatch& b) {
   int64_t bytes = 0;
   for (const auto& col : b.columns) bytes += ColumnMemoryBytes(col);
@@ -326,19 +378,20 @@ Status ColumnScanOp::OpenImpl() {
   return Status::OK();
 }
 
-bool ColumnScanOp::AcceptRuntimeFilter(
-    int col, std::shared_ptr<const BloomPrefilter> bloom) {
-  if (next_page_ > 0 || col < 0 ||
-      col >= static_cast<int>(output_.size()) || !bloom) {
+bool ColumnScanOp::AcceptRuntimeFilter(ScanRuntimeFilter filter) {
+  const int col = filter.col;
+  if (next_page_ > 0 || col < 0 || col >= static_cast<int>(output_.size()) ||
+      !filter.bloom == !filter.dense ||
+      (filter.dense && !IsIntegerBacked(output_[col].type))) {
     return false;
   }
-  runtime_filters_.push_back({col, std::move(bloom)});
+  runtime_filters_.push_back(std::move(filter));
   GlobalExecInstruments().bloom_pushdowns->Add(1);
   return true;
 }
 
 std::string ColumnScanOp::AnalyzeExtra() const {
-  return BloomDroppedExtra(runtime_filters_, stats_.bloom_dropped);
+  return RuntimeFilterExtra(runtime_filters_, stats_);
 }
 
 Result<bool> ColumnScanOp::NextImpl(RowBatch* out) {
@@ -428,6 +481,7 @@ Status ColumnScanOp::FillWindow() {
     stats_.strides_skipped += u.strides_skipped;
     stats_.rows_matched += u.rows_matched;
     stats_.bloom_dropped += u.bloom_dropped;
+    stats_.filter_skips += u.filter_skips;
   }
   GlobalExecInstruments().bloom_rows_dropped->Add(stats_.bloom_dropped -
                                                   dropped0);
@@ -822,14 +876,8 @@ Result<bool> HashJoinOp::BuildDense() {
   const size_t n = kc.size();
   const int64_t* keys = kc.ints().data();
   const bool nulls = kc.has_nulls();
-  int64_t lo = INT64_MAX, hi = INT64_MIN;
-  for (size_t r = 0; r < n; ++r) {
-    if (nulls && kc.IsNull(r)) continue;
-    lo = std::min(lo, keys[r]);
-    hi = std::max(hi, keys[r]);
-  }
-  // An all-NULL build leaves hi < lo, which never qualifies.
-  const uint64_t range = DenseJoinIndex::RangeFor(lo, hi, n);
+  int64_t lo = 0;
+  const uint64_t range = DenseRangeOf(kc, &lo);
   if (range == 0) return false;
   dense_.Init(lo, range, n);
   DASHDB_RETURN_IF_ERROR(
@@ -844,24 +892,18 @@ Result<bool> HashJoinOp::BuildDense() {
 
 void HashJoinOp::InstallProbeFilter() {
   // Scan-side semi-join pushdown: the build is complete and the probe side
-  // has not been pulled yet, so a Bloom filter over the (single) build key
-  // column can still land on the probe-side scan before it runs. The
-  // filter hashes raw key cells (HashCell semantics), independent of the
-  // multi-key HashCombine chain the join tables use.
+  // has not been pulled yet, so a filter over the (single) build key column
+  // can still land on the probe-side scan before it runs. Its keys are raw
+  // key cells, independent of the multi-key HashCombine chain the join
+  // tables use.
   if (filter_target_ == nullptr || type_ != JoinType::kInner ||
       build_keys_.size() != 1) {
     return;
   }
   const ColumnVector& bc = fast_int_ ? build_data_.columns[build_key_col_]
                                      : build_key_cols_[0];
-  auto bloom = std::make_shared<BloomPrefilter>();
-  bloom->Init(bc.size());
-  for (size_t r = 0; r < bc.size(); ++r) {
-    if (bc.IsNull(r)) continue;
-    bloom->Add(HashCell(bc, r));
-  }
-  filter_installed_ =
-      filter_target_->AcceptRuntimeFilter(filter_target_col_, std::move(bloom));
+  filter_installed_ = filter_target_->AcceptRuntimeFilter(MakeRuntimeFilter(
+      filter_target_col_, bc, probe_keys_[0]->out_type()));
 }
 
 bool HashJoinOp::KeysEqual(
@@ -1705,14 +1747,9 @@ Status AdaptiveJoinOp::Assemble() {
     }
     const RowBatch& b = mat[mat_item];
     if (b.num_rows() == 0) continue;
-    const ColumnVector& kc = b.columns[mat_col];
-    auto bloom = std::make_shared<BloomPrefilter>();
-    bloom->Init(b.num_rows());
-    for (size_t r = 0; r < b.num_rows(); ++r) {
-      if (kc.IsNull(r)) continue;
-      bloom->Add(HashCell(kc, r));
-    }
-    if (sources_[driver]->AcceptRuntimeFilter(drv_col, std::move(bloom))) {
+    if (sources_[driver]->AcceptRuntimeFilter(MakeRuntimeFilter(
+            drv_col, b.columns[mat_col],
+            sources_[driver]->output()[drv_col].type))) {
       ++blooms_;
     }
   }

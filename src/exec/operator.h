@@ -109,14 +109,12 @@ class Operator {
   int64_t mem_peak_bytes() const { return mem_peak_bytes_; }
 
   /// Sideways information passing: a hash-join build (or the adaptive join
-  /// assembler, or the MPP coordinator) offers a Bloom filter over its
-  /// build keys to a probe-side scan. `col` is an output-column index of
-  /// this operator; hashes follow HashCell semantics. Returns true when
-  /// the operator will apply the filter; the base class declines.
-  virtual bool AcceptRuntimeFilter(int col,
-                                   std::shared_ptr<const BloomPrefilter> bloom) {
-    (void)col;
-    (void)bloom;
+  /// assembler, or the MPP coordinator) offers a filter over its build keys
+  /// to a probe-side scan (see ScanRuntimeFilter and MakeRuntimeFilter).
+  /// `filter.col` is an output-column index of this operator. Returns true
+  /// when the operator will apply the filter; the base class declines.
+  virtual bool AcceptRuntimeFilter(ScanRuntimeFilter filter) {
+    (void)filter;
     return false;
   }
 
@@ -219,8 +217,7 @@ class ColumnScanOp : public Operator {
 
   /// Accepted until the first window is dispatched: a build side always
   /// completes before the probe side's first pull.
-  bool AcceptRuntimeFilter(
-      int col, std::shared_ptr<const BloomPrefilter> bloom) override;
+  bool AcceptRuntimeFilter(ScanRuntimeFilter filter) override;
 
  protected:
   std::string AnalyzeExtra() const override;
@@ -713,6 +710,14 @@ Result<RowBatch> DrainOperator(Operator* op);
 /// that build sub-plans at runtime (AdaptiveJoinOp) re-attach through
 /// their ExecContext's query_ctx.
 void AttachQueryContext(Operator* root, QueryContext* qctx);
+
+/// The runtime join filter over build keys `keys` for the probe column
+/// `col` of type `probe_type`: an exact DenseKeySet when both are
+/// integer-backed and the non-NULL keys span a range
+/// DenseJoinIndex::RangeFor accepts, else a Bloom filter of the keys'
+/// HashCell hashes. NULL keys are never added.
+ScanRuntimeFilter MakeRuntimeFilter(int col, const ColumnVector& keys,
+                                    TypeId probe_type);
 
 /// Estimated in-memory footprint of a batch, matching the fluid transfer
 /// accounting: 8 bytes per fixed-width cell, string size + 2 per varchar

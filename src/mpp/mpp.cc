@@ -1222,11 +1222,20 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
                       : Value::Int64(cur.AsInt() + incoming.AsInt());
             break;
           case MergeOp::kMin:
-            if (incoming.Compare(cur) < 0) cur = incoming;
+          case MergeOp::kMax: {
+            // Doubles merge in the shards' own total order, so a -0.0/+0.0
+            // tie or a NaN does not depend on which shard arrives first.
+            const bool min = merges[p] == MergeOp::kMin;
+            if (cur.type() == TypeId::kDouble &&
+                incoming.type() == TypeId::kDouble) {
+              const double a = cur.AsDouble(), b = incoming.AsDouble();
+              cur = Value::Double(min ? DoubleMin(a, b) : DoubleMax(a, b));
+            } else if (min ? incoming.Compare(cur) < 0
+                           : incoming.Compare(cur) > 0) {
+              cur = incoming;
+            }
             break;
-          case MergeOp::kMax:
-            if (incoming.Compare(cur) > 0) cur = incoming;
-            break;
+          }
         }
       }
     }

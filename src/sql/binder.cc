@@ -769,7 +769,12 @@ class SelectBinder {
         };
         std::vector<ast::ExprP> roots;
         for (const auto& item : stmt.items) roots.push_back(item.expr);
-        for (const auto& conj : where_pool) roots.push_back(conj);
+        // A conjunct pushed whole into its scan as a ColumnPredicate is
+        // evaluated on the page codes, so its column is not projected
+        // unless something else reads it. Pushdowns that must be
+        // re-checked are in `residual` too.
+        for (const auto& conj : residual) roots.push_back(conj);
+        for (const auto& conj : join_pool) roots.push_back(conj);
         for (const auto& g : stmt.group_by) roots.push_back(g);
         if (stmt.having) roots.push_back(stmt.having);
         if (stmt.start_with) roots.push_back(stmt.start_with);
@@ -934,8 +939,8 @@ class SelectBinder {
               }
               for (size_t c = 0; c < item_cols[i].size(); ++c) {
                 if (item_cols[i][c].name == rf.column) {
-                  source_ptrs[i]->AcceptRuntimeFilter(static_cast<int>(c),
-                                                      rf.bloom);
+                  source_ptrs[i]->AcceptRuntimeFilter(
+                      {static_cast<int>(c), rf.bloom});
                   break;
                 }
               }

@@ -512,7 +512,9 @@ class RowSlots {
 
 /// Writes the selected rows of a row-order code array to dst, mapping each
 /// code through `value_of`. A full selection decodes straight into dst; a
-/// partial one decodes only the 64-row blocks holding selected rows.
+/// partial one goes a 64-row selection word at a time: a full word decodes
+/// straight through, an empty one is skipped, and a partial one decodes
+/// its block and compacts it by bit iteration.
 template <typename ValueOf>
 void DecodeRowOrder(const BitPackedArray& codes, size_t n, const BitVector* sel,
                     const RowSlots& slots, int64_t* dst, ValueOf value_of) {
@@ -522,20 +524,29 @@ void DecodeRowOrder(const BitPackedArray& codes, size_t n, const BitVector* sel,
     for (size_t i = 0; i < n; ++i) dst[i] = value_of(raw[i]);
     return;
   }
+  const uint64_t* words = sel->words();
   uint64_t block[64];
-  size_t loaded = SIZE_MAX;
   size_t j = 0;
-  sel->ForEachSet([&](size_t i) {
-    if ((i >> 6) != loaded) {
-      loaded = i >> 6;
-      const size_t b = loaded * 64;
-      codes.Decode(b, std::min<size_t>(64, n - b), block);
+  for (size_t wi = 0; wi < sel->word_count(); ++wi) {
+    const uint64_t w = words[wi];
+    if (w == 0) continue;
+    const size_t b = wi * 64;
+    if (w == ~uint64_t{0}) {
+      uint64_t* raw = reinterpret_cast<uint64_t*>(dst + j);
+      codes.Decode(b, 64, raw);
+      for (size_t k = 0; k < 64; ++k) dst[j + k] = value_of(raw[k]);
+      j += 64;
+      continue;
     }
-    dst[j++] = value_of(block[i & 63]);
-  });
+    codes.Decode(b, std::min<size_t>(64, n - b), block);
+    for (uint64_t m = w; m != 0; m &= m - 1) {
+      dst[j++] = value_of(block[std::countr_zero(m)]);
+    }
+  }
 }
 
-/// Copies the selected rows of a raw row-order payload to dst.
+/// Copies the selected rows of a raw row-order payload to dst, a selection
+/// word at a time as DecodeRowOrder does.
 template <typename T>
 void CopySelected(const std::vector<T>& src, size_t n, const BitVector* sel,
                   const RowSlots& slots, T* dst) {
@@ -543,8 +554,18 @@ void CopySelected(const std::vector<T>& src, size_t n, const BitVector* sel,
     std::copy(src.begin(), src.begin() + n, dst);
     return;
   }
+  const uint64_t* words = sel->words();
   size_t j = 0;
-  sel->ForEachSet([&](size_t i) { dst[j++] = src[i]; });
+  for (size_t wi = 0; wi < sel->word_count(); ++wi) {
+    const uint64_t w = words[wi];
+    const T* row = src.data() + wi * 64;
+    if (w == ~uint64_t{0}) {
+      std::copy(row, row + 64, dst + j);
+      j += 64;
+      continue;
+    }
+    for (uint64_t m = w; m != 0; m &= m - 1) dst[j++] = row[std::countr_zero(m)];
+  }
 }
 
 /// Marks the page's selected NULL rows in `out`, whose slot 0 is `first`.

@@ -490,41 +490,88 @@ void ColumnTable::DecodeColumn(int col, size_t page_no, const BitVector& sel,
   }
 }
 
+bool ColumnTable::PageKeysWithin(int col, size_t page_no, int64_t lo,
+                                 int64_t hi) const {
+  const ColumnData& cd = columns_[col];
+  if (cd.pages[page_no]->has_nulls) return false;
+  const size_t first = page_first_stride_[page_no];
+  const size_t n_strides = StridesInPage(page_rows_[page_no]);
+  if (first + n_strides > cd.int_synopsis.num_strides()) return false;
+  for (size_t s = first; s < first + n_strides; ++s) {
+    const StrideSummary& st = cd.int_synopsis.stride(s);
+    if (!st.has_non_null || st.min < lo || st.max > hi) return false;
+  }
+  return true;
+}
+
 size_t ColumnTable::ApplyRuntimeFilters(
     const std::vector<ScanRuntimeFilter>& filters,
     const std::vector<int>& projection, size_t page_no, BitVector* match,
-    std::vector<DecodedKey>* decoded) const {
+    std::vector<DecodedKey>* decoded, size_t* filter_skips) const {
   size_t dropped = 0;
   uint64_t* words = match->mutable_words();
   for (const ScanRuntimeFilter& f : filters) {
+    const int c = projection[f.col];
+    // A full dense set is the range [lo, hi]: a page whose keys provably
+    // all lie inside it cannot lose a row.
+    if (f.dense && f.dense->full() &&
+        PageKeysWithin(c, page_no, f.dense->lo(), f.dense->hi())) {
+      ++*filter_skips;
+      continue;
+    }
     // The key column is decoded for the rows still matching, in row order,
     // so key j belongs to the j-th set bit. Misses clear their bits without
     // a branch, one bitmap word at a time.
-    const int c = projection[f.col];
     DecodedKey& d = decoded->emplace_back(
         DecodedKey{static_cast<size_t>(f.col), *match,
                    ColumnVector(schema_.column(c).type)});
     const ColumnVector& keys = d.values;
     DecodeColumn(c, page_no, *match, &d.values);
-    const BloomPrefilter& bloom = *f.bloom;
-    auto drop_misses = [&](auto hash_of) {
+    auto drop_misses = [&](auto miss_of) {
       size_t j = 0;
       for (size_t wi = 0; wi < match->word_count(); ++wi) {
         uint64_t keep = words[wi];
-        for (uint64_t w = keep; w != 0; w &= w - 1) {
-          const uint64_t miss = !bloom.MayContain(hash_of(j++));
-          keep &= ~(miss << std::countr_zero(w));
+        if (keep == ~uint64_t{0}) {
+          // A full word: its 64 keys are consecutive.
+          uint64_t miss = 0;
+          for (unsigned b = 0; b < 64; ++b) {
+            miss |= static_cast<uint64_t>(miss_of(j + b)) << b;
+          }
+          j += 64;
+          keep = ~miss;
+        } else {
+          for (uint64_t w = keep; w != 0; w &= w - 1) {
+            const uint64_t miss = miss_of(j++);
+            keep &= ~(miss << std::countr_zero(w));
+          }
         }
         dropped += std::popcount(words[wi] ^ keep);
         words[wi] = keep;
       }
     };
-    if (IsIntegerBacked(keys.type()) && !keys.has_nulls()) {
+    const bool nulls = keys.has_nulls();
+    if (f.dense) {
+      const DenseKeySet& set = *f.dense;
       const int64_t* v = keys.ints().data();
-      drop_misses(
-          [v](size_t j) { return HashInt64(static_cast<uint64_t>(v[j])); });
+      if (nulls) {
+        drop_misses([&](size_t j) {
+          return keys.IsNull(j) || !set.Contains(v[j]);
+        });
+      } else {
+        drop_misses([&set, v](size_t j) { return !set.Contains(v[j]); });
+      }
+      continue;
+    }
+    const BloomPrefilter& bloom = *f.bloom;
+    if (IsIntegerBacked(keys.type()) && !nulls) {
+      const int64_t* v = keys.ints().data();
+      drop_misses([&bloom, v](size_t j) {
+        return !bloom.MayContain(HashInt64(static_cast<uint64_t>(v[j])));
+      });
     } else {
-      drop_misses([&keys](size_t j) { return HashCell(keys, j); });
+      drop_misses([&bloom, &keys](size_t j) {
+        return !bloom.MayContain(HashCell(keys, j));
+      });
     }
   }
   return dropped;
@@ -557,13 +604,27 @@ void ColumnTable::DecodeProjection(const std::vector<int>& projection,
         cv->Append(key->values);
       }
     } else {
-      std::vector<uint32_t> keep;
-      keep.reserve(hits);
+      // sel is a subset of key->sel. Compact a word at a time: a word
+      // both hold whole keeps its run of keys, a word sel emptied skips it,
+      // and only a partial word walks its bits.
+      std::vector<uint32_t> keep(hits);
+      const uint64_t* have = key->sel.words();
+      const uint64_t* want = sel.words();
       uint32_t j = 0;
-      key->sel.ForEachSet([&](size_t i) {
-        if (sel.Get(i)) keep.push_back(j);
-        ++j;
-      });
+      size_t o = 0;
+      for (size_t wi = 0; wi < sel.word_count(); ++wi) {
+        const uint64_t h = have[wi], w = want[wi];
+        const uint32_t run = static_cast<uint32_t>(std::popcount(h));
+        if (w == h) {
+          for (uint32_t k = 0; k < run; ++k) keep[o++] = j + k;
+        } else if (w != 0) {
+          uint32_t k = j;
+          for (uint64_t b = h; b != 0; b &= b - 1, ++k) {
+            if (w & b & (~b + 1)) keep[o++] = k;
+          }
+        }
+        j += run;
+      }
       cv->Gather(key->values, keep.data(), keep.size());
     }
     // Keep the dictionary codes alongside the decoded values when they stay
@@ -655,9 +716,12 @@ Status ColumnTable::ScanPage(size_t page_no,
     }
   }
   for (const auto& f : filters) {
-    if (f.col < 0 || static_cast<size_t>(f.col) >= projection.size() ||
-        !f.bloom) {
+    if (f.col < 0 || static_cast<size_t>(f.col) >= projection.size()) {
       return Status::InvalidArgument("runtime filter column out of range");
+    }
+    if (!f.bloom == !f.dense ||
+        (f.dense && !IsIntegerBacked(schema_.column(projection[f.col]).type))) {
+      return Status::InvalidArgument("malformed runtime filter");
     }
   }
   if (page_no > num_pages_) return Status::OutOfRange("page out of range");
@@ -684,8 +748,7 @@ Status ColumnTable::ScanPage(size_t page_no,
       if (!ok) continue;
       ++matched;
       for (const auto& f : filters) {
-        if (!f.bloom->MayContain(
-                HashCell(tail_.columns[projection[f.col]], i))) {
+        if (!f.Keeps(tail_.columns[projection[f.col]], i)) {
           ok = false;
           break;
         }
@@ -728,9 +791,13 @@ Status ColumnTable::ScanPage(size_t page_no,
   for (int c : projection) ChargePool(opts.pool, c, p);
   std::vector<DecodedKey> keys;
   if (!filters.empty()) {
+    size_t skips = 0;
     const size_t dropped =
-        ApplyRuntimeFilters(filters, projection, p, &match, &keys);
-    if (stats) stats->bloom_dropped += dropped;
+        ApplyRuntimeFilters(filters, projection, p, &match, &keys, &skips);
+    if (stats) {
+      stats->bloom_dropped += dropped;
+      stats->filter_skips += skips;
+    }
     hits -= dropped;
     if (hits == 0) return Status::OK();
   }

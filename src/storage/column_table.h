@@ -67,15 +67,35 @@ struct ScanOptions {
   bool shared_scan = false;
 };
 
-/// A Bloom filter pushed sideways into a scan (semi-join reduction): rows
-/// whose `col` cell hash misses the filter are cleared from the page's match
-/// bitmap before the rest of the projection is decoded. The cell hash is
-/// HashCell, so any filter built over join-build keys (locally or on
-/// another MPP node) composes with any scan. NULL keys hash to the NULL
-/// sentinel, which join builds never add.
+/// A join-key filter pushed sideways into a scan (semi-join reduction):
+/// rows whose `col` cell misses the filter are cleared from the page's
+/// match bitmap before the rest of the projection is decoded. Exactly one
+/// of two kinds is set:
+///  - `dense`, an exact DenseKeySet over an integer-backed key column.
+///    NULL keys miss. When the set is full (a range), a page whose key
+///    column holds no NULL and whose stride min/max lie inside the range
+///    cannot lose a row, and skips the filter untouched.
+///  - `bloom`, tested with HashCell hashes, so a filter built over
+///    join-build keys (locally or on another MPP node) composes with any
+///    scan. NULL keys hash to the NULL sentinel, which join builds never
+///    add.
 struct ScanRuntimeFilter {
+  ScanRuntimeFilter() = default;
+  ScanRuntimeFilter(int c, std::shared_ptr<const BloomPrefilter> b)
+      : col(c), bloom(std::move(b)) {}
+  ScanRuntimeFilter(int c, std::shared_ptr<const DenseKeySet> d)
+      : col(c), dense(std::move(d)) {}
+
   int col = 0;  ///< index into the scan's projection
   std::shared_ptr<const BloomPrefilter> bloom;
+  std::shared_ptr<const DenseKeySet> dense;
+
+  /// Whether row `i` of `cv` (the key column) passes the filter.
+  bool Keeps(const ColumnVector& cv, size_t i) const {
+    if (dense) return !cv.IsNull(i) && dense->Contains(cv.GetInt(i));
+    return bloom->MayContain(HashCell(cv, i));
+  }
+  const char* kind() const { return dense ? "dense" : "bloom"; }
 };
 
 /// Per-scan observability counters.
@@ -85,6 +105,9 @@ struct ScanStats {
   size_t strides_skipped = 0;
   size_t rows_matched = 0;      ///< rows passing the predicates
   size_t bloom_dropped = 0;     ///< matched rows a runtime filter dropped
+  /// Page visits on which a full dense filter was skipped because the
+  /// page's key synopsis lies inside its range (one per filter and page).
+  size_t filter_skips = 0;
 };
 
 /// Optimizer-facing statistics for one column, derived from data the
@@ -241,11 +264,18 @@ class ColumnTable : public StorageObject {
 
   /// Clears the `match` bits whose filter key misses a runtime filter
   /// (page_no < num_pages()); returns the number of bits cleared. Each
-  /// filter's decoded key column is appended to *keys.
+  /// filter's decoded key column is appended to *keys; a full dense filter
+  /// the page's key synopsis lies inside decodes nothing and counts into
+  /// *filter_skips.
   size_t ApplyRuntimeFilters(const std::vector<ScanRuntimeFilter>& filters,
                              const std::vector<int>& projection,
                              size_t page_no, BitVector* match,
-                             std::vector<DecodedKey>* keys) const;
+                             std::vector<DecodedKey>* keys,
+                             size_t* filter_skips) const;
+
+  /// True when column `col` of page `page_no` holds no NULL and every
+  /// stride's synopsis min/max lies inside [lo, hi].
+  bool PageKeysWithin(int col, size_t page_no, int64_t lo, int64_t hi) const;
 
   /// `attach_codes` keeps the dictionary-code sidecar on fully-selected
   /// kDict* pages so downstream filters can operate on compressed. A

@@ -313,8 +313,9 @@ uint64_t RandomCode(Rng* rng, int width, uint64_t limit) {
   return limit != 0 ? c % limit : c;
 }
 
-/// The four selections every page is decoded under: none, a sparse and a
-/// dense random subset, and all rows (as a bitmap and as nullptr).
+/// The selections every page is decoded under: none, a sparse and a dense
+/// random subset, 64-row words drawn whole, empty or partial, every row but
+/// one, and all rows (as a bitmap and as nullptr).
 std::vector<std::pair<std::string, std::optional<BitVector>>> Selections(
     size_t n, Rng* rng) {
   std::vector<std::pair<std::string, std::optional<BitVector>>> out;
@@ -325,6 +326,24 @@ std::vector<std::pair<std::string, std::optional<BitVector>>> Selections(
       if (rng->Bernoulli(density)) sel.Set(i);
     }
     out.emplace_back("partial_" + std::to_string(density), std::move(sel));
+  }
+  {
+    // The word-at-a-time decoders take a full word straight through, skip
+    // an empty one and compact a partial one.
+    BitVector sel(n);
+    for (size_t w = 0; w * 64 < n; ++w) {
+      const size_t end = std::min(n, w * 64 + 64);
+      const uint64_t kind = rng->Uniform(3);
+      for (size_t i = w * 64; i < end; ++i) {
+        if (kind == 0 || (kind == 2 && rng->Bernoulli(0.5))) sel.Set(i);
+      }
+    }
+    out.emplace_back("words", std::move(sel));
+  }
+  if (n > 0) {
+    BitVector sel(n, true);
+    sel.Clear(rng->Uniform(n));
+    out.emplace_back("all_but_one", std::move(sel));
   }
   out.emplace_back("full_bitmap", BitVector(n, true));
   out.emplace_back("full_nullptr", std::nullopt);

@@ -2,9 +2,12 @@
 // the polyglot scalar function library, aggregates, and operators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <type_traits>
 #include <vector>
 
@@ -559,6 +562,68 @@ TEST(AggTest, ColumnarStatesMatchAggStateBitForBit) {
   AggSpec median = small;
   median.kind = AggKind::kMedian;
   EXPECT_FALSE(AggColumn::Supports(median));
+}
+
+TEST(AggTest, DoubleExtremesFoldInOneTotalOrder) {
+  // MIN and MAX over doubles give the same bits whatever order values are
+  // folded and partials merged in: -0.0 sorts below +0.0, every NaN above
+  // +inf as in ORDER BY, and NaNs of either sign order by their bits.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double neg_nan = std::copysign(nan, -1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    std::vector<double> values;
+    double min, max;
+  };
+  const std::vector<Case> cases = {
+      {{-0.0, 0.0}, -0.0, 0.0},
+      {{0.0, -0.0, 0.0}, -0.0, 0.0},
+      {{nan, 1.0}, 1.0, nan},
+      {{-inf, nan, inf}, -inf, nan},
+      {{neg_nan, nan, -1.0}, -1.0, neg_nan},
+  };
+  auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (const Case& c : cases) {
+    for (AggKind kind : {AggKind::kMin, AggKind::kMax}) {
+      const double want = kind == AggKind::kMin ? c.min : c.max;
+      const AggSpec spec{kind, std::make_shared<ColumnRefExpr>(0, TypeId::kDouble),
+                         nullptr, 0.5, false, TypeId::kDouble};
+      std::vector<size_t> order(c.values.size());
+      std::iota(order.begin(), order.end(), 0);
+      do {
+        ColumnVector col(TypeId::kDouble);
+        for (size_t i : order) col.AppendDouble(c.values[i]);
+        // Every split into two partials, merged either way round.
+        for (size_t split = 0; split <= col.size(); ++split) {
+          for (bool swap : {false, true}) {
+            AggState lo(&spec), hi(&spec);
+            AggColumn clo(spec), chi(spec);
+            clo.AddGroup();
+            chi.AddGroup();
+            const std::vector<uint32_t> gids(col.size(), 0);
+            for (size_t j = 0; j < col.size(); ++j) {
+              (j < split ? lo : hi)
+                  .Add(col.GetValue(j), Value::Null(TypeId::kInt64));
+            }
+            clo.Fold(gids.data(), &col, 0, split);
+            chi.Fold(gids.data(), &col, split, col.size() - split);
+            AggState& into = swap ? hi : lo;
+            AggColumn& cinto = swap ? chi : clo;
+            into.Merge(swap ? lo : hi);
+            cinto.MergeGroup(swap ? clo : chi, 0, 0);
+            ColumnVector got(TypeId::kDouble);
+            cinto.Finish(nullptr, 1, &got);
+            EXPECT_TRUE(same(into.Finish().AsDouble(), want))
+                << into.Finish().AsDouble() << " want " << want;
+            EXPECT_TRUE(same(got.GetDouble(0), want))
+                << got.GetDouble(0) << " want " << want;
+          }
+        }
+      } while (std::next_permutation(order.begin(), order.end()));
+    }
+  }
 }
 
 TEST(AggTest, NameMapping) {

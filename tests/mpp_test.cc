@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -221,6 +224,62 @@ TEST_F(MppTest, WherePushdownAcrossShards) {
   auto r = db_.Execute("SELECT COUNT(*) FROM sales WHERE id < 100");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->result.rows.columns[0].GetInt(0), 100);
+}
+
+TEST(MppExtremesTest, DoubleMinMaxMatchSingleNodeBitForBit) {
+  // Signed zeros and NaNs of both signs spread over 16 shards: the
+  // coordinator merges shard partials in the same total order the single
+  // node folds in (-0.0 below +0.0, NaN above +inf), whichever shard
+  // answers first.
+  TableSchema z("PUBLIC", "Z", {{"K", TypeId::kInt64, false, 0, false},
+                                {"D", TypeId::kDouble, true, 0, false}});
+  z.set_distribution_key(0);
+  RowBatch rows;
+  rows.columns.emplace_back(TypeId::kInt64);
+  rows.columns.emplace_back(TypeId::kDouble);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int i = 0; i < 400; ++i) {
+    rows.columns[0].AppendInt(i);
+    rows.columns[1].AppendDouble(i % 97 == 5    ? nan
+                                 : i % 89 == 7 ? std::copysign(nan, -1.0)
+                                 : i % 2 == 0  ? 0.0
+                                               : -0.0);
+  }
+  MppDatabase mpp(4, 4, 8, size_t{8} << 30);
+  ASSERT_TRUE(mpp.CreateTable(z).ok());
+  ASSERT_TRUE(mpp.Load("PUBLIC", "Z", rows).ok());
+  Engine single;
+  auto table = single.CreateColumnTable(z);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_TRUE((*table)->Load(rows).ok());
+  auto session = single.CreateSession();
+  auto bits = [](const RowBatch& b) {
+    std::string s;
+    for (size_t r = 0; r < b.num_rows(); ++r) {
+      for (const ColumnVector& c : b.columns) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%a|",
+                      c.type() == TypeId::kDouble
+                          ? c.GetDouble(r)
+                          : static_cast<double>(c.GetInt(r)));
+        s += buf;
+      }
+      s += '\n';
+    }
+    return s;
+  };
+  for (const char* sql :
+       {"SELECT MIN(D) AS LO, MAX(D) AS HI FROM Z",
+        "SELECT K % 7 AS G, MIN(D) AS LO, MAX(D) AS HI FROM Z "
+        "GROUP BY K % 7 ORDER BY G"}) {
+    SCOPED_TRACE(sql);
+    auto want = single.Execute(session.get(), sql);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto got = mpp.Execute(sql);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(bits(got->result.rows), bits(want->rows));
+    EXPECT_NE(bits(want->rows).find("-0x0p+0"), std::string::npos);
+  }
 }
 
 TEST_F(MppTest, ShardLocalJoinWithReplicatedDim) {

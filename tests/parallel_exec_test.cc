@@ -12,6 +12,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -961,8 +962,8 @@ std::string RunGroupBy(const std::vector<AggRow>& rows, bool boxed,
 }
 
 /// Arguments for row r: I and D NULL on some rows, D with inexact
-/// decimals. (No -0.0: a group whose extreme ties +0.0 keeps whichever
-/// zero its partials meet first, at any degree.)
+/// decimals, -0.0 beside +0.0, and now and then a NaN, so MIN and MAX
+/// meet signed-zero ties and NaN in whatever order the partials fold.
 AggRow ArgsFor(size_t r, std::optional<int64_t> k) {
   AggRow row;
   row.k = k;
@@ -970,6 +971,8 @@ AggRow ArgsFor(size_t r, std::optional<int64_t> k) {
     row.i = static_cast<int64_t>(r * 2654435761u % 2000003) - 1000000;
   }
   if (r % 7 != 5) row.d = static_cast<double>(r % 1000) * 0.1 - 40;
+  if (r % 400 == 1) row.d = -0.0;
+  if (r % 1009 == 2) row.d = std::numeric_limits<double>::quiet_NaN();
   return row;
 }
 
@@ -1013,6 +1016,19 @@ TEST(ParallelExecTest, TypedGroupByMatchesOracleAtDop1AndDop4) {
     for (size_t r = 0; r < 12 * 4096; ++r) {
       const int64_t k = static_cast<int64_t>(r * 31 % 3000);
       c.rows.push_back(ArgsFor(r, r < 8 * 4096 ? k : k * (int64_t{1} << 40)));
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // 50 groups whose D is only signed zeros and NaN: every MIN is a tie
+    // of -0.0 and +0.0, every MAX with a NaN is that NaN.
+    Case c{"signed zeros and NaN", {}, "direct", false};
+    for (size_t r = 0; r < 12 * 4096; ++r) {
+      AggRow row = ArgsFor(r, static_cast<int64_t>(r % 50));
+      row.d = r % 3 == 0   ? -0.0
+              : r % 997 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                             : 0.0;
+      c.rows.push_back(row);
     }
     cases.push_back(std::move(c));
   }
@@ -1283,21 +1299,19 @@ std::shared_ptr<ColumnTable> MakeScanTable(int64_t miss_key, int64_t tail) {
 
 /// Drains a scan of every column at `dop` over `pool` with the given
 /// runtime filters installed; *stats receives its ScanStats.
-std::string RunFilteredScan(
-    std::shared_ptr<const ColumnTable> table,
-    const std::vector<ColumnPredicate>& preds,
-    const std::vector<std::pair<int, std::shared_ptr<BloomPrefilter>>>&
-        filters,
-    ThreadPool* pool, int dop, std::string* analyze,
-    ScanStats* stats = nullptr) {
+std::string RunFilteredScan(std::shared_ptr<const ColumnTable> table,
+                            const std::vector<ColumnPredicate>& preds,
+                            const std::vector<ScanRuntimeFilter>& filters,
+                            ThreadPool* pool, int dop, std::string* analyze,
+                            ScanStats* stats = nullptr) {
   ScanOptions opts;
   opts.exec_pool = pool;
   opts.dop = dop;
   std::vector<int> projection(table->schema().num_columns());
   std::iota(projection.begin(), projection.end(), 0);
   ColumnScanOp op(table, preds, projection, opts);
-  for (const auto& [col, bloom] : filters) {
-    EXPECT_TRUE(op.AcceptRuntimeFilter(col, bloom));
+  for (const ScanRuntimeFilter& f : filters) {
+    EXPECT_TRUE(op.AcceptRuntimeFilter(f));
   }
   auto r = DrainOperator(&op);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -1365,6 +1379,189 @@ TEST(ParallelExecTest, RuntimeFilteredScanIdenticalAtDop1AndDop4) {
               std::string::npos)
         << analyze;
     EXPECT_EQ(dropped_counter->value() - c0, dropped) << "dop " << dop;
+  }
+}
+
+/// K BIGINT, V BIGINT (i % 50) and K2 BIGINT (i % 97, NULL every 31st
+/// row) over six loaded pages and 700 tail rows. Each page holds one shape
+/// of K, against the filter ranges of the test below:
+///  0: i % 1000, no NULL (inside [-500, 1499]: the no-op skip);
+///  1: i % 1000, a NULL every 13th row (inside, but with NULLs);
+///  2: i % 3000 - 1000 (straddles both ends of [-500, 1499]);
+///  3: -(i % 700) - 1 (negative, straddles the low end);
+///  4: INT64_MAX - i % 5000 and INT64_MIN + i % 5000, alternating;
+///  5: 5000 + i (outside every range).
+/// Tail row i takes the shape of page i % 6.
+std::shared_ptr<ColumnTable> MakeKeyShapeTable() {
+  TableSchema schema("PUBLIC", "KEYSHAPES",
+                     {{"K", TypeId::kInt64, true, 0, false},
+                      {"V", TypeId::kInt64, true, 0, false},
+                      {"K2", TypeId::kInt64, true, 0, false}});
+  auto table = std::make_shared<ColumnTable>(schema, 901);
+  constexpr int64_t kPages = 6;
+  const int64_t page_rows = static_cast<int64_t>(kPageRows);
+  auto rows = [&](int64_t begin, int64_t end) {
+    RowBatch b;
+    for (const auto& c : schema.columns()) b.columns.emplace_back(c.type);
+    for (int64_t i = begin; i < end; ++i) {
+      const int64_t shape = i < kPages * page_rows ? i / page_rows : i % 6;
+      const int64_t m = i % 5000;
+      switch (shape) {
+        case 0: b.columns[0].AppendInt(i % 1000); break;
+        case 1:
+          if (i % 13 == 0) {
+            b.columns[0].AppendNull();
+          } else {
+            b.columns[0].AppendInt(i % 1000);
+          }
+          break;
+        case 2: b.columns[0].AppendInt(i % 3000 - 1000); break;
+        case 3: b.columns[0].AppendInt(-(i % 700) - 1); break;
+        case 4:
+          b.columns[0].AppendInt(i % 2 == 0
+                                     ? std::numeric_limits<int64_t>::max() - m
+                                     : std::numeric_limits<int64_t>::min() + m);
+          break;
+        default: b.columns[0].AppendInt(5000 + i); break;
+      }
+      b.columns[1].AppendInt(i % 50);
+      if (i % 31 == 0) {
+        b.columns[2].AppendNull();
+      } else {
+        b.columns[2].AppendInt(i % 97);
+      }
+    }
+    return b;
+  };
+  EXPECT_TRUE(table->Load(rows(0, kPages * page_rows)).ok());
+  EXPECT_TRUE(
+      table->Append(rows(kPages * page_rows, kPages * page_rows + 700)).ok());
+  EXPECT_EQ(table->num_pages(), static_cast<size_t>(kPages));
+  return table;
+}
+
+TEST(ParallelExecTest, RuntimeFiltersMatchExactSemiJoinAtDop1AndDop4) {
+  ThreadPool pool(4);
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto table = MakeKeyShapeTable();
+  // Build keys in [lo, lo + count) stepping by `step`, plus one NULL.
+  auto keys = [](int64_t lo, int64_t count, int64_t step) {
+    ColumnVector k(TypeId::kInt64);
+    k.AppendNull();
+    for (int64_t i = 0; i < count; i += step) k.AppendInt(lo + i);
+    return k;
+  };
+  struct Filter {
+    int col;
+    ColumnVector keys;
+  };
+  struct Case {
+    std::string name;
+    std::vector<Filter> filters;
+    const char* kind;      ///< what MakeRuntimeFilter builds for each
+    size_t filter_skips;   ///< pages the key synopsis lets skip the filter
+  };
+  std::vector<Case> cases;
+  cases.push_back({"full range", {{0, keys(-500, 2000, 1)}}, "dense", 1});
+  cases.push_back({"sparse range", {{0, keys(-500, 2000, 3)}}, "dense", 0});
+  cases.push_back({"top of the domain", {{0, keys(kMax - 3000, 3001, 1)}},
+                   "dense", 0});
+  cases.push_back({"bottom of the domain", {{0, keys(kMin, 3001, 3)}},
+                   "dense", 0});
+  cases.push_back({"two filters",
+                   {{0, keys(-500, 2000, 1)}, {2, keys(0, 97, 3)}},
+                   "dense",
+                   1});
+  {
+    // Keys 2^40 apart fail DenseJoinIndex::RangeFor: the Bloom filter.
+    ColumnVector k(TypeId::kInt64);
+    for (int64_t i = -5; i <= 5; ++i) k.AppendInt(i * (int64_t{1} << 40));
+    k.AppendNull();
+    cases.push_back({"sparse keys", {{0, std::move(k)}}, "bloom", 0});
+  }
+  ColumnPredicate v_le_40;
+  v_le_40.column = 1;
+  v_le_40.int_range.hi = 40;
+  const std::vector<ColumnPredicate> preds = {v_le_40};
+  ColumnScanOp plain(table, preds, {0, 1, 2}, ScanOptions{});
+  auto all = DrainOperator(&plain);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::set<int64_t>> sets;
+    std::vector<ScanRuntimeFilter> exact, bloom;
+    for (const Filter& f : c.filters) {
+      std::set<int64_t>& set = sets.emplace_back();
+      auto b = std::make_shared<BloomPrefilter>();
+      b->Init(f.keys.size());
+      for (size_t r = 0; r < f.keys.size(); ++r) {
+        if (f.keys.IsNull(r)) continue;
+        set.insert(f.keys.GetInt(r));
+        b->Add(HashCell(f.keys, r));
+      }
+      exact.push_back(MakeRuntimeFilter(f.col, f.keys, TypeId::kInt64));
+      ASSERT_STREQ(exact.back().kind(), c.kind);
+      bloom.push_back({f.col, b});
+    }
+    // The semi-join with exact key sets: a row stays when every filter
+    // column holds a non-NULL key of its set.
+    auto semi_join = [&](const RowBatch& in) {
+      std::vector<uint32_t> keep;
+      for (size_t r = 0; r < in.num_rows(); ++r) {
+        bool ok = true;
+        for (size_t i = 0; i < c.filters.size(); ++i) {
+          const ColumnVector& k = in.columns[c.filters[i].col];
+          ok = ok && !k.IsNull(r) && sets[i].count(k.GetInt(r)) > 0;
+        }
+        if (ok) keep.push_back(static_cast<uint32_t>(r));
+      }
+      RowBatch out;
+      for (const ColumnVector& col : in.columns) {
+        out.columns.emplace_back(col.type());
+        out.columns.back().Gather(col, keep.data(), keep.size());
+      }
+      return out;
+    };
+    const RowBatch want = semi_join(*all);
+    const std::string want_bytes = BatchBytes(want);
+    const size_t misses = all->num_rows() - want.num_rows();
+    ASSERT_GT(want.num_rows(), 0u);
+    ASSERT_GT(misses, 0u);
+    for (int dop : {1, 4}) {
+      SCOPED_TRACE("dop " + std::to_string(dop));
+      // The filter MakeRuntimeFilter picked drops exactly the misses.
+      std::string analyze;
+      ScanStats stats;
+      const std::string got =
+          RunFilteredScan(table, preds, exact, &pool, dop, &analyze, &stats);
+      if (std::string(c.kind) == "dense") {
+        EXPECT_TRUE(got == want_bytes) << FirstDiff(got, want_bytes);
+        EXPECT_EQ(stats.bloom_dropped, misses);
+        EXPECT_EQ(stats.filter_skips, c.filter_skips);
+        EXPECT_NE(analyze.find(" bloom-dropped=" + std::to_string(misses) +
+                               " filter=dense"),
+                  std::string::npos)
+            << analyze;
+      }
+      // A Bloom filter over the same keys, and no filter: the exact
+      // semi-join over their output is the same bytes.
+      std::vector<ScanRuntimeFilter> none;
+      for (const auto* filters : {&exact, &bloom, &none}) {
+        ScanOptions opts;
+        opts.exec_pool = &pool;
+        opts.dop = dop;
+        ColumnScanOp op(table, preds, {0, 1, 2}, opts);
+        for (const ScanRuntimeFilter& f : *filters) {
+          ASSERT_TRUE(op.AcceptRuntimeFilter(f));
+        }
+        auto r = DrainOperator(&op);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        const std::string semi = BatchBytes(semi_join(*r));
+        EXPECT_TRUE(semi == want_bytes) << FirstDiff(semi, want_bytes);
+      }
+    }
   }
 }
 
@@ -1501,6 +1698,102 @@ TEST(ParallelExecTest, PoolTaskCpuCountsTowardTheOwningOperator) {
   EXPECT_GE(op.metrics().cpu_seconds - own, 3 * kBurn - 0.001)
       << "operator " << op.metrics().cpu_seconds << " s, calling thread "
       << own << " s";
+}
+
+TEST(ParallelExecTest, PushedPredicateColumnsAreNotProjected) {
+  // A column read only by a predicate pushed whole into the scan is
+  // evaluated on the page codes and never decoded into the projection.
+  Engine engine(ParallelConfig(4));
+  auto session = engine.CreateSession();
+  TableSchema schema("PUBLIC", "FACTS",
+                     {{"ID", TypeId::kInt64, false, 0, false},
+                      {"DATE_ID", TypeId::kInt64, true, 0, false},
+                      {"AMT", TypeId::kDouble, true, 0, false},
+                      {"QTY", TypeId::kInt64, true, 0, false}});
+  auto table = engine.CreateColumnTable(schema);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  RowBatch rows;
+  for (const auto& c : schema.columns()) rows.columns.emplace_back(c.type);
+  for (int64_t i = 0; i < 5 * static_cast<int64_t>(kPageRows) + 300; ++i) {
+    rows.columns[0].AppendInt(i);
+    rows.columns[1].AppendInt(i * 7 % 1500);
+    rows.columns[2].AppendDouble(static_cast<double>(i * 31 % 1000) * 0.25);
+    if (i % 17 == 0) {
+      rows.columns[3].AppendNull();
+    } else {
+      rows.columns[3].AppendInt(i % 10);
+    }
+  }
+  ASSERT_TRUE((*table)->Load(rows).ok());
+  ASSERT_TRUE(engine
+                  .Execute(session.get(),
+                           "CREATE TABLE DIMS (K INT NOT NULL, A INT)")
+                  .ok());
+  ASSERT_TRUE(engine
+                  .Execute(session.get(),
+                           "INSERT INTO DIMS VALUES (1, 5), (2, 1), (3, 7), "
+                           "(4, NULL)")
+                  .ok());
+  struct Case {
+    std::string select, from, rest;  ///< the query is select FROM from rest
+    std::string scan;                ///< the FACTS scan label at DOP 1
+  };
+  const std::vector<Case> cases = {
+      {"SELECT ID, AMT", "FACTS", "WHERE DATE_ID < 400 "
+       "ORDER BY AMT DESC, ID LIMIT 100", "preds=1 cols=2"},
+      {"SELECT COUNT(*) AS N, SUM(AMT) AS S", "FACTS", "WHERE QTY > 5",
+       "preds=1 cols=1"},
+      {"SELECT QTY, COUNT(*) AS N", "FACTS",
+       "WHERE DATE_ID >= 1000 GROUP BY QTY ORDER BY QTY", "preds=1 cols=1"},
+      // Read by the select list too.
+      {"SELECT ID, DATE_ID", "FACTS", "WHERE DATE_ID < 10 ORDER BY ID",
+       "preds=1 cols=2"},
+      // Not pushable: a residual reads the column.
+      {"SELECT ID", "FACTS", "WHERE DATE_ID + 1 < 10 ORDER BY ID",
+       "preds=0 cols=2"},
+      // A join: the join conjunct reads QTY, the pushed one DATE_ID does
+      // not reach the projection.
+      {"SELECT f.ID, d.A", "FACTS f, DIMS d",
+       "WHERE f.QTY = d.K AND f.DATE_ID < 300 ORDER BY f.ID, d.A",
+       "preds=1 cols=2"},
+      // An outer join keeps the pushed conjunct on the null-extended side
+      // as a residual too, so its column stays projected.
+      {"SELECT f.ID, d.A", "FACTS f LEFT JOIN DIMS d ON f.QTY = d.K",
+       "WHERE f.DATE_ID < 300 AND d.A > 2 ORDER BY f.ID",
+       "preds=1 cols=2"},
+  };
+  for (const Case& c : cases) {
+    const std::string sql = c.select + " FROM " + c.from + " " + c.rest;
+    SCOPED_TRACE(sql);
+    // The oracle reads FACTS through a derived table, which projects every
+    // column.
+    std::string from = c.from;
+    from.replace(from.find("FACTS"), 5, "(SELECT * FROM FACTS)");
+    if (from.find(" f") == std::string::npos) from += " FACTS";
+    std::string want;
+    for (int dop : {1, 4}) {
+      ASSERT_TRUE(engine
+                      .Execute(session.get(),
+                               "SET DOP = " + std::to_string(dop))
+                      .ok());
+      auto plan = engine.Execute(session.get(), "EXPLAIN " + sql);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      const std::string label =
+          "ColumnScan(PUBLIC.FACTS " + c.scan + (dop > 1 ? " dop=4)" : ")");
+      EXPECT_NE(plan->message.find(label), std::string::npos)
+          << "dop " << dop << "\n" << plan->message;
+      auto got = engine.Execute(session.get(), sql);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      auto wide = engine.Execute(session.get(),
+                                 c.select + " FROM " + from + " " + c.rest);
+      ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+      ASSERT_GT(got->rows.num_rows(), 0u);
+      const std::string bytes = BatchBytes(got->rows);
+      EXPECT_TRUE(bytes == BatchBytes(wide->rows)) << "dop " << dop;
+      if (dop == 1) want = bytes;
+      EXPECT_TRUE(bytes == want) << "dop " << dop << FirstDiff(bytes, want);
+    }
+  }
 }
 
 }  // namespace
