@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -301,42 +300,6 @@ class BloomPrefilter {
   }
 
   size_t ByteSize() const { return words_.size() * sizeof(uint64_t); }
-
-  /// Wire format for cross-shard semi-join pushdown: 8-byte little-endian
-  /// word count followed by the raw words. An empty (disabled) filter
-  /// serializes to a count of zero.
-  std::string Serialize() const {
-    std::string out;
-    uint64_t n = words_.size();
-    out.resize(sizeof(uint64_t) * (1 + words_.size()));
-    std::memcpy(&out[0], &n, sizeof(n));
-    if (n != 0) {
-      std::memcpy(&out[sizeof(n)], words_.data(), n * sizeof(uint64_t));
-    }
-    return out;
-  }
-
-  bool Deserialize(const std::string& bytes) {
-    words_.clear();
-    mask_ = 0;
-    if (bytes.size() < sizeof(uint64_t) ||
-        bytes.size() % sizeof(uint64_t) != 0) {
-      return false;
-    }
-    uint64_t n = 0;
-    std::memcpy(&n, bytes.data(), sizeof(n));
-    // Compared by division: sizeof(uint64_t) * (1 + n) wraps for huge n.
-    if (n != bytes.size() / sizeof(uint64_t) - 1) return false;
-    if (n == 0) return true;  // disabled filter round-trips as disabled
-    // Word counts are powers of two by construction; reject anything else
-    // so mask_ stays a valid bit mask.
-    if ((n & (n - 1)) != 0) return false;
-    words_.resize(n);
-    std::memcpy(words_.data(), bytes.data() + sizeof(n),
-                n * sizeof(uint64_t));
-    mask_ = n - 1;
-    return true;
-  }
 
  private:
   size_t WordIndex(uint64_t hash) const {

@@ -36,8 +36,6 @@ struct MppInstruments {
   Counter* timeouts;
   Counter* speculative_launches;
   Counter* speculative_wins;
-  Counter* bloom_filters;  ///< cross-shard Bloom filters shipped
-  Counter* bloom_bytes;    ///< serialized bytes of those filters
   Counter* exchange_chunks;            ///< shard->coordinator chunks shipped
   Counter* exchange_bytes;             ///< in-memory bytes those chunks decode to
   Counter* exchange_compressed_bytes;  ///< wire bytes actually shipped
@@ -54,8 +52,6 @@ MppInstruments& GlobalMppInstruments() {
       reg.GetCounter("mpp.timeouts"),
       reg.GetCounter("mpp.speculative_launches"),
       reg.GetCounter("mpp.speculative_wins"),
-      reg.GetCounter("mpp.bloom_filters"),
-      reg.GetCounter("mpp.bloom_bytes"),
       reg.GetCounter("mpp.exchange_chunks"),
       reg.GetCounter("mpp.exchange_bytes"),
       reg.GetCounter("mpp.exchange_compressed_bytes"),
@@ -63,16 +59,6 @@ MppInstruments& GlobalMppInstruments() {
       reg.GetCounter("mpp.merge_streams"),
   };
   return in;
-}
-
-/// AND-tree flattening (coordinator-side mirror of the binder's).
-void SplitAndConjuncts(const ast::ExprP& e, std::vector<ast::ExprP>* out) {
-  if (e && e->kind == ExprKind::kBinary && e->bin_op == ast::BinOp::kAnd) {
-    SplitAndConjuncts(e->children[0], out);
-    SplitAndConjuncts(e->children[1], out);
-    return;
-  }
-  if (e) out->push_back(e);
 }
 
 /// Resolves one ORDER BY key to a select-list index: ordinals, output
@@ -135,12 +121,6 @@ Status OrderKeyUnimplemented() {
   return Status::Unimplemented(
       "MPP ORDER BY supports output columns, ordinals, and select-list "
       "expressions");
-}
-
-void CollectRefs(const ast::ExprP& e, std::vector<const ast::Expr*>* out) {
-  if (!e) return;
-  if (e->kind == ExprKind::kColumnRef) out->push_back(e.get());
-  for (const auto& c : e->children) CollectRefs(c, out);
 }
 
 void FoldExecStats(const MppExecStats& s, MppExecStats* into) {
@@ -986,11 +966,6 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     out.trace = trace;
   };
 
-  // Cross-shard Bloom semi-join pushdown (best effort; null when the query
-  // doesn't qualify). Both SELECT paths hand the filters to the shard fn.
-  std::vector<RuntimeScanFilter> bloom_filters =
-      PrepareBloomPushdown(sel, qctx);
-
   if (!has_agg) {
     bool has_star = false;
     for (const auto& item : sel.items) {
@@ -1019,7 +994,7 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     // taken in the shard stream's own order, sorted or (with no ORDER BY)
     // plain shard order.
     shard_sel->limit = sel.limit < 0 ? -1 : sel.limit + sel.offset;
-    ShardFn fn = MakeShardSelectFn(shard_sel, analyze, bloom_filters);
+    ShardFn fn = MakeShardSelectFn(shard_sel, analyze);
     DASHDB_ASSIGN_OR_RETURN(std::vector<ShardRun> runs,
                             RunShards(/*idempotent=*/true, fn, qctx));
     const std::vector<OutputCol> cols = runs.front().out.cols;
@@ -1176,7 +1151,7 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     std::vector<Value> partials;
   };
   std::unordered_map<std::string, GroupAccum> table;
-  ShardFn fn = MakeShardSelectFn(partial_p, analyze, bloom_filters);
+  ShardFn fn = MakeShardSelectFn(partial_p, analyze);
   DASHDB_ASSIGN_OR_RETURN(std::vector<ShardRun> runs,
                           RunShards(/*idempotent=*/true, fn, qctx));
   const std::vector<OutputCol> partial_cols = runs.front().out.cols;
@@ -1318,171 +1293,16 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
   return out;
 }
 
-std::vector<RuntimeScanFilter> MppDatabase::PrepareBloomPushdown(
-    const ast::SelectStmt& sel, QueryContext* qctx) {
-  if (sel.from.size() < 2 || shards_.empty()) return {};
-  // Inner/cross joins of plain base tables only: a Bloom filter drops
-  // probe rows, which an outer join must instead null-extend.
-  for (const auto& ref : sel.from) {
-    if (ref.subquery || !ref.using_cols.empty()) return {};
-    if (ref.join != ast::TableRef::JoinKind::kNone &&
-        ref.join != ast::TableRef::JoinKind::kInner &&
-        ref.join != ast::TableRef::JoinKind::kCross) {
-      return {};
-    }
-  }
-  struct Item {
-    std::string schema_name;
-    std::string qualified;
-    std::string alias;
-    bool replicated = false;
-    std::shared_ptr<CatalogEntry> entry;
-  };
-  std::vector<Item> items;
-  for (const auto& ref : sel.from) {
-    Item it;
-    it.schema_name = ref.schema.empty() ? sessions_[0]->default_schema()
-                                        : NormalizeIdent(ref.schema);
-    auto entry = shards_[0]->catalog()->Lookup(it.schema_name,
-                                               NormalizeIdent(ref.table));
-    if (!entry.ok()) return {};
-    it.entry = std::move(entry).value();
-    it.qualified = it.entry->schema.QualifiedName();
-    auto rep = replicated_.find(it.qualified);
-    if (rep == replicated_.end()) return {};
-    it.replicated = rep->second;
-    it.alias = !ref.alias.empty() ? ref.alias : NormalizeIdent(ref.table);
-    items.push_back(std::move(it));
-  }
-  std::vector<ast::ExprP> conjs;
-  SplitAndConjuncts(sel.where, &conjs);
-  for (const auto& ref : sel.from) {
-    SplitAndConjuncts(ref.join_condition, &conjs);
-  }
-  // Resolves one column ref to (item, schema column); -1 on miss/ambiguity.
-  auto owner_of = [&](const ast::Expr& c, int* col) -> int {
-    if (c.kind != ExprKind::kColumnRef) return -1;
-    int found = -1, fcol = -1;
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (!c.qualifier.empty() && items[i].alias != c.qualifier) continue;
-      int ci = items[i].entry->schema.FindColumn(c.name);
-      if (ci < 0) continue;
-      if (found >= 0) return -1;
-      found = static_cast<int>(i);
-      fcol = ci;
-    }
-    *col = fcol;
-    return found;
-  };
-  // Item owning every column ref of an expression; -1 mixed, -2 none.
-  auto item_of = [&](const ast::ExprP& e) -> int {
-    std::vector<const ast::Expr*> refs;
-    CollectRefs(e, &refs);
-    if (refs.empty()) return -2;
-    int item = -3;
-    for (const auto* r : refs) {
-      int col;
-      int it = owner_of(*r, &col);
-      if (it < 0) return -1;
-      if (item == -3) item = it;
-      else if (item != it) return -1;
-    }
-    return item;
-  };
-  std::vector<RuntimeScanFilter> result;
-  auto& ins = GlobalMppInstruments();
-  // Binds on a copy of shard 0's session: concurrent queries share
-  // sessions_ read-only.
-  const std::shared_ptr<Session> session = NewShardSession(0);
-  for (const auto& conj : conjs) {
-    // fact.col = dim.col with a hash-distributed fact and replicated dim.
-    if (conj->kind != ExprKind::kBinary || conj->bin_op != ast::BinOp::kEq) {
-      continue;
-    }
-    int lc, rc;
-    int li = owner_of(*conj->children[0], &lc);
-    int ri = owner_of(*conj->children[1], &rc);
-    if (li < 0 || ri < 0 || li == ri) continue;
-    int fact = -1, dim = -1, fact_col = -1, dim_col = -1;
-    if (!items[li].replicated && items[ri].replicated) {
-      fact = li; fact_col = lc; dim = ri; dim_col = rc;
-    } else if (!items[ri].replicated && items[li].replicated) {
-      fact = ri; fact_col = rc; dim = li; dim_col = lc;
-    } else {
-      continue;
-    }
-    // Identical non-double key types: the scan-side cell hash must agree
-    // with the coordinator's value hash for equal keys.
-    TypeId ft = items[fact].entry->schema.columns()[fact_col].type;
-    TypeId dt = items[dim].entry->schema.columns()[dim_col].type;
-    if (ft != dt || ft == TypeId::kDouble) continue;
-    // Only worth shipping when the dimension is locally filtered.
-    std::vector<ast::ExprP> dim_filters;
-    for (const auto& c : conjs) {
-      if (c != conj && item_of(c) == dim) dim_filters.push_back(c);
-    }
-    if (dim_filters.empty()) continue;
-    // Evaluate the filtered dimension once on shard 0 (replicas are full
-    // copies) and collect the surviving join keys.
-    auto dsel = std::make_shared<ast::SelectStmt>();
-    ast::SelectItem si;
-    si.expr = ast::MakeColumnRef(
-        items[dim].alias, items[dim].entry->schema.columns()[dim_col].name);
-    dsel->items.push_back(std::move(si));
-    ast::TableRef tr;
-    tr.schema = items[dim].schema_name;
-    tr.table = items[dim].entry->schema.table_name();
-    tr.alias = items[dim].alias;
-    dsel->from.push_back(std::move(tr));
-    for (const auto& c : dim_filters) {
-      dsel->where = dsel->where
-                        ? ast::MakeBinary(ast::BinOp::kAnd, dsel->where, c)
-                        : c;
-    }
-    BindOptions bopts;
-    bopts.scan = shards_[0]->MakeScanOptions();
-    Binder binder(shards_[0]->catalog(), session.get(), bopts);
-    auto root = binder.BindSelect(*dsel);
-    if (!root.ok()) continue;
-    // Coordinator-side dimension scan is governed too (best effort: a
-    // cancelled scan just skips the filter; the shard checks still abort).
-    AttachQueryContext(root.value().get(), qctx);
-    auto keys = DrainOperator(root.value().get());
-    if (!keys.ok()) continue;
-    const ColumnVector& kv = keys.value().columns[0];
-    BloomPrefilter bloom;
-    bloom.Init(std::max<size_t>(1, kv.size()));
-    for (size_t r = 0; r < kv.size(); ++r) {
-      if (kv.IsNull(r)) continue;
-      bloom.Add(HashCell(kv, r));
-    }
-    // Round-trip through the wire form the shard request would carry.
-    std::string bytes = bloom.Serialize();
-    ins.bloom_filters->Add(1);
-    ins.bloom_bytes->Add(bytes.size());
-    auto wire = std::make_shared<BloomPrefilter>();
-    if (!wire->Deserialize(bytes)) continue;
-    RuntimeScanFilter f;
-    f.table = items[fact].qualified;
-    f.column = items[fact].entry->schema.columns()[fact_col].name;
-    f.bloom = std::move(wire);
-    result.push_back(std::move(f));
-  }
-  return result;
-}
-
 MppDatabase::ShardFn MppDatabase::MakeShardSelectFn(
-    std::shared_ptr<ast::SelectStmt> stmt, bool analyze,
-    std::vector<RuntimeScanFilter> filters) {
-  return [this, stmt, analyze, filters = std::move(filters)](
-             int shard, QueryContext* qctx, ShardAttemptOut* o) -> Status {
+    std::shared_ptr<ast::SelectStmt> stmt, bool analyze) {
+  return [this, stmt, analyze](int shard, QueryContext* qctx,
+                               ShardAttemptOut* o) -> Status {
     DASHDB_RETURN_IF_ERROR(FaultInjector::Global().Evaluate(kFaultShardStall));
     // Declared before the plan, whose operators point into its ExecContext.
     std::shared_ptr<Session> session = NewShardSession(shard);
     BindOptions bopts;
     bopts.scan = shards_[shard]->MakeScanOptions();
     bopts.scan.shared_scan = session->shared_scan_enabled();
-    bopts.runtime_filters = filters;
     Binder binder(shards_[shard]->catalog(), session.get(), bopts);
     DASHDB_ASSIGN_OR_RETURN(OperatorPtr root, binder.BindSelect(*stmt));
     // The shard-local plan probes the attempt's governor at every operator

@@ -251,24 +251,13 @@ class MppDatabase {
   std::shared_ptr<Session> NewShardSession(int shard);
 
   /// A re-executable bind+drain of one shard-local SELECT. Captures the
-  /// statement by shared_ptr so re-executions stay valid. With `analyze`
-  /// the fn also fills the attempt's analyzed_plan/shard_trace from the
-  /// drained plan's operator metrics. `filters` are coordinator-built
-  /// Bloom semi-join filters for the shard binder.
+  /// statement by shared_ptr so re-executions stay valid. Each shard binds
+  /// the plan a single node would: dimensions are replicated, so the
+  /// shard's own joins build their runtime scan filters locally. With
+  /// `analyze` the fn also fills the attempt's analyzed_plan/shard_trace
+  /// from the drained plan's operator metrics.
   ShardFn MakeShardSelectFn(std::shared_ptr<ast::SelectStmt> stmt,
-                            bool analyze,
-                            std::vector<RuntimeScanFilter> filters);
-
-  /// Cross-shard Bloom semi-join pushdown (DESIGN.md "Cost-based
-  /// optimization"): for a join of a hash-distributed fact table with a
-  /// locally-filtered replicated dimension, evaluate the dimension filter
-  /// once on shard 0 (replicas are full copies), build a Bloom filter over
-  /// the surviving join keys, and serialize it as it would ride in the
-  /// shard request. Shard-local binders semi-filter the fact scan with it.
-  /// Returns no filters when the query doesn't qualify; best-effort
-  /// otherwise.
-  std::vector<RuntimeScanFilter> PrepareBloomPushdown(
-      const ast::SelectStmt& sel, QueryContext* qctx);
+                            bool analyze);
 
   /// Runs `fn` on every shard under the failover policy; returns each
   /// shard's outcome, or the first failure in shard order. Works in rounds

@@ -910,44 +910,10 @@ class SelectBinder {
           sources[i]->set_est_rows(estimates[i].rows);
         }
       }
-      // Raw scan pointers survive the moves into the join tree; bloom
-      // pushdown targets resolve through them.
+      // Raw scan pointers survive the moves into the join tree; runtime
+      // filter targets resolve through them.
       std::vector<Operator*> source_ptrs;
       for (const auto& s : sources) source_ptrs.push_back(s.get());
-
-      // Runtime filters from the bind options (cross-shard Bloom semi-joins
-      // from the MPP coordinator) attach to matching column-table scans.
-      // Only sound when no outer join can null-extend the filtered table's
-      // rows.
-      const std::vector<RuntimeScanFilter>& runtime_filters =
-          b_->options().runtime_filters;
-      if (!has_outer && !runtime_filters.empty()) {
-        bool all_inner = true;
-        for (const auto& ref : stmt.from) {
-          if (ref.join != ast::TableRef::JoinKind::kNone &&
-              ref.join != ast::TableRef::JoinKind::kInner &&
-              ref.join != ast::TableRef::JoinKind::kCross) {
-            all_inner = false;
-          }
-        }
-        if (all_inner) {
-          for (const auto& rf : runtime_filters) {
-            for (size_t i = 0; i < stmt.from.size(); ++i) {
-              if (!col_tables[i] ||
-                  col_tables[i]->schema().QualifiedName() != rf.table) {
-                continue;
-              }
-              for (size_t c = 0; c < item_cols[i].size(); ++c) {
-                if (item_cols[i][c].name == rf.column) {
-                  source_ptrs[i]->AcceptRuntimeFilter(
-                      {static_cast<int>(c), rf.bloom});
-                  break;
-                }
-              }
-            }
-          }
-        }
-      }
 
       // Cost-based join ordering (DESIGN.md "Cost-based optimization"):
       // eligible when every FROM item is a column table, every join is

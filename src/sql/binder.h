@@ -16,28 +16,16 @@
 
 namespace dashdb {
 
-/// Engine-level tuning handed into every bind (feature toggles reach the
-/// scans; the buffer pool is charged by scans when set).
 /// Pushdown + residual split of a single-table WHERE clause.
 struct TablePredicates {
   std::vector<ColumnPredicate> pushdown;
   ExprPtr residual;  ///< null when fully pushable
 };
 
-/// A Bloom semi-join filter for one table column, keyed by qualified table
-/// name + column name; the binder attaches it to the matching column-table
-/// scan. The MPP coordinator builds these from filtered replicated
-/// dimensions and ships them serialized in every shard request.
-struct RuntimeScanFilter {
-  std::string table;   ///< qualified name, upper case
-  std::string column;  ///< column name, upper case
-  std::shared_ptr<const BloomPrefilter> bloom;
-};
-
+/// Engine-level tuning handed into every bind (feature toggles reach the
+/// scans; the buffer pool is charged by scans when set).
 struct BindOptions {
   ScanOptions scan;
-  /// Scan filters built outside the plan (cross-shard Bloom semi-joins).
-  std::vector<RuntimeScanFilter> runtime_filters;
 };
 
 class Binder {

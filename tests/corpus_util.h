@@ -172,8 +172,8 @@ inline constexpr const char* kCorpus[] = {
     // Cyclic join graph: the d-c edge closes a cycle over the fact.
     "SELECT COUNT(*), SUM(t.V) FROM T t, D d, C c "
     "WHERE t.GRP = d.GRP AND t.CAT = c.CAT AND d.A = c.B",
-    // Cross-shard Bloom semi-join: distributed fact against a filtered
-    // replicated dim ships a serialized filter in every shard request.
+    // Distributed fact against a filtered replicated dim: each shard's
+    // join puts an exact dense key set on its fact scan.
     "SELECT COUNT(*), SUM(t.V) FROM T t, H h "
     "WHERE t.ID = h.ID AND h.W <= 40",
     // ORDER BY/LIMIT/OFFSET shapes for the pushed-down parallel sort: the
@@ -186,6 +186,11 @@ inline constexpr const char* kCorpus[] = {
     // Non-unique sort key: ties resolved by the stable shard-order
     // tie-break, which must equal concatenation + stable global sort.
     "SELECT GRP, ID FROM T ORDER BY GRP LIMIT 50",
+    // Dimension-first join: FROM order drives from the filtered H, so the
+    // shard's join builds on its whole T partition and no filter reaches
+    // the T scan (the plan a single node runs).
+    "SELECT COUNT(*), SUM(t.V) FROM H h JOIN T t ON t.ID = h.ID "
+    "WHERE h.W <= 40",
 };
 inline constexpr size_t kCorpusSize = sizeof(kCorpus) / sizeof(kCorpus[0]);
 

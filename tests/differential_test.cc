@@ -86,12 +86,11 @@ TEST_F(DifferentialTest, Dop4WithShardKillMatchesSerialBaseline) {
 }
 
 TEST_F(DifferentialTest, HeuristicVersusCostOptimizerByteIdentical) {
-  // Join order and Bloom pushdown are performance levers, never semantic
-  // ones: the whole corpus must agree between the FROM-order, no-Bloom
-  // oracle (tests/from_order_oracle.h) and the cost-based optimizer, at
-  // both degrees of parallelism. The oracle runs ship and install no
+  // Join order and runtime join filters are performance levers, never
+  // semantic ones: the whole corpus must agree between the FROM-order,
+  // no-filter oracle (tests/from_order_oracle.h) and the cost-based
+  // optimizer, at both degrees of parallelism. The oracle runs install no
   // filter, so they stay independent of the plans they check.
-  Counter* shipped = MetricRegistry::Global().GetCounter("mpp.bloom_filters");
   Counter* installs =
       MetricRegistry::Global().GetCounter("exec.bloom_pushdowns");
   for (int dop : {1, 4}) {
@@ -100,10 +99,9 @@ TEST_F(DifferentialTest, HeuristicVersusCostOptimizerByteIdentical) {
     ASSERT_EQ(cost.size(), kCorpusSize);
     for (size_t i = 0; i < kCorpusSize; ++i) {
       const std::string sql = oracle::FromOrderSql(kCorpus[i]);
-      const uint64_t s0 = shipped->value(), i0 = installs->value();
+      const uint64_t i0 = installs->value();
       auto r = db->Execute(sql);
       ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
-      EXPECT_EQ(shipped->value(), s0) << sql;
       EXPECT_EQ(installs->value(), i0) << sql;
       EXPECT_EQ(cost[i], ResultKey(r->result))
           << "cost plan diverged from the FROM-order oracle (dop=" << dop
@@ -112,25 +110,34 @@ TEST_F(DifferentialTest, HeuristicVersusCostOptimizerByteIdentical) {
   }
 }
 
-TEST_F(DifferentialTest, CrossShardBloomPushdownShipsFilters) {
-  auto db = MakeLoadedDb(4);
-  Counter* filters = MetricRegistry::Global().GetCounter("mpp.bloom_filters");
-  Counter* bytes = MetricRegistry::Global().GetCounter("mpp.bloom_bytes");
-  uint64_t f0 = filters->value(), b0 = bytes->value();
-  auto r = db->Execute(
-      "SELECT COUNT(*), SUM(t.V) FROM T t, H h "
-      "WHERE t.ID = h.ID AND h.W <= 40");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GT(filters->value(), f0);
-  EXPECT_GT(bytes->value(), b0);
+/// The `filter=` list of every `ColumnScan(PUBLIC.<table> ` line of an
+/// EXPLAIN ANALYZE report, in order ("" for a scan with no filter).
+std::vector<std::string> ScanFilterKinds(const std::string& report,
+                                         const std::string& table) {
+  std::vector<std::string> kinds;
+  std::istringstream lines(report);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("ColumnScan(PUBLIC." + table + " ") == std::string::npos) {
+      continue;
+    }
+    const size_t at = line.find(" filter=");
+    if (at == std::string::npos) {
+      kinds.emplace_back();
+      continue;
+    }
+    const size_t begin = at + 8;
+    kinds.push_back(line.substr(begin, line.find(' ', begin) - begin));
+  }
+  return kinds;
 }
 
-TEST_F(DifferentialTest, ShippedBloomDropsSameShardRowsAtDop1AndDop4) {
-  // The coordinator ships the build side's filter to every shard scan,
-  // which drops probe rows in the page bitmap before decoding them.
+TEST_F(DifferentialTest, ShardScansTakeTheirFiltersFromTheirOwnJoins) {
+  // Dimensions are replicated, so each shard binds the plan a single node
+  // would: its hash join over the filtered H puts an exact dense key set on
+  // its T scan, and no other filter reaches that scan.
   const char* q =
       "SELECT t.ID, t.V, h.W FROM T t, H h WHERE t.ID = h.ID AND h.W <= 40";
-  Counter* shipped = MetricRegistry::Global().GetCounter("mpp.bloom_filters");
   Counter* dropped =
       MetricRegistry::Global().GetCounter("exec.bloom_rows_dropped");
   std::string keys[2];
@@ -138,23 +145,38 @@ TEST_F(DifferentialTest, ShippedBloomDropsSameShardRowsAtDop1AndDop4) {
   const int dops[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
     auto db = MakeLoadedDb(dops[i]);
-    const uint64_t s0 = shipped->value(), d0 = dropped->value();
+    const uint64_t d0 = dropped->value();
     auto r = db->Execute(q);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_GT(shipped->value(), s0) << "dop " << dops[i];
     keys[i] = ResultKey(r->result);
     drops[i] = dropped->value() - d0;
+
+    auto analyzed = db->Execute(std::string("EXPLAIN ANALYZE ") + q);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    const std::string& report = analyzed->result.message;
+    const std::vector<std::string> kinds = ScanFilterKinds(report, "T");
+    EXPECT_EQ(kinds.size(), static_cast<size_t>(db->num_shards())) << report;
+    for (const std::string& k : kinds) {
+      EXPECT_EQ(k, "dense") << "dop " << dops[i] << "\n" << report;
+    }
+
+    // Filters never change the answer: the derived-table oracle has none.
+    auto unfiltered = db->Execute(oracle::FromOrderSql(q));
+    ASSERT_TRUE(unfiltered.ok()) << unfiltered.status().ToString();
+    EXPECT_EQ(ResultKey(unfiltered->result), keys[i]) << "dop " << dops[i];
+
+    // No corpus scan stacks a Bloom filter in front of a dense set over
+    // the same keys.
+    for (const char* cq : kCorpus) {
+      auto a = db->Execute(std::string("EXPLAIN ANALYZE ") + cq);
+      ASSERT_TRUE(a.ok()) << cq << ": " << a.status().ToString();
+      EXPECT_EQ(a->result.message.find("bloom,dense"), std::string::npos)
+          << "dop " << dops[i] << ": " << cq << "\n" << a->result.message;
+    }
   }
   EXPECT_EQ(keys[0], keys[1]);
   EXPECT_GT(drops[0], 0u);
   EXPECT_EQ(drops[0], drops[1]);
-  // Filters never change the answer: the derived-table oracle ships none.
-  auto db = MakeLoadedDb(4);
-  const uint64_t s0 = shipped->value();
-  auto unfiltered = db->Execute(oracle::FromOrderSql(q));
-  ASSERT_TRUE(unfiltered.ok()) << unfiltered.status().ToString();
-  EXPECT_EQ(shipped->value(), s0);
-  EXPECT_EQ(ResultKey(unfiltered->result), keys[0]);
 }
 
 TEST_F(DifferentialTest, ExplainAnalyzeCardinalitiesMatchPlainRun) {

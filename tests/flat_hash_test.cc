@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <random>
@@ -201,27 +200,6 @@ TEST(BloomPrefilterTest, EmptyFilterIsDisabled) {
   bloom.Init(0);
   EXPECT_TRUE(bloom.MayContain(0x12345));
   EXPECT_EQ(bloom.ByteSize(), 0u);
-}
-
-TEST(BloomPrefilterTest, DeserializeRejectsWrappingWordCounts) {
-  BloomPrefilter built;
-  built.Init(1000);
-  for (uint64_t k = 0; k < 1000; ++k) built.Add(HashInt64(k));
-  BloomPrefilter copy;
-  ASSERT_TRUE(copy.Deserialize(built.Serialize()));
-  EXPECT_EQ(copy.Serialize(), built.Serialize());
-  // 8 * (1 + n) wraps to 8 for both counts, and both are powers of two:
-  // an 8-byte header alone must not claim 2^61 or 2^63 words.
-  for (uint64_t n : {uint64_t{1} << 61, uint64_t{1} << 63}) {
-    std::string bytes(sizeof(n), '\0');
-    std::memcpy(&bytes[0], &n, sizeof(n));
-    BloomPrefilter hostile;
-    EXPECT_FALSE(hostile.Deserialize(bytes)) << "word count " << n;
-    EXPECT_EQ(hostile.ByteSize(), 0u);
-  }
-  // A size that is not a whole number of words is malformed too.
-  std::string ragged(9, '\0');
-  EXPECT_FALSE(BloomPrefilter().Deserialize(ragged));
 }
 
 // --------------------------------------------------------- FlatKeyIndex --

@@ -1,10 +1,9 @@
 // The join-order reference oracle: a SQL rewrite that turns every FROM item
 // `T a` into the derived table `(SELECT * FROM T) a`. The binder's
-// cost-based path and its Bloom semi-join pushdown both need base column
+// cost-based path and its runtime join filters both need base column
 // tables, so the rewritten query joins in FROM order with no runtime filter
 // — the plan the cost optimizer is measured and checked against. Callers
-// assert that `exec.bloom_pushdowns` (and on MPP `mpp.bloom_filters`) did
-// not move across an oracle run.
+// assert that `exec.bloom_pushdowns` did not move across an oracle run.
 //
 // Handles the flat test queries only: one FROM clause of comma- or
 // JOIN-separated base tables, each with an optional alias, no nested SELECT.
