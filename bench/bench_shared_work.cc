@@ -1,14 +1,14 @@
 // Shared work under concurrency: 64 wire clients replaying dashboard-style
 // traffic — a 90/10 mix of repeated and unique aggregates over one hot
-// table — against a single engine, A/B with the sharing features off
-// (every query recomputes from scratch) and on (SET SHARED_SCAN ON +
-// SET RESULT_CACHE ON: concurrent scans follow one circular page clock and
-// repeat traffic is served from the versioned result cache). Reports QPS,
-// p99 latency, pages scanned per query (exec.morsels delta), the cache hit
+// table — against a single engine, A/B with the result cache off (every
+// query recomputes from scratch) and on (SET RESULT_CACHE ON: repeat
+// traffic is served from the versioned result cache). Reports QPS, p99
+// latency, pages scanned per query (exec.morsels delta), the cache hit
 // rate, and a per-client result checksum that must agree across every
-// client AND both arms — sharing may never change bytes.
+// client AND both arms — the cache may never change bytes.
 //
-// Writes BENCH_shared.json. The ON arm's QPS must be >= 2x the OFF arm.
+// Writes BENCH_shared.json. Exits nonzero unless the ON arm's QPS is
+// >= 2x the OFF arm's and every checksum agrees.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -82,7 +82,7 @@ size_t ResultChecksum(const QueryResult& r) {
 
 struct ModeResult {
   std::string name;
-  bool sharing = false;
+  bool cache_on = false;
   uint64_t completed = 0;
   uint64_t errors = 0;
   double p50_ms = 0;
@@ -92,9 +92,6 @@ struct ModeResult {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   double cache_hit_rate = 0;
-  int64_t scan_attaches = 0;
-  int64_t scan_misses = 0;
-  int64_t pages_shared = 0;
   /// checksum per repeated query, identical across all clients or 0-filled
   /// on divergence (checked before aggregation).
   std::vector<size_t> checksums;
@@ -107,10 +104,10 @@ double Percentile(std::vector<double>& v, double p) {
   return v[static_cast<size_t>(p * static_cast<double>(v.size() - 1))];
 }
 
-ModeResult RunMode(int port, const std::string& name, bool sharing) {
+ModeResult RunMode(int port, const std::string& name, bool cache_on) {
   ModeResult out;
   out.name = name;
-  out.sharing = sharing;
+  out.cache_on = cache_on;
 
   std::vector<std::unique_ptr<WireClient>> clients;
   clients.reserve(kClients);
@@ -120,10 +117,9 @@ ModeResult RunMode(int port, const std::string& name, bool sharing) {
       std::fprintf(stderr, "client %d connect failed\n", c);
       std::exit(1);
     }
-    for (const char* knob :
-         {sharing ? "SET SHARED_SCAN ON" : "SET SHARED_SCAN OFF",
-          sharing ? "SET RESULT_CACHE ON" : "SET RESULT_CACHE OFF"}) {
-      if (!cl->Query(knob).ok()) std::exit(1);
+    if (!cl->Query(cache_on ? "SET RESULT_CACHE ON" : "SET RESULT_CACHE OFF")
+             .ok()) {
+      std::exit(1);
     }
     clients.push_back(std::move(cl));
   }
@@ -205,9 +201,6 @@ ModeResult RunMode(int port, const std::string& name, bool sharing) {
           ? static_cast<double>(out.cache_hits) /
                 static_cast<double>(out.cache_hits + out.cache_misses)
           : 0;
-  out.scan_attaches = metrics.Delta("exec.shared_scan_attaches");
-  out.scan_misses = metrics.Delta("exec.shared_scan_misses");
-  out.pages_shared = metrics.Delta("exec.shared_scan_pages_shared");
 
   // Cross-client agreement: every client that saw repeated query q must
   // have the same checksum.
@@ -251,10 +244,12 @@ int main() {
   }
 
   bench::PrintHeader("Shared work: " + std::to_string(kClients) +
-                     " wire clients, sharing A/B");
+                     " wire clients, result cache A/B");
   bench::PrintNote("90% repeated / 10% unique aggregates over " +
                    std::to_string(kHotRows) + " rows, " +
                    std::to_string(kRunSeconds) + "s per mode");
+  const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
+  std::printf("  host cores: %u\n", host_cores);
 
   // Warm every repeated shape once so neither arm pays first-touch costs
   // (and the OFF arm is not penalized for cold plan-cache misses).
@@ -265,9 +260,9 @@ int main() {
     warm.Close();
   }
 
-  ModeResult off = RunMode(server.port(), "sharing_off", false);
+  ModeResult off = RunMode(server.port(), "cache_off", false);
   engine.result_cache().Clear();  // arms start equal
-  ModeResult on = RunMode(server.port(), "sharing_on", true);
+  ModeResult on = RunMode(server.port(), "cache_on", true);
 
   for (const ModeResult* m : {&off, &on}) {
     bench::PrintHeader(m->name);
@@ -278,9 +273,6 @@ int main() {
     bench::PrintRow("p99", m->p99_ms, "ms");
     bench::PrintRow("pages scanned / query", m->pages_per_query, "");
     bench::PrintRow("result cache hit rate", m->cache_hit_rate * 100.0, "%");
-    bench::PrintRow("shared-scan attaches",
-                    static_cast<double>(m->scan_attaches), "");
-    bench::PrintRow("shared pages", static_cast<double>(m->pages_shared), "");
     bench::PrintRow("checksums agree", m->checksums_agree ? 1 : 0, "");
   }
 
@@ -303,31 +295,27 @@ int main() {
     return 1;
   }
   std::fprintf(json,
-               "{\n  \"clients\": %d,\n  \"hot_rows\": %lld,\n"
-               "  \"run_seconds\": %.2f,\n  \"repeated_fraction\": 0.9,\n"
-               "  \"modes\": [\n",
-               kClients, static_cast<long long>(kHotRows), kRunSeconds);
+               "{\n  \"host_cores\": %u,\n  \"clients\": %d,\n"
+               "  \"hot_rows\": %lld,\n  \"run_seconds\": %.2f,\n"
+               "  \"repeated_fraction\": 0.9,\n  \"modes\": [\n",
+               host_cores, kClients, static_cast<long long>(kHotRows),
+               kRunSeconds);
   bool first = true;
   for (const ModeResult* m : {&off, &on}) {
     std::fprintf(
         json,
-        "%s    {\"name\": \"%s\", \"sharing\": %s,\n"
+        "%s    {\"name\": \"%s\", \"result_cache_on\": %s,\n"
         "     \"completed\": %llu, \"errors\": %llu, \"qps\": %.1f,\n"
         "     \"p50_ms\": %.3f, \"p99_ms\": %.3f,\n"
         "     \"pages_per_query\": %.2f,\n"
         "     \"result_cache\": {\"hits\": %lld, \"misses\": %lld, "
         "\"hit_rate\": %.4f},\n"
-        "     \"shared_scan\": {\"attaches\": %lld, \"group_starts\": %lld, "
-        "\"pages_shared\": %lld},\n"
         "     \"checksums_agree\": %s}",
-        first ? "" : ",\n", m->name.c_str(), m->sharing ? "true" : "false",
+        first ? "" : ",\n", m->name.c_str(), m->cache_on ? "true" : "false",
         static_cast<unsigned long long>(m->completed),
         static_cast<unsigned long long>(m->errors), m->qps, m->p50_ms,
         m->p99_ms, m->pages_per_query, static_cast<long long>(m->cache_hits),
         static_cast<long long>(m->cache_misses), m->cache_hit_rate,
-        static_cast<long long>(m->scan_attaches),
-        static_cast<long long>(m->scan_misses),
-        static_cast<long long>(m->pages_shared),
         m->checksums_agree ? "true" : "false");
     first = false;
   }
@@ -340,6 +328,11 @@ int main() {
   std::printf("\nwrote BENCH_shared.json\n");
   if (!identical_across_arms) {
     std::fprintf(stderr, "FAIL: results diverged between clients or arms\n");
+    return 1;
+  }
+  if (speedup < 2.0) {
+    std::fprintf(stderr, "FAIL: cache-on QPS is %.2fx cache-off, below 2x\n",
+                 speedup);
     return 1;
   }
   return 0;

@@ -15,7 +15,6 @@
 #include "common/sort_key.h"
 #include "common/threadpool.h"
 #include "exec/join_order.h"
-#include "exec/shared_scan.h"
 #include "exec/window.h"
 
 namespace dashdb {
@@ -411,29 +410,13 @@ Result<bool> ColumnScanOp::NextImpl(RowBatch* out) {
 
 Status ColumnScanOp::FillWindow() {
   const size_t n_units = table_->num_pages() + 1;  // pages plus the tail
-  // Cooperative shared scan: attach to the engine's circular page clock
-  // for this (table, column-set) and start at its current position. The
-  // window then spans the whole table so visitation can wrap while the
-  // slots keep emission in exact page order.
-  SharedScanTicket share;
-  if (opts_.shared_scan && opts_.share != nullptr) {
-    std::vector<int> pred_cols;
-    for (const auto& p : preds_) pred_cols.push_back(p.column);
-    share = opts_.share->Attach(
-        table_->table_id(), ScanColumnSetSignature(projection_, pred_cols),
-        n_units);
-  }
-  size_t cap = n_units;
-  if (!share.valid()) {
-    window_units_ = NextWindowUnits(
-        *this, parallel() ? static_cast<size_t>(opts_.dop) : 1,
-        window_units_, window_bytes_);
-    cap = window_units_;
-  }
+  window_units_ = NextWindowUnits(
+      *this, parallel() ? static_cast<size_t>(opts_.dop) : 1, window_units_,
+      window_bytes_);
   // Synopsis probes run here, so pages they skip never take a window place
   // (nor a pool task); the skips count into stats_ as ScanPage counts them.
   std::vector<size_t> pages;  // page of each slot, ascending
-  while (pages.size() < cap && next_page_ < n_units) {
+  while (pages.size() < window_units_ && next_page_ < n_units) {
     const size_t p = next_page_++;
     if (table_->PageMayMatch(p, preds_, opts_, &stats_)) pages.push_back(p);
   }
@@ -441,14 +424,9 @@ Status ColumnScanOp::FillWindow() {
   window_.assign(n, RowBatch());
   next_slot_ = 0;
   std::vector<ScanStats> unit_stats(n);
-  const size_t first =
-      std::lower_bound(pages.begin(), pages.end(), share.start()) -
-      pages.begin();
   Status first_error;
   std::mutex err_mu;
-  auto scan_unit = [&](size_t unit) {
-    const size_t slot = (first + unit) % n;
-    share.NotePage(pages[slot]);
+  auto scan_unit = [&](size_t slot) {
     // Governor probe at page granularity: a cancel/timeout stops every
     // worker before its next page, and surfaces like a storage fault.
     Status s = CheckQueryAlive();

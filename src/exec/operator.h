@@ -195,10 +195,8 @@ void RecordCardinalityFeedback(const Operator* root);
 /// (NextWindowUnits in exec/window.h) — decodes them into per-page slots
 /// across the pool, and emits the slots in page order, so output is
 /// identical at every degree and LIMIT stops the scan after the first
-/// window. A shared scan's window is the whole table,
-/// visited from the group clock's position. A window of more than one
-/// slot is charged to the statement's memory budget, and each slot's
-/// charge is released as it is emitted.
+/// window. A window of more than one slot is charged to the statement's
+/// memory budget, and each slot's charge is released as it is emitted.
 class ColumnScanOp : public Operator {
  public:
   ColumnScanOp(std::shared_ptr<const ColumnTable> table,

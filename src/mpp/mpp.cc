@@ -1302,7 +1302,6 @@ MppDatabase::ShardFn MppDatabase::MakeShardSelectFn(
     std::shared_ptr<Session> session = NewShardSession(shard);
     BindOptions bopts;
     bopts.scan = shards_[shard]->MakeScanOptions();
-    bopts.scan.shared_scan = session->shared_scan_enabled();
     Binder binder(shards_[shard]->catalog(), session.get(), bopts);
     DASHDB_ASSIGN_OR_RETURN(OperatorPtr root, binder.BindSelect(*stmt));
     // The shard-local plan probes the attempt's governor at every operator
@@ -1459,7 +1458,7 @@ Result<MppQueryResult> MppDatabase::Execute(
     case ast::StmtKind::kSet: {
       // RESULT_CACHE is a coordinator knob (the cache lives here, not on
       // the shards); record it, then broadcast like any SET so shard
-      // sessions stay in sync for knobs they do own (SHARED_SCAN, DOP...).
+      // sessions stay in sync for knobs they do own (SCHEMA, MEM_BUDGET...).
       const std::string name = NormalizeIdent(stmt->set_name);
       if (name == "RESULT_CACHE") {
         const std::string v = NormalizeIdent(stmt->set_value);

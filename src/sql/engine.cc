@@ -54,9 +54,6 @@ ScanOptions Engine::MakeScanOptions() {
   o.use_swar = config_.use_swar;
   o.operate_on_compressed = config_.operate_on_compressed;
   o.pool = config_.charge_buffer_pool ? &pool_ : nullptr;
-  // Scans attach to the engine-wide share registry only when the session
-  // also arms opts.shared_scan (SET SHARED_SCAN ON).
-  o.share = &scan_share_;
   return o;
 }
 
@@ -498,7 +495,6 @@ Result<QueryResult> Engine::ExecSelect(Session* session,
   bopts.scan = MakeScanOptions();
   bopts.scan.exec_pool = dop > 1 ? exec_pool_.get() : nullptr;
   bopts.scan.dop = dop;
-  bopts.scan.shared_scan = session->shared_scan_enabled();
   Binder binder(&catalog_, session, bopts);
   DASHDB_ASSIGN_OR_RETURN(OperatorPtr root, binder.BindSelect(sel));
   AttachQueryContext(root.get(), qc.get());
@@ -618,7 +614,6 @@ Result<QueryResult> Engine::ExecInsert(Session* session,
     bopts.scan = MakeScanOptions();
     bopts.scan.exec_pool = dop > 1 ? exec_pool_.get() : nullptr;
     bopts.scan.dop = dop;
-    bopts.scan.shared_scan = session->shared_scan_enabled();
     Binder binder(&catalog_, session, bopts);
     DASHDB_ASSIGN_OR_RETURN(OperatorPtr root, binder.BindSelect(*st.select));
     AttachQueryContext(root.get(), qc.get());
@@ -903,19 +898,6 @@ Result<QueryResult> Engine::ExecSet(Session* session,
     }
     session->set_max_parallelism(dop);
     r.message = "DOP " + std::to_string(EffectiveDop(*session));
-    return r;
-  }
-  if (name == "SHARED_SCAN") {
-    std::string v = NormalizeIdent(st.set_value);
-    if (v == "ON" || v == "TRUE" || v == "1") {
-      session->set_shared_scan_enabled(true);
-    } else if (v == "OFF" || v == "FALSE" || v == "0") {
-      session->set_shared_scan_enabled(false);
-    } else {
-      return Status::InvalidArgument("SHARED_SCAN must be ON or OFF");
-    }
-    r.message = std::string("SHARED_SCAN ") +
-                (session->shared_scan_enabled() ? "ON" : "OFF");
     return r;
   }
   if (name == "RESULT_CACHE") {

@@ -16,7 +16,6 @@
 #include "common/query_context.h"
 #include "exec/admission.h"
 #include "exec/operator.h"
-#include "exec/shared_scan.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "sql/plan_cache.h"
@@ -148,11 +147,6 @@ class Engine {
   /// sessions that SET RESULT_CACHE ON (engine-owned, like the plan cache).
   ResultCache& result_cache() { return result_cache_; }
 
-  /// Cooperative shared-scan registry: concurrent scans of the same
-  /// (table, column set) attach to one circular in-flight pass (SET
-  /// SHARED_SCAN ON). Engine-owned so every session/shard worker shares it.
-  ScanShareManager& scan_share() { return scan_share_; }
-
   /// Data version: bumped by every INSERT/UPDATE/DELETE/TRUNCATE so
   /// result-cache entries stamped under the old version go stale. DDL is
   /// covered by catalog_.version(), stats by stats_version().
@@ -234,7 +228,6 @@ class Engine {
   AdmissionController admission_;
   PlanCache plan_cache_;
   ResultCache result_cache_;
-  ScanShareManager scan_share_;
   std::atomic<uint64_t> stats_version_{1};
   std::atomic<uint64_t> data_version_{1};
   IoSink io_nanos_{0};

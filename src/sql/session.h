@@ -45,7 +45,6 @@ class Session {
     Dialect dialect = Dialect::kAnsi;
     std::string default_schema = "PUBLIC";
     int max_parallelism = 0;  ///< 0 = ANY
-    bool shared_scan_enabled = false;
     bool result_cache_enabled = false;
     double statement_timeout_s = 0;
     int64_t mem_budget_bytes = 0;
@@ -119,13 +118,11 @@ class Session {
     return sequences_.count(name) > 0;
   }
 
-  /// SET SHARED_SCAN ON|OFF: attach this session's table scans to in-flight
-  /// circular scans of the same (table, column set) so concurrent queries
-  /// share one pass over the pages (OFF by default).
-  bool shared_scan_enabled() const { return settings_.shared_scan_enabled; }
-  void set_shared_scan_enabled(bool on) {
-    settings_.shared_scan_enabled = on;
-  }
+  /// Always false, and read by nothing that runs a query. It exists only
+  /// because dashbench/targets.cc still compiles
+  /// `bopts.scan.shared_scan = s->shared_scan_enabled();`; delete it
+  /// together with that line.
+  bool shared_scan_enabled() const { return false; }
 
   /// SET RESULT_CACHE ON|OFF: serve repeated read-only statements from the
   /// engine's versioned result cache (OFF by default; writes invalidate by

@@ -42,7 +42,6 @@ struct ColumnPredicate {
 };
 
 class ThreadPool;
-class ScanShareManager;
 
 /// Feature switches for a scan — the paper's architectural levers, each
 /// independently toggleable for the ablation bench and the Test-4
@@ -52,18 +51,17 @@ struct ScanOptions {
   bool use_swar = true;           ///< software SIMD (II.B.6)
   bool operate_on_compressed = true;  ///< predicates on codes (II.B.2)
   BufferPool* pool = nullptr;     ///< charge page accesses when set
-  /// Intra-query parallelism (II.B.6): a column scan decodes a window of
-  /// 2 x `dop` pages across `exec_pool` workers. The window is one page,
+  /// Intra-query parallelism (II.B.6): a column scan decodes its window of
+  /// pages across `exec_pool` workers. The window starts at 2 x `dop` pages
+  /// and doubles on each refill up to 16 x `dop` while the statement's
+  /// MEM_BUDGET has room (NextWindowUnits, exec/window.h). It is one page,
   /// run inline, when exec_pool is null or dop <= 1; both are independently
   /// settable for the ablation bench.
   ThreadPool* exec_pool = nullptr;
   int dop = 1;
-  /// Cooperative shared scans (src/exec/shared_scan.h): when `shared_scan`
-  /// is on and `share` points at the engine's manager, concurrent scans of
-  /// the same (table, column-set) follow one circular page clock, and the
-  /// scan's window spans the whole table. The manager pointer is always
-  /// armed by the engine; the bool is the session's SET SHARED_SCAN knob.
-  ScanShareManager* share = nullptr;
+  /// Read by nothing. It exists only because dashbench/targets.cc still
+  /// compiles `bopts.scan.shared_scan = s->shared_scan_enabled();`; delete
+  /// it together with that line.
   bool shared_scan = false;
 };
 

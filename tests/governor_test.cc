@@ -739,9 +739,9 @@ TEST_F(GovernorTest, AggAndTopNWindowsGrowOnlyAsFarAsTheBudgetAtDop4) {
 }
 
 // ---------------------------------------------------------------------------
-// Column scan window: the decoded pages of one window (2 x dop pages) are
-// held until emitted, so the window counts against the budget — but never
-// more than one window.
+// Column scan window: the decoded pages of one window (2 x dop pages at
+// first, doubling up to 16 x dop within MEM_BUDGET) are held until emitted,
+// so the window counts against the budget — but never more than one window.
 
 TEST_F(GovernorTest, ParallelScanPagesChargeTheBudgetAtDop4) {
   ThreadPool pool(4);

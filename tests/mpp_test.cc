@@ -504,7 +504,9 @@ TEST_F(MppConcurrencyTest, WritesAndSetsInterleaveWithReaders) {
       // Plan-shape knobs: every reader's bytes are the same under both.
       run(i % 2 ? "SET DOP ANY" : "SET DOP 1", -1);
       run("UPDATE " + w + " SET V = V + 1 WHERE ID >= 2", 2);
-      run(i % 2 ? "SET SHARED_SCAN OFF" : "SET SHARED_SCAN ON", -1);
+      // The coordinator's result cache: readers' repeats may hit it while
+      // these writes bump the data version, and must still match.
+      run(i % 2 ? "SET RESULT_CACHE OFF" : "SET RESULT_CACHE ON", -1);
       run("DELETE FROM " + w + " WHERE ID = 1", 1);
       const std::string sum =
           Outcome(db_.get(), "SELECT COUNT(*), SUM(V) FROM " + w);

@@ -1,10 +1,10 @@
 // Shared-work-under-concurrency battery (DESIGN.md "Shared work under
-// concurrency"): the cooperative shared-scan clock, the versioned result
-// cache, the flow-controlled MPP exchange, and the LRU scan-resistance fix
-// must all be invisible to results — byte-identical to solo/serial runs —
-// while actually sharing the work. Labeled `share` and swept under ASan and
-// TSan by scripts/check.sh (attach/detach storms and cache invalidation
-// races are exactly the shapes TSan exists for).
+// concurrency"): concurrent scans of one table, the versioned result cache,
+// the flow-controlled MPP exchange, and the LRU scan-resistance fix must all
+// be invisible to results — byte-identical to solo/serial runs — while the
+// cache and the exchange actually share the work. Labeled `share` and swept
+// under ASan and TSan by scripts/check.sh (concurrent scans and cache
+// invalidation races are exactly the shapes TSan exists for).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +17,6 @@
 #include "bufferpool/bufferpool.h"
 #include "common/metrics.h"
 #include "corpus_util.h"
-#include "exec/shared_scan.h"
 #include "mpp/mpp.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -33,82 +32,13 @@ using corpus::MakeLoadedDb;
 using corpus::ResultKey;
 
 // ---------------------------------------------------------------------------
-// ScanShareManager unit tests
-// ---------------------------------------------------------------------------
-
-TEST(ScanShareManagerTest, AttachMissJoinAndDetachAccounting) {
-  ScanShareManager mgr;
-  const uint64_t sig = ScanColumnSetSignature({0, 2}, {1});
-
-  SharedScanTicket a = mgr.Attach(7, sig, 10);
-  ASSERT_TRUE(a.valid());
-  EXPECT_FALSE(a.joined_inflight());
-  EXPECT_EQ(a.start(), 0u);
-  EXPECT_EQ(mgr.misses(), 1u);
-  EXPECT_EQ(mgr.attaches(), 0u);
-  EXPECT_EQ(mgr.active_consumers(), 1);
-
-  // The in-flight scan publishes its position; a late arrival starts there.
-  a.NotePage(6);
-  SharedScanTicket b = mgr.Attach(7, sig, 10);
-  ASSERT_TRUE(b.valid());
-  EXPECT_TRUE(b.joined_inflight());
-  EXPECT_EQ(b.start(), 6u);
-  EXPECT_EQ(mgr.attaches(), 1u);
-  EXPECT_EQ(mgr.active_consumers(), 2);
-
-  // Pages decoded while two consumers are attached count as shared.
-  const uint64_t shared_before = mgr.pages_shared();
-  b.NotePage(7);
-  a.NotePage(7);
-  EXPECT_GE(mgr.pages_shared(), shared_before + 2);
-
-  // A different column set over the same table is a different group.
-  SharedScanTicket c = mgr.Attach(7, ScanColumnSetSignature({1}, {}), 10);
-  EXPECT_FALSE(c.joined_inflight());
-  EXPECT_EQ(mgr.misses(), 2u);
-
-  { SharedScanTicket drop = std::move(a); }
-  { SharedScanTicket drop = std::move(b); }
-  { SharedScanTicket drop = std::move(c); }
-  EXPECT_EQ(mgr.active_consumers(), 0);
-}
-
-TEST(ScanShareManagerTest, ClockPersistsAcrossQuietPeriodsAndResizeResets) {
-  ScanShareManager mgr;
-  const uint64_t sig = ScanColumnSetSignature({0}, {});
-  {
-    SharedScanTicket t = mgr.Attach(3, sig, 8);
-    t.NotePage(5);
-  }
-  EXPECT_EQ(mgr.active_consumers(), 0);
-  // The next scan over a quiet table resumes at the buffer-resident region.
-  {
-    SharedScanTicket t = mgr.Attach(3, sig, 8);
-    EXPECT_EQ(t.start(), 5u);
-  }
-  // A grown/shrunk table restarts the clock inside the new page range.
-  {
-    SharedScanTicket t = mgr.Attach(3, sig, 4);
-    EXPECT_EQ(t.start(), 0u);
-  }
-}
-
-TEST(ScanShareManagerTest, ColumnSetSignatureSeparatesScanShapes) {
-  EXPECT_NE(ScanColumnSetSignature({0, 1}, {}), ScanColumnSetSignature({1, 0}, {}));
-  // Projection and predicate columns must not collide across the separator.
-  EXPECT_NE(ScanColumnSetSignature({0, 1}, {}), ScanColumnSetSignature({0}, {1}));
-  EXPECT_EQ(ScanColumnSetSignature({2, 4}, {1}), ScanColumnSetSignature({2, 4}, {1}));
-}
-
-// ---------------------------------------------------------------------------
-// Shared scans through the engine: attach/detach storms must stay
-// byte-identical to a SHARED_SCAN OFF baseline at DOP 1 and DOP 4.
+// Concurrent scans through the engine: many sessions scanning one table at
+// once must stay byte-identical to a serial baseline at DOP 1 and DOP 4.
 // ---------------------------------------------------------------------------
 
 /// Multi-page table (kPageRows = 4096; 40k rows = 10 pages per column) with
-/// a row-order-sensitive ID column so any circular-start leak into emission
-/// order fails the differential check.
+/// a row-order-sensitive ID column, so any emission out of page order fails
+/// the differential check.
 std::unique_ptr<Engine> MakeScanEngine(int dop) {
   EngineConfig cfg;
   cfg.query_parallelism = dop;
@@ -133,8 +63,8 @@ std::unique_ptr<Engine> MakeScanEngine(int dop) {
 const char* kScanQueries[] = {
     "SELECT COUNT(*), SUM(V), MIN(V), MAX(V) FROM SCANT WHERE V >= 0",
     "SELECT GRP, COUNT(*), SUM(V) FROM SCANT GROUP BY GRP ORDER BY GRP",
-    // COUNT with a second aggregate so the CountStarScan fast path (which
-    // never touches the scan operator) stays out of the attach accounting.
+    // COUNT with a second aggregate, so the scan operator runs rather than
+    // the CountStarScan fast path.
     "SELECT COUNT(*), MIN(ID) FROM SCANT WHERE V > 500",
     "SELECT SUM(ID) FROM SCANT WHERE GRP = 3",
     // No ORDER BY: emission order itself is under test (page-order slots).
@@ -148,10 +78,10 @@ std::string ExecKey(Engine* engine, Session* sess, const std::string& sql) {
   return r.ok() ? ResultKey(*r) : "<error>";
 }
 
-void RunSharedScanStorm(int dop) {
+void RunConcurrentScans(int dop) {
   auto engine = MakeScanEngine(dop);
 
-  // OFF baseline, serial session.
+  // Serial baseline.
   std::vector<std::string> base;
   {
     auto sess = engine->CreateSession();
@@ -165,11 +95,6 @@ void RunSharedScanStorm(int dop) {
   for (int c = 0; c < kThreads; ++c) {
     threads.emplace_back([&, c] {
       auto sess = engine->CreateSession();
-      auto on = engine->Execute(sess.get(), "SET SHARED_SCAN ON");
-      if (!on.ok()) {
-        errors[c] = on.status().ToString();
-        return;
-      }
       for (int it = 0; it < kIters; ++it) {
         // Stagger so different threads contend on different queries.
         const size_t qi = (static_cast<size_t>(it) + static_cast<size_t>(c)) %
@@ -190,36 +115,10 @@ void RunSharedScanStorm(int dop) {
   for (int c = 0; c < kThreads; ++c) {
     EXPECT_TRUE(errors[c].empty()) << "thread " << c << ": " << errors[c];
   }
-
-  // Every shared-arm scan attached exactly once (fresh group or joined).
-  EXPECT_EQ(engine->scan_share().attaches() + engine->scan_share().misses(),
-            static_cast<uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(engine->scan_share().active_consumers(), 0);
 }
 
-TEST(SharedScanStormTest, ByteIdenticalAtDop1) { RunSharedScanStorm(1); }
-TEST(SharedScanStormTest, ByteIdenticalAtDop4) { RunSharedScanStorm(4); }
-
-TEST(SharedScanStormTest, NonzeroClockStartStaysByteIdentical) {
-  auto engine = MakeScanEngine(1);
-  auto sess = engine->CreateSession();
-  std::vector<std::string> base;
-  for (const char* q : kScanQueries) base.push_back(ExecKey(engine.get(), sess.get(), q));
-
-  ASSERT_TRUE(engine->Execute(sess.get(), "SET SHARED_SCAN ON").ok());
-  // First shared run of each query leaves the group clock mid-table (the
-  // last page it published), so the SECOND run deterministically starts at
-  // a nonzero page and wraps — the circular path must still emit in page
-  // order and match the cold baseline byte for byte.
-  for (int round = 0; round < 3; ++round) {
-    for (size_t qi = 0; qi < kScanQueryCount; ++qi) {
-      EXPECT_EQ(ExecKey(engine.get(), sess.get(), kScanQueries[qi]), base[qi])
-          << "round " << round << " query " << qi;
-    }
-  }
-  EXPECT_EQ(engine->scan_share().misses() + engine->scan_share().attaches(),
-            3u * kScanQueryCount);
-}
+TEST(ConcurrentScanTest, ByteIdenticalAtDop1) { RunConcurrentScans(1); }
+TEST(ConcurrentScanTest, ByteIdenticalAtDop4) { RunConcurrentScans(4); }
 
 // ---------------------------------------------------------------------------
 // Buffer pool scan resistance (LRU cold-end admission for tagged scans)
@@ -674,7 +573,7 @@ std::vector<std::string> SerialBaseline() {
   return keys;
 }
 
-TEST(MppSharedWorkTest, WireCorpusByteIdenticalWithSharedScanAndCacheOn) {
+TEST(MppSharedWorkTest, WireCorpusByteIdenticalWithResultCacheOn) {
   std::vector<std::string> base = SerialBaseline();
 
   auto db = MakeLoadedDb(4);
@@ -692,10 +591,8 @@ TEST(MppSharedWorkTest, WireCorpusByteIdenticalWithSharedScanAndCacheOn) {
       WireClient client;
       Status st = client.Connect(server.port());
       if (!st.ok()) { errors[c] = "connect: " + st.ToString(); return; }
-      for (const char* knob : {"SET SHARED_SCAN ON", "SET RESULT_CACHE ON"}) {
-        auto r = client.Query(knob);
-        if (!r.ok()) { errors[c] = std::string(knob) + ": " + r.status().ToString(); return; }
-      }
+      auto on = client.Query("SET RESULT_CACHE ON");
+      if (!on.ok()) { errors[c] = "SET RESULT_CACHE ON: " + on.status().ToString(); return; }
       // Two staggered passes: the second pass is the repeat traffic the
       // result cache exists for, and must still match the cold baseline.
       for (int pass = 0; pass < 2; ++pass) {
